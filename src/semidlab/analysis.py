@@ -2,39 +2,20 @@
 
 Everything here is a pure function of its inputs (dumps, tables,
 frozen models), so re-running an analysis without retraining is
-bit-identical. Normalized entropy lives here and is shared with the
-ranker's evaluator.
+bit-identical.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ranker
 from .corpus import DAY, ground_truth_ctr
+from .metrics import SingleClassError, normalized_entropy
 from .runfiles import write_table
-
-
-class SingleClassError(ValueError):
-    """NE is undefined when every label is identical (denominator 0)."""
-
-
-def normalized_entropy(labels, predictions) -> float:
-    """Model cross-entropy over the cross-entropy of the base-rate
-    predictor; 1.0 means no lift over predicting the mean."""
-    y = np.asarray(labels, dtype=np.float64)
-    p = np.clip(np.asarray(predictions, dtype=np.float64), 1e-7, 1.0 - 1e-7)
-    if y.size == 0:
-        raise SingleClassError("empty stream")
-    base = y.mean()
-    if base <= 0.0 or base >= 1.0:
-        raise SingleClassError(f"single-class stream (positive rate {base})")
-    model_ce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
-    base_ce = -(base * math.log(base) + (1.0 - base) * math.log(1.0 - base))
-    return float(model_ce / base_ce)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +120,6 @@ def drifting_gap(model, train_events, early_window, late_window) -> dict:
     Both windows are re-scored with the frozen model; a smaller gap
     means old-item representations survived continued training better.
     """
-    from . import ranker  # local import; ranker depends on this module
-
     def window_events(window):
         lo, hi = window
         return [e for e in train_events if lo <= e.timestamp < hi]
@@ -313,8 +292,6 @@ def click_loss_analog(
     model noise. Swaps with no same-prefix alternative are skipped and
     counted.
     """
-    from . import ranker  # local import; ranker depends on this module
-
     rng = np.random.default_rng([seed, 23])
     id_list = [int(x) for x in items.raw_ids]
     by_prefix: dict[int, dict] = {k: {} for k in depths}
@@ -332,13 +309,12 @@ def click_loss_analog(
         if alive.size < set_size + 1:
             continue
         pool = rng.choice(alive, size=min(pool_size, alive.size), replace=False)
-        scores = []
-        for idx in pool:
-            cand = type(event)(
-                event.event_id, t, event.user_id, int(items.raw_ids[idx]), 0, event.history
-            )
-            scores.append(ranker.forward(model, cand).probability)
-        top = pool[np.argsort(-np.asarray(scores), kind="stable")[:set_size]]
+        pool_events = [
+            type(event)(event.event_id, t, event.user_id, int(items.raw_ids[idx]), 0, event.history)
+            for idx in pool
+        ]
+        scores, _ = ranker.score(model, pool_events)
+        top = pool[np.argsort(-scores, kind="stable")[:set_size]]
         pref = users.preferences[event.user_id]
         base_ctrs = [
             ground_truth_ctr(pref, items.embeddings[i], temperature, bias) for i in top

@@ -53,24 +53,60 @@ def save_checkpoint(path, params, meta=None) -> None:
 
 
 def load_checkpoint(path):
-    """Read a container; returns (dict name -> float64 array, meta dict)."""
+    """Read a container; returns (dict name -> float64 array, meta dict).
+
+    Raises CheckpointError on a foreign, truncated or inconsistent file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a semidlab checkpoint")
+    if len(raw) < 12:
+        raise CheckpointError(f"{path}: truncated header length")
     (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-    if header.get("version") != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
+    if 12 + hlen > len(raw):
+        raise CheckpointError(f"{path}: truncated header ({len(raw) - 12} of {hlen} bytes)")
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+        version = header.get("version")
+        if version == VERSION:
+            entries = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in header["params"]]
+            meta = header["meta"]
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
     params = {}
     offset = 12 + hlen
-    for entry in header["params"]:
-        shape = tuple(entry["shape"])
+    for name, shape in entries:
+        if any(n < 0 for n in shape):
+            raise CheckpointError(f"{path}: negative dimension in shape {shape} of {name!r}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
-        arr = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
-        params[entry["name"]] = arr
+        if end > len(raw):
+            raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")
+        params[name] = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")
-    return params, header["meta"]
+    return params, meta
+
+
+def assign_checkpoint_params(params: dict, saved: dict, path) -> None:
+    """Copy saved arrays into a model's parameter tensors, in place.
+
+    The saved names must be exactly the model's and every shape must
+    match; anything else raises CheckpointError before any copy, so a
+    mismatched file never broadcasts into a table or half-loads.
+    """
+    missing = sorted(set(params) - set(saved))
+    unexpected = sorted(set(saved) - set(params))
+    if missing or unexpected:
+        raise CheckpointError(f"{path}: parameter names differ (missing {missing}, unexpected {unexpected})")
+    for name, value in saved.items():
+        if value.shape != params[name].value.shape:
+            raise CheckpointError(
+                f"{path}: {name!r} has shape {value.shape}, the model expects {params[name].value.shape}"
+            )
+    for name, value in saved.items():
+        params[name].value[:] = value

@@ -388,7 +388,7 @@ def inject_aa_pairs(items: ItemTable, count: int, window: tuple[int, int], seed:
 
 
 def save_items(path, items: ItemTable, meta: dict) -> None:
-    cols = ["raw_id", "birth", "death", "weight", "top", "mid", "leaf", "embedding"]
+    cols = ["raw_id", "birth", "death", "weight", "bias", "top", "mid", "leaf", "embedding"]
 
     def rows():
         for i in range(len(items)):
@@ -397,6 +397,7 @@ def save_items(path, items: ItemTable, meta: dict) -> None:
                 str(int(items.birth[i])),
                 str(int(items.death[i])),
                 repr(float(items.weight[i])),
+                repr(float(items.bias[i])),
                 str(int(items.top[i])),
                 str(int(items.mid[i])),
                 str(int(items.leaf[i])),
@@ -413,19 +414,20 @@ def load_items(path):
     birth = np.empty(n, dtype=np.int64)
     death = np.empty(n, dtype=np.int64)
     weight = np.empty(n)
+    bias = np.empty(n)
     top = np.empty(n, dtype=np.int64)
     mid = np.empty(n, dtype=np.int64)
     leaf = np.empty(n, dtype=np.int64)
     emb = None
     for i, r in enumerate(rows):
         raw[i], birth[i], death[i] = int(r[0]), int(r[1]), int(r[2])
-        weight[i] = float(r[3])
-        top[i], mid[i], leaf[i] = int(r[4]), int(r[5]), int(r[6])
-        vec = np.fromiter((float(v) for v in r[7].split(",")), dtype=np.float64)
+        weight[i], bias[i] = float(r[3]), float(r[4])
+        top[i], mid[i], leaf[i] = int(r[5]), int(r[6]), int(r[7])
+        vec = np.fromiter((float(v) for v in r[8].split(",")), dtype=np.float64)
         if emb is None:
             emb = np.empty((n, vec.size))
         emb[i] = vec
-    items = ItemTable(raw, emb, top, mid, leaf, birth, death, weight)
+    items = ItemTable(raw, emb, top, mid, leaf, birth, death, weight, bias)
     return items, meta
 
 

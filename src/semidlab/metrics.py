@@ -1,0 +1,27 @@
+"""Normalized entropy, the quality metric shared by the ranker's
+evaluator and the analyses."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+
+class SingleClassError(ValueError):
+    """NE is undefined when every label is identical (denominator 0)."""
+
+
+def normalized_entropy(labels, predictions) -> float:
+    """Model cross-entropy over the cross-entropy of the base-rate
+    predictor; 1.0 means no lift over predicting the mean."""
+    y = np.asarray(labels, dtype=np.float64)
+    p = np.clip(np.asarray(predictions, dtype=np.float64), 1e-7, 1.0 - 1e-7)
+    if y.size == 0:
+        raise SingleClassError("empty stream")
+    base = y.mean()
+    if base <= 0.0 or base >= 1.0:
+        raise SingleClassError(f"single-class stream (positive rate {base})")
+    model_ce = -(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)).mean()
+    base_ce = -(base * math.log(base) + (1.0 - base) * math.log(1.0 - base))
+    return float(model_ce / base_ce)

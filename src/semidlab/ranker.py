@@ -10,6 +10,16 @@ the collected vectors followed by an MLP and a sigmoid.
 History sequences are most-recent-first. Positions beyond the real
 history hold a learned pad embedding; attention is deliberately not
 masked over pads, so pad-attention statistics are measurable.
+
+A minibatch of B events is scored as one graph (``forward_batch``).
+Each lookup turns the batch's IDs into an integer row array, with -1
+where a position has no row, and one ``gather_groups`` per table builds
+the B-by-T-by-d history block and the B-by-1-by-d targets. The
+aggregation module and the interaction run on the batch axis, and the
+top MLP maps the B interaction rows to B logits. Training, evaluation
+and the analyses all score through this one path; frozen-model scoring
+(``score``) runs in minibatches of ``batch_size``, so one graph of at
+most that many events is alive at a time.
 """
 
 from __future__ import annotations
@@ -20,8 +30,8 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import tensor as T
-from .analysis import SingleClassError, normalized_entropy
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import assign_checkpoint_params, load_checkpoint, save_checkpoint
+from .metrics import normalized_entropy
 from .runfiles import read_table, write_table
 from .tokenization import (
     ConfigurationError,
@@ -84,8 +94,6 @@ class RankerModel:
     history_lookup: object
     params: dict = field(default_factory=dict)
     frozen: bool = False
-    _target_rows: dict = field(default_factory=dict, repr=False)
-    _history_rows: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def initialize(cls, config: RankerConfig, target_lookup, history_lookup) -> "RankerModel":
@@ -138,33 +146,6 @@ class RankerModel:
         mlp("top", [interaction_dim, *config.top_mlp, 1])
         return cls(config=config, target_lookup=target_lookup, history_lookup=history_lookup, params=p)
 
-    def rows_for_target(self, raw_id: int):
-        rows = self._target_rows.get(raw_id)
-        if rows is None:
-            rows = tuple(self.target_lookup.rows(raw_id))
-            self._target_rows[raw_id] = rows
-        return rows
-
-    def rows_for_history(self, raw_id: int):
-        rows = self._history_rows.get(raw_id)
-        if rows is None:
-            rows = tuple(self.history_lookup.rows(raw_id))
-            self._history_rows[raw_id] = rows
-        return rows
-
-
-def sparse_embed(feature_ids, lookup, table: T.Tensor) -> T.Tensor:
-    """Pooled embedding of a sparse feature (a set of raw IDs).
-
-    Each constituent ID contributes the sum of its lookup rows; the set
-    is deduplicated and ordered for determinism. An empty feature yields
-    the zero vector.
-    """
-    rows: list[int] = []
-    for raw_id in sorted({int(x) for x in feature_ids}):
-        rows.extend(lookup.rows(raw_id))
-    return T.gather_sum(table, rows)
-
 
 def ts_bucket(age_seconds: int, n_buckets: int) -> int:
     """Log-spaced age buckets: bucket 0 is under a minute, each further
@@ -181,26 +162,42 @@ class ForwardResult:
     pad_positions: np.ndarray  # bool mask over source positions
 
 
-def _history_matrix(model: RankerModel, event) -> tuple[T.Tensor, np.ndarray]:
+@dataclass
+class BatchResult:
+    probabilities: np.ndarray  # (B,)
+    logits: T.Tensor  # (B, 1)
+    attention: np.ndarray | None  # (B, rows, T), rows sum to 1; None for bypass
+    pad_positions: np.ndarray  # (B, T) bool
+
+
+def _history_block(model: RankerModel, events) -> tuple[T.Tensor, np.ndarray]:
+    """B-by-T-by-d history embeddings and the B-by-T pad mask.
+
+    A real position sums its item's lookup rows and its age bucket's
+    row; a pad position takes the pad embedding. Histories longer than
+    T keep their T most recent entries.
+    """
     cfg = model.config
     t = cfg.history_length
-    hist = list(event.history[:t])  # most-recent-first; drop the oldest overflow
-    n_real = len(hist)
-    item_groups = [model.rows_for_history(item) for item, _ in hist] + [()] * (t - n_real)
-    ts_groups = [
-        (ts_bucket(event.timestamp - ts, cfg.n_ts_buckets),) for _, ts in hist
-    ] + [()] * (t - n_real)
-    pad_groups = [()] * n_real + [(0,)] * (t - n_real)
+    item_ids = []
+    buckets = np.full((len(events), t), -1, dtype=np.intp)
+    for i, event in enumerate(events):
+        for j, (item, ts) in enumerate(event.history[:t]):
+            item_ids.append(item)
+            buckets[i, j] = ts_bucket(event.timestamp - ts, cfg.n_ts_buckets)
+    pad_mask = buckets < 0
+    item_rows = np.full((len(events), t, model.history_lookup.output_count), -1, dtype=np.intp)
+    item_rows[~pad_mask] = model.history_lookup.rows_batch(item_ids)
+    p = model.params
     x = T.add(
         T.add(
-            T.gather_groups(model.params["history_table"], item_groups),
-            T.gather_groups(model.params["ts_table"], ts_groups),
+            T.gather_groups(p["history_table"], item_rows),
+            T.gather_groups(p["ts_table"], buckets[..., None]),
         ),
-        T.gather_groups(model.params["pad_embed"], pad_groups),
+        T.gather_groups(p["pad_embed"], np.where(pad_mask, 0, -1)[..., None]),
     )
     if cfg.aggregation != "bypass":
-        x = T.add(x, model.params["pos_embed"])
-    pad_mask = np.array([False] * n_real + [True] * (t - n_real))
+        x = T.add_rowvec(x, p["pos_embed"])
     return x, pad_mask
 
 
@@ -211,6 +208,8 @@ def _block_mlp(model: RankerModel, x: T.Tensor) -> T.Tensor:
 
 
 def _aggregate(model: RankerModel, x: T.Tensor) -> tuple[T.Tensor, T.Tensor | None]:
+    """History module over a B-by-T-by-d block; returns the B-by-rows-by-d
+    output and the B-by-rows-by-T attention (None for bypass)."""
     cfg = model.config
     p = model.params
     if cfg.aggregation == "bypass":
@@ -221,36 +220,48 @@ def _aggregate(model: RankerModel, x: T.Tensor) -> tuple[T.Tensor, T.Tensor | No
     inv_sqrt = 1.0 / math.sqrt(cfg.d_m)
     if cfg.aggregation == "transformer":
         queries = T.matmul(normed, p["agg.wq"])
-        attn = T.softmax_rows(T.scale(T.matmul(queries, T.transpose(keys)), inv_sqrt))
-        x1 = T.add(T.matmul(attn, values), x)
+        attn = T.softmax_rows(T.scale(T.bmm(queries, T.transpose(keys)), inv_sqrt))
+        x1 = T.add(T.bmm(attn, values), x)
     else:
-        attn = T.softmax_rows(T.scale(T.matmul(p["agg.seeds"], T.transpose(keys)), inv_sqrt))
-        x1 = T.add(T.matmul(attn, values), p["agg.seeds"])
+        attn = T.softmax_rows(T.scale(T.bmm(p["agg.seeds"], T.transpose(keys)), inv_sqrt))
+        x1 = T.add_rowvec(T.bmm(attn, values), p["agg.seeds"])
     x2 = T.add(_block_mlp(model, T.layernorm(x1, p["agg.ln2.g"], p["agg.ln2.b"])), x1)
     return x2, attn
 
 
-def forward(model: RankerModel, event) -> ForwardResult:
-    """Score one impression; keeps the attention matrix for analysis."""
-    x, pad_mask = _history_matrix(model, event)
+def forward_batch(model: RankerModel, events) -> BatchResult:
+    """Score a minibatch of impressions as one graph."""
+    events = list(events)
+    if not events:
+        raise ValueError("empty minibatch")
+    x, pad_mask = _history_block(model, events)
     agg, attn = _aggregate(model, x)
-    target = T.gather_groups(model.params["target_table"], [model.rows_for_target(event.item_id)])
+    target_rows = model.target_lookup.rows_batch([e.item_id for e in events])
+    target = T.gather_groups(model.params["target_table"], target_rows[:, None, :])
     vectors = T.concat_rows([target, agg])
     interactions = T.pairwise_dot_upper(vectors)
-    flat = T.concat_flat([interactions, vectors])
-    h = T.reshape(flat, (1, flat.value.size))
+    h = T.concat_flat([interactions, vectors])
     n_layers = len(model.config.top_mlp) + 1
     for i in range(n_layers):
         h = T.add_rowvec(T.matmul(h, model.params[f"top.{i}.w"]), model.params[f"top.{i}.b"])
         if i < n_layers - 1:
             h = T.relu(h)
-    logit = h
-    prob = float(T.sigmoid(logit).value[0, 0])
-    return ForwardResult(
-        probability=prob,
-        logit=logit,
-        attention=None if attn is None else attn.value.copy(),
+    return BatchResult(
+        probabilities=T.sigmoid(h).value[:, 0],
+        logits=h,
+        attention=None if attn is None else attn.value,
         pad_positions=pad_mask,
+    )
+
+
+def forward(model: RankerModel, event) -> ForwardResult:
+    """Score one impression; keeps the attention matrix for analysis."""
+    out = forward_batch(model, [event])
+    return ForwardResult(
+        probability=float(out.probabilities[0]),
+        logit=out.logits,
+        attention=None if out.attention is None else out.attention[0],
+        pad_positions=out.pad_positions[0],
     )
 
 
@@ -274,40 +285,49 @@ class TrainResult:
     ne_curve: list  # trailing-window NE over the training pass
 
 
+def _backward_batch(model: RankerModel, batch) -> list[float]:
+    """Forward and backward over a minibatch; returns the probabilities.
+
+    Each event's loss is divided by ``batch_size``, a short last batch
+    included. The graph is dropped on return, before the optimizer
+    step allocates its temporaries.
+    """
+    out = forward_batch(model, batch)
+    labels = np.array([[float(e.label)] for e in batch])
+    loss = T.bce_with_logits(out.logits, labels)
+    T.backward(T.scale(loss, len(batch) / model.config.batch_size))
+    return out.probabilities.tolist()
+
+
 def train_one_epoch(model: RankerModel, events, ne_window: int = 5000) -> TrainResult:
     """One sequential pass of minibatch cross-entropy training.
 
-    Events must already be time-ordered. The trailing-window NE uses
-    each event's pre-update prediction (progressive validation).
+    Events must already be time-ordered. Each minibatch is one graph and
+    one optimizer step. The trailing-window NE uses each event's
+    pre-update prediction (progressive validation).
     """
     if model.frozen:
         raise RankerConfigError("model is frozen")
     cfg = model.config
+    events = list(events)
     params = list(model.params.values())
     opt = T.make_optimizer(cfg.optimizer, params, cfg.learning_rate)
     curve = []
     window: list[tuple[int, float]] = []
-    pending = 0
     opt.zero_grad()
-    for i, event in enumerate(events):
-        out = forward(model, event)
-        loss = T.bce_with_logits(out.logit, np.array([[float(event.label)]]))
-        T.backward(T.scale(loss, 1.0 / cfg.batch_size))
-        pending += 1
-        if pending == cfg.batch_size:
-            opt.step()
-            opt.zero_grad()
-            pending = 0
-        window.append((event.label, out.probability))
-        if len(window) == ne_window:
-            labels = np.array([l for l, _ in window], dtype=float)
-            preds = np.array([p for _, p in window])
-            if 0.0 < labels.mean() < 1.0:
-                curve.append({"events_seen": i + 1, "ne": normalized_entropy(labels, preds)})
-            window = []
-    if pending:
+    for start in range(0, len(events), cfg.batch_size):
+        batch = events[start : start + cfg.batch_size]
+        probs = _backward_batch(model, batch)
         opt.step()
         opt.zero_grad()
+        for i, (event, prob) in enumerate(zip(batch, probs), start=start):
+            window.append((event.label, prob))
+            if len(window) == ne_window:
+                labels = np.array([l for l, _ in window], dtype=float)
+                preds = np.array([p for _, p in window])
+                if 0.0 < labels.mean() < 1.0:
+                    curve.append({"events_seen": i + 1, "ne": normalized_entropy(labels, preds)})
+                window = []
     return TrainResult(ne_curve=curve)
 
 
@@ -318,27 +338,44 @@ class EvalResult:
     attentions: list  # (attention matrix, pad mask) pairs when requested
 
 
+def score(model: RankerModel, events, keep_attention: bool = False) -> tuple[np.ndarray, list]:
+    """Frozen-model probabilities, scored in minibatches of ``batch_size``.
+
+    Only one minibatch graph is alive at a time. With ``keep_attention``
+    the (attention matrix, pad mask) pair of every event comes back too
+    (none for bypass).
+    """
+    events = list(events)
+    probabilities = []
+    attentions = []
+    size = model.config.batch_size
+    for start in range(0, len(events), size):
+        out = forward_batch(model, events[start : start + size])
+        probabilities.append(out.probabilities)
+        if keep_attention and out.attention is not None:
+            attentions.extend(zip(out.attention, out.pad_positions))
+        del out  # drop this chunk's graph before the next one is built
+    return np.concatenate(probabilities), attentions
+
+
 def evaluate(model: RankerModel, events, keep_attention: bool = False) -> EvalResult:
-    """Frozen-model scoring; NE per the segment's own base rate.
+    """Frozen-model scoring through ``score``; NE per the segment's own
+    base rate.
 
     Raises SingleClassError when the stream holds only one label class
     rather than returning a silent NaN.
     """
-    records = []
-    attentions = []
-    labels = []
-    preds = []
-    for event in events:
-        out = forward(model, event)
-        p = clip_prediction(out.probability)
-        records.append(PredictionRecord(event.event_id, event.label, p, event.item_id))
-        labels.append(float(event.label))
-        preds.append(p)
-        if keep_attention and out.attention is not None:
-            attentions.append((out.attention, out.pad_positions))
-    if not records:
+    events = list(events)
+    if not events:
         raise ValueError("empty evaluation stream")
-    ne = normalized_entropy(np.array(labels), np.array(preds))
+    probabilities, attentions = score(model, events, keep_attention)
+    records = [
+        PredictionRecord(event.event_id, event.label, clip_prediction(prob), event.item_id)
+        for event, prob in zip(events, probabilities.tolist())
+    ]
+    labels = np.array([float(r.label) for r in records])
+    preds = np.array([r.prediction for r in records])
+    ne = normalized_entropy(labels, preds)
     return EvalResult(ne=ne, records=records, attentions=attentions)
 
 
@@ -383,12 +420,15 @@ def save_ranker(path, model: RankerModel, meta: dict | None = None) -> None:
 
 
 def load_ranker(path, target_lookup, history_lookup) -> tuple[RankerModel, dict]:
-    """Rebuild a model from a checkpoint plus reconstructed lookups."""
+    """Rebuild a model from a checkpoint plus reconstructed lookups.
+
+    Raises CheckpointError when the saved parameter names or shapes do
+    not match the model the config and lookups describe.
+    """
     params, meta = load_checkpoint(path)
     config = RankerConfig.from_dict(meta["ranker_config"])
     model = RankerModel.initialize(config, target_lookup, history_lookup)
-    for name, value in params.items():
-        model.params[name].value[:] = value
+    assign_checkpoint_params(model.params, params, path)
     model.frozen = True
     return model, meta
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import assign_checkpoint_params, load_checkpoint, save_checkpoint
 from .runfiles import read_table, write_table
 
 
@@ -230,7 +230,7 @@ def loss(model: RqVaeModel, x) -> LossParts:
         terms.append(T.scale(T.sum_sq(T.sub(z_t, T.constant(cum))), beta))
         # codeword half: the residual is a constant, gradient flows into
         # the picked codebook rows
-        rows = T.gather_groups(cb, [[int(c)] for c in codes[:, level]])
+        rows = T.gather_groups(cb, codes[:, level : level + 1])
         terms.append(T.sum_sq(T.sub(T.constant(residuals[level]), rows)))
 
     # straight-through: decode the quantized latent, pass gradient to z
@@ -399,8 +399,7 @@ def load_rqvae(path) -> tuple[RqVaeModel, dict]:
     params, meta = load_checkpoint(path)
     config = RqVaeConfig.from_dict(meta["rqvae_config"])
     model = RqVaeModel.initialize(config)
-    for name, value in params.items():
-        model.params[name].value[:] = value
+    assign_checkpoint_params(model.params, params, path)
     model.frozen = bool(meta.get("frozen", False))
     return model, meta
 

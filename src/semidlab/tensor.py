@@ -7,8 +7,15 @@ walks the graph once in reverse topological order, so gradients are
 exact and deterministic for a given graph.
 
 Only the operations the ranking model and the residual quantizer need
-are provided; there is no broadcasting beyond the row-vector adds those
-models use.
+are provided. The matrix ops also take leading batch axes: the ranker
+scores a minibatch as one graph, with a B-by-T-by-d history block and
+one target row per event, while the residual quantizer uses plain
+matrices, for which each op keeps its plain 2-D arithmetic. The only
+broadcasting is ``add_rowvec``, whose second operand lacks some leading
+axes of the first (a bias vector, a position table, or the
+pooled-attention seeds); ``bmm`` also shares a plain matrix across
+the batch. Row gathers take integer index arrays in which -1 marks
+"no row".
 """
 
 from __future__ import annotations
@@ -97,8 +104,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate into ``grad`` of every reachable tensor with
-    ``requires_grad``; call ``zero_grads`` between optimizer steps.
+    Gradients accumulate into ``grad`` of every reachable leaf tensor
+    with ``requires_grad``; call ``zero_grads`` between optimizer steps.
+    An inner node drops its gradient once it has passed it on, so a
+    minibatch graph does not hold a second copy of its activations.
     """
     if loss.value.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.value.shape}")
@@ -108,6 +117,7 @@ def backward(loss: Tensor) -> None:
         if node._backward is None or node.grad is None:
             continue
         parent_grads = node._backward(node.grad)
+        node.grad = None
         for p, g in zip(node.parents, parent_grads):
             if p.requires_grad and g is not None:
                 _accumulate(p, g)
@@ -122,29 +132,68 @@ def zero_grads(params) -> None:
 # operations
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """View of an array with every leading axis folded into the rows."""
+    return x.reshape(-1, x.shape[-1])
+
+
+def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
+    """Sum a gradient over the leading axes its operand was broadcast along."""
+    if g.shape == tuple(shape):
+        return g
+    return g.reshape(-1, *shape).sum(axis=0)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Product of ``a`` (..., n, k) with a k-by-m matrix ``b``.
+
+    Leading axes of ``a`` fold into its rows, so a batch of histories
+    shares one call into BLAS.
+    """
     av, bv = a.value, b.value
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
+    if av.ndim < 2 or bv.ndim != 2 or av.shape[-1] != bv.shape[0]:
         raise DimensionError(f"matmul: incompatible shapes {av.shape} x {bv.shape}")
+    out = (_rows(av) @ bv).reshape(*av.shape[:-1], bv.shape[1])
+
+    def back(g):
+        return (_rows(g) @ bv.T).reshape(av.shape), _rows(av).T @ _rows(g)
+
+    return Tensor(out, parents=(a, b), backward=back)
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product over a leading batch axis.
+
+    ``a`` is (B, n, k) and ``b`` is (B, k, m); either may be a plain
+    matrix shared by every batch entry (the pooled-attention seeds),
+    whose gradient then sums over the batch.
+    """
+    av, bv = a.value, b.value
+    if av.ndim not in (2, 3) or bv.ndim not in (2, 3) or av.shape[-1] != bv.shape[-2]:
+        raise DimensionError(f"bmm: incompatible shapes {av.shape} x {bv.shape}")
+    if av.ndim == bv.ndim == 3 and av.shape[0] != bv.shape[0]:
+        raise DimensionError(f"bmm: batch sizes differ, {av.shape} x {bv.shape}")
     out = av @ bv
 
     def back(g):
-        return g @ bv.T, av.T @ g
+        da = g @ np.swapaxes(bv, -1, -2)
+        db = np.swapaxes(av, -1, -2) @ g
+        return _unbroadcast(da, av.shape), _unbroadcast(db, bv.shape)
 
     return Tensor(out, parents=(a, b), backward=back)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by subtracting the row max."""
+    """Softmax over the last axis, stabilized by subtracting the row max."""
     av = a.value
-    if av.ndim != 2:
+    if av.ndim < 2:
         raise DimensionError(f"softmax_rows expects a matrix, got shape {av.shape}")
-    shifted = av - av.max(axis=1, keepdims=True)
+    shifted = av - av.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
-        return ((g - (g * s).sum(axis=1, keepdims=True)) * s,)
+        return ((g - (g * s).sum(axis=-1, keepdims=True)) * s,)
 
     return Tensor(s, parents=(a,), backward=back)
 
@@ -155,19 +204,19 @@ LAYERNORM_EPS = 1e-5
 def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row normalization to zero mean and unit population variance.
 
-    The variance denominator is the row width d (population variance),
-    and 1e-5 sits inside the square root, so a constant row maps to the
-    bias without dividing by zero.
+    Rows run along the last axis. The variance denominator is the row
+    width d (population variance), and 1e-5 sits inside the square
+    root, so a constant row maps to the bias without dividing by zero.
     """
     av = a.value
-    if av.ndim != 2:
+    if av.ndim < 2:
         raise DimensionError(f"layernorm expects a matrix, got shape {av.shape}")
-    d = av.shape[1]
+    d = av.shape[-1]
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise DimensionError("layernorm gain/bias must be vectors of the row width")
-    mu = av.mean(axis=1, keepdims=True)
+    mu = av.mean(axis=-1, keepdims=True)
     centered = av - mu
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = centered * inv
     out = xhat * gain.value + bias.value
@@ -176,67 +225,44 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx = g * gain.value
         # d/dx of (x - mu(x)) * inv(x): the two mean reductions fold into
         # the usual three-term layernorm gradient.
-        m1 = gx.mean(axis=1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=1, keepdims=True)
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
         da = inv * (gx - m1 - xhat * m2)
-        dgain = (g * xhat).sum(axis=0)
-        dbias = g.sum(axis=0)
+        dgain = _rows(g * xhat).sum(axis=0)
+        dbias = _rows(g).sum(axis=0)
         return da, dgain, dbias
 
     return Tensor(out, parents=(a, gain, bias), backward=back)
 
 
-def gather_sum(table: Tensor, rows) -> Tensor:
-    """Sum of the selected table rows; duplicates accumulate.
+def gather_groups(table: Tensor, index) -> Tensor:
+    """Per-group row sums: output entry i sums table rows index[i, :].
 
-    Backward scatters the incoming gradient onto each selected row, so a
-    row picked twice receives the gradient twice.
-    """
-    tv = table.value
-    if tv.ndim != 2:
-        raise DimensionError(f"gather_sum expects a matrix table, got shape {tv.shape}")
-    idx = np.asarray(list(rows), dtype=np.intp)
-    h = tv.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= h):
-        raise IndexError(f"gather_sum: row index out of range [0, {h})")
-    out = tv[idx].sum(axis=0) if idx.size else np.zeros(tv.shape[1])
-
-    def back(g):
-        gt = np.zeros_like(tv)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return Tensor(out, parents=(table,), backward=back)
-
-
-def gather_groups(table: Tensor, groups) -> Tensor:
-    """Stack of per-group row sums: output row i sums table rows groups[i].
-
-    An empty group yields a zero row. This is the batched form of
-    ``gather_sum`` used for user histories and minibatches.
+    ``index`` is an integer array of shape (..., G); -1 means "no row",
+    so a group of all -1 yields a zero row. The output has shape
+    (..., d). Rows add in index order and a row picked twice counts
+    twice, in the forward sum and in the scattered gradient.
     """
     tv = table.value
     if tv.ndim != 2:
         raise DimensionError(f"gather_groups expects a matrix table, got shape {tv.shape}")
-    flat = []
-    seg = []
-    for i, grp in enumerate(groups):
-        for r in grp:
-            flat.append(r)
-            seg.append(i)
-    idx = np.asarray(flat, dtype=np.intp)
-    seg = np.asarray(seg, dtype=np.intp)
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.ndim < 2:
+        raise DimensionError(f"gather_groups expects an (..., G) index array, got shape {idx.shape}")
     h = tv.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= h):
+    if idx.size and (idx.min() < -1 or idx.max() >= h):
         raise IndexError(f"gather_groups: row index out of range [0, {h})")
-    out = np.zeros((len(groups), tv.shape[1]))
-    if idx.size:
-        np.add.at(out, seg, tv[idx])
+    valid = idx >= 0
+    picked = tv[np.where(valid, idx, 0)]
+    picked[~valid] = 0.0
+    out = np.zeros(idx.shape[:-1] + (tv.shape[1],))
+    for g in range(idx.shape[-1]):
+        out += picked[..., g, :]
+    rows = idx[valid]
 
     def back(g):
         gt = np.zeros_like(tv)
-        if idx.size:
-            np.add.at(gt, idx, g[seg])
+        np.add.at(gt, rows, np.broadcast_to(g[..., None, :], picked.shape)[valid])
         return (gt,)
 
     return Tensor(out, parents=(table,), backward=back)
@@ -314,30 +340,35 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.value.ndim != 2:
+    """Swap the last two axes."""
+    if a.value.ndim < 2:
         raise DimensionError(f"transpose expects a matrix, got shape {a.value.shape}")
 
     def back(g):
-        return (g.T,)
+        return (np.swapaxes(g, -1, -2),)
 
-    return Tensor(a.value.T, parents=(a,), backward=back)
+    return Tensor(np.swapaxes(a.value, -1, -2), parents=(a,), backward=back)
 
 
 def concat_rows(tensors) -> Tensor:
+    """Stack the rows of equal-width matrices (per batch entry when the
+    inputs share leading batch axes)."""
     tensors = list(tensors)
     if not tensors:
         raise DimensionError("concat_rows needs at least one tensor")
+    lead = tensors[0].value.shape[:-2]
     width = tensors[0].value.shape[-1]
     for t in tensors:
-        if t.value.ndim != 2 or t.value.shape[1] != width:
+        sh = t.value.shape
+        if len(sh) < 2 or sh[:-2] != lead or sh[-1] != width:
             raise DimensionError("concat_rows: all inputs must be matrices of equal width")
-    sizes = [t.value.shape[0] for t in tensors]
+    sizes = [t.value.shape[-2] for t in tensors]
     splits = np.cumsum(sizes)[:-1]
 
     def back(g):
-        return tuple(np.vsplit(g, splits))
+        return tuple(np.split(g, splits, axis=-2))
 
-    return Tensor(np.vstack([t.value for t in tensors]), parents=tuple(tensors), backward=back)
+    return Tensor(np.concatenate([t.value for t in tensors], axis=-2), parents=tuple(tensors), backward=back)
 
 
 def mean(a: Tensor) -> Tensor:
@@ -367,12 +398,19 @@ def sum_sq(a: Tensor) -> Tensor:
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add a length-d vector to every row of an n-by-d matrix (bias add)."""
-    if a.value.ndim != 2 or v.value.shape != (a.value.shape[1],):
-        raise DimensionError(f"add_rowvec: {a.value.shape} + {v.value.shape}")
+    """Add ``v`` to every trailing block of ``a`` that has its shape.
+
+    ``v`` lacks some leading axes of ``a``: a length-d bias added to
+    every row, or a T-by-d position table (or the pooled-attention
+    seeds) added to every history of a batch. Its gradient sums over
+    the axes it lacks.
+    """
+    ash, vsh = a.value.shape, v.value.shape
+    if not 1 <= len(vsh) < len(ash) or ash[len(ash) - len(vsh):] != vsh:
+        raise DimensionError(f"add_rowvec: {ash} + {vsh}")
 
     def back(g):
-        return g, g.sum(axis=0)
+        return g, _unbroadcast(g, vsh)
 
     return Tensor(a.value + v.value, parents=(a, v), backward=back)
 
@@ -390,36 +428,45 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat_flat(tensors) -> Tensor:
-    """Concatenate the flattened inputs into one vector."""
+    """Flatten each entry of the shared leading axis and concatenate.
+
+    Inputs of shapes (B, ...) give a (B, total) array whose row b holds
+    the row-major values of every input's entry b in turn.
+    """
     tensors = list(tensors)
-    sizes = [t.value.size for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    n = tensors[0].value.shape[0]
+    for t in tensors:
+        if t.value.ndim < 2 or t.value.shape[0] != n:
+            raise DimensionError("concat_flat: inputs must share their leading axis")
     shapes = [t.value.shape for t in tensors]
+    flat = [t.value.reshape(n, -1) for t in tensors]
+    splits = np.cumsum([f.shape[1] for f in flat])[:-1]
 
     def back(g):
-        parts = np.split(g, splits)
+        parts = np.split(g, splits, axis=1)
         return tuple(p.reshape(s) for p, s in zip(parts, shapes))
 
-    return Tensor(np.concatenate([t.value.reshape(-1) for t in tensors]), parents=tuple(tensors), backward=back)
+    return Tensor(np.concatenate(flat, axis=1), parents=tuple(tensors), backward=back)
 
 
 def pairwise_dot_upper(x: Tensor) -> Tensor:
     """All m(m-1)/2 pairwise dot products of the rows of an m-by-d matrix.
 
-    Output order is row-major over pairs (i, j) with i < j.
+    Output order is row-major over pairs (i, j) with i < j. Leading
+    batch axes give one such vector per batch entry.
     """
     xv = x.value
-    if xv.ndim != 2:
+    if xv.ndim < 2:
         raise DimensionError(f"pairwise_dot_upper expects a matrix, got shape {xv.shape}")
-    m = xv.shape[0]
+    m = xv.shape[-2]
     iu, ju = np.triu_indices(m, k=1)
-    gram = xv @ xv.T
-    out = gram[iu, ju]
+    gram = xv @ np.swapaxes(xv, -1, -2)
+    out = gram[..., iu, ju]
 
     def back(g):
-        s = np.zeros((m, m))
-        s[iu, ju] = g
-        return ((s + s.T) @ xv,)
+        s = np.zeros(xv.shape[:-2] + (m, m))
+        s[..., iu, ju] = g
+        return ((s + np.swapaxes(s, -1, -2)) @ xv,)
 
     return Tensor(out, parents=(x,), backward=back)
 

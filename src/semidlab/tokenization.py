@@ -4,12 +4,18 @@ Three families: individual embeddings (one row per raw ID), random
 hashing (seeded integer mix modulo the table size), and Semantic ID
 lookups that expand an item's hierarchical codes into one or more rows
 via a token parameterization.
+
+Every lookup maps one ID to a list of rows with ``rows`` and a sequence
+of N IDs to an N-by-G integer array with ``rows_batch``, where G is the
+lookup's ``output_count``; both give the same rows for the same ID.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -90,6 +96,35 @@ def parameterize(codes, p: TokenParameterization) -> list[int]:
     return out
 
 
+def parameterize_batch(codes, p: TokenParameterization) -> np.ndarray:
+    """``parameterize`` over each row of an N-by-L code matrix.
+
+    Returns an N-by-G int64 array. The caller keeps the pre-hash indices
+    inside int64 (``SemanticIdLookup`` checks the index space first).
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2:
+        raise ConfigurationError(f"expected an N-by-L code matrix, got shape {codes.shape}")
+    k = p.codebook_size
+    if codes.size and (codes.min() < 0 or codes.max() >= k):
+        raise ConfigurationError(f"code outside [0, {k})")
+    g = p.output_count(codes.shape[1])
+    if p.variant == "trigram":
+        return (k * k * codes[:, 0] + k * codes[:, 1] + codes[:, 2])[:, None]
+    if p.variant == "fourgram":
+        return (k**3 * codes[:, 0] + k * k * codes[:, 1] + k * codes[:, 2] + codes[:, 3])[:, None]
+    if p.variant == "all_bigrams":
+        pos = np.arange(g, dtype=np.int64)
+        return k * k * pos + k * codes[:, :-1] + codes[:, 1:]
+    out = np.empty((codes.shape[0], g), dtype=np.int64)
+    acc = np.zeros(codes.shape[0], dtype=np.int64)
+    for depth in range(g):
+        # sum_t k^(depth-t) * (codes[t] + 1) by Horner's rule
+        acc = acc * k + codes[:, depth] + 1
+        out[:, depth] = acc - 1
+    return out
+
+
 def prefix_depth_range(k: int, depth: int) -> tuple[int, int]:
     """Half-open range of pre-hash indices emitted at one prefix depth."""
     lo = (k**depth - k) // (k - 1)
@@ -113,6 +148,16 @@ def fit_to_table(indices, table_size: int, output_count: int) -> list[int]:
     return [g * block + (int(ix) % block) for g, ix in enumerate(indices)]
 
 
+def fit_to_table_batch(indices, table_size: int) -> np.ndarray:
+    """``fit_to_table`` over each row of an N-by-G pre-hash index array."""
+    indices = np.asarray(indices, dtype=np.int64)
+    output_count = indices.shape[1]
+    if table_size < output_count:
+        raise ConfigurationError(f"table size {table_size} smaller than position count {output_count}")
+    block = table_size // output_count
+    return np.arange(output_count, dtype=np.int64) * block + indices % block
+
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -122,6 +167,14 @@ def _splitmix64(x: int) -> int:
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
     return x ^ (x >> 31)
+
+
+def _splitmix64_array(x: np.ndarray) -> np.ndarray:
+    """``_splitmix64`` over a uint64 array; uint64 arithmetic wraps mod 2^64."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
 
 
 class RandomHash:
@@ -143,6 +196,11 @@ class RandomHash:
     def rows(self, raw_id: int) -> list[int]:
         return [_splitmix64((int(raw_id) & _MASK64) ^ self.seed_mix) % self.table_size]
 
+    def rows_batch(self, raw_ids) -> np.ndarray:
+        x = np.array([int(i) & _MASK64 for i in raw_ids], dtype=np.uint64)
+        x = _splitmix64_array(x ^ np.uint64(self.seed_mix))
+        return (x % np.uint64(self.table_size)).astype(np.int64)[:, None]
+
 
 class IndividualEmbedding:
     """One dedicated row per raw ID seen in training.
@@ -155,13 +213,32 @@ class IndividualEmbedding:
 
     def __init__(self, vocabulary):
         ids = sorted({int(x) for x in vocabulary})
+        if ids and not (-(2**63) <= ids[0] and ids[-1] < 2**63):
+            raise ConfigurationError("vocabulary IDs must fit in int64")
         self._row = {x: i for i, x in enumerate(ids)}
+        self._ids = np.array(ids, dtype=np.int64)
         self.unseen_row = len(ids)
         self.table_size = len(ids) + 1
         self.output_count = 1
 
     def rows(self, raw_id: int) -> list[int]:
         return [self._row.get(int(raw_id), self.unseen_row)]
+
+    def rows_batch(self, raw_ids) -> np.ndarray:
+        """Rows found by binary search in the int64 vocabulary.
+
+        A batch holding an ID outside int64 goes through ``rows``, which
+        gives that ID the unseen row.
+        """
+        raw_ids = [int(i) for i in raw_ids]
+        try:
+            ids = np.array(raw_ids, dtype=np.int64)
+        except OverflowError:
+            return np.array([self.rows(i) for i in raw_ids], dtype=np.int64).reshape(-1, 1)
+        pos = np.searchsorted(self._ids, ids)
+        found = pos < self._ids.size
+        found[found] = self._ids[pos[found]] == ids[found]
+        return np.where(found, pos, self.unseen_row)[:, None]
 
 
 class SemanticIdLookup:
@@ -188,6 +265,9 @@ class SemanticIdLookup:
         self.table_size = int(table_size)
         self._table = {int(k): tuple(int(c) for c in v) for k, v in id_table.items()}
         self._fallback = (0,) * self.levels
+        # pre-hash indices stay below k^(levels+1); past int64 only the
+        # per-ID Python path is exact
+        self._vectorized = parameterization.codebook_size ** (self.levels + 1) < 2**62
 
     def codes(self, raw_id: int):
         codes = self._table.get(int(raw_id))
@@ -199,3 +279,9 @@ class SemanticIdLookup:
     def rows(self, raw_id: int) -> list[int]:
         pre = parameterize(self.codes(raw_id), self.parameterization)
         return fit_to_table(pre, self.table_size, self.output_count)
+
+    def rows_batch(self, raw_ids) -> np.ndarray:
+        if not self._vectorized:
+            return np.array([self.rows(i) for i in raw_ids], dtype=np.int64).reshape(-1, self.output_count)
+        codes = np.array([self.codes(i) for i in raw_ids], dtype=np.int64).reshape(-1, self.levels)
+        return fit_to_table_batch(parameterize_batch(codes, self.parameterization), self.table_size)

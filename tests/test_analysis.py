@@ -7,7 +7,6 @@ import pytest
 
 from semidlab.analysis import (
     MetricsReport,
-    SingleClassError,
     aar,
     aar_report,
     attention_metrics,
@@ -19,7 +18,6 @@ from semidlab.analysis import (
     drifting_gap,
     gini,
     long_retention,
-    normalized_entropy,
     segment_ne,
 )
 from semidlab.corpus import (
@@ -28,6 +26,7 @@ from semidlab.corpus import (
     generate_stream,
     generate_users,
 )
+from semidlab.metrics import SingleClassError, normalized_entropy
 from semidlab.ranker import PredictionRecord, RankerConfig, RankerModel, evaluate
 from semidlab.tokenization import RandomHash
 

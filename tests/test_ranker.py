@@ -4,29 +4,31 @@ import numpy as np
 import pytest
 
 from semidlab import tensor as T
-from semidlab.analysis import SingleClassError, normalized_entropy
+from semidlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semidlab.corpus import ImpressionEvent
+from semidlab.metrics import SingleClassError, normalized_entropy
 from semidlab.ranker import (
     EvalResult,
     RankerConfig,
     RankerConfigError,
     RankerModel,
     _aggregate,
-    _history_matrix,
+    _history_block,
     build_lookup,
     evaluate,
     forward,
+    forward_batch,
     load_predictions,
     load_ranker,
     save_predictions,
     save_ranker,
-    sparse_embed,
     train_one_epoch,
     ts_bucket,
 )
 from semidlab.tokenization import RandomHash, SemanticIdLookup, TokenParameterization
 
 from fdcheck import assert_grads_close, fd_grad
+from reference_ranker import sparse_embed
 
 
 def event(item_id=5, history=(), ts=10_000, user=0, label=0, eid=0):
@@ -42,11 +44,15 @@ def make_model(aggregation="bypass", T_len=4, d_m=4, seed=0, d_s=32, H=16):
 
 
 class TestSparseEmbed:
+    """The pooled per-ID embedding of the per-event oracle, and the same
+    rows gathered from ``rows_batch`` the way the batched ranker does."""
+
     def test_singleton_single_row(self):
         table = T.constant(np.arange(20.0).reshape(5, 4))
         lk = RandomHash(5, seed=0)
         out = sparse_embed({7}, lk, table)
         np.testing.assert_array_equal(out.value, table.value[lk.rows(7)[0]])
+        np.testing.assert_array_equal(T.gather_groups(table, lk.rows_batch([7])).value[0], out.value)
 
     def test_multiset_collapses_to_set(self):
         table = T.constant(np.arange(20.0).reshape(5, 4))
@@ -54,43 +60,48 @@ class TestSparseEmbed:
         a = sparse_embed([7, 7], lk, table)
         b = sparse_embed([7], lk, table)
         np.testing.assert_array_equal(a.value, b.value)
+        batched = T.gather_groups(table, lk.rows_batch([7, 7])).value
+        np.testing.assert_array_equal(batched, [b.value, b.value])
 
     def test_empty_feature_is_zero_vector(self):
         table = T.constant(np.ones((5, 4)))
         np.testing.assert_array_equal(sparse_embed([], RandomHash(5), table).value, np.zeros(4))
+        np.testing.assert_array_equal(T.gather_groups(table, [[-1]]).value, np.zeros((1, 4)))
 
     def test_prefix_lookup_sums_three_rows(self):
-        table_vals = np.eye(30)[:30, :8] if False else np.random.default_rng(0).normal(size=(30, 8))
+        table_vals = np.random.default_rng(0).normal(size=(30, 8))
         table = T.constant(table_vals)
         lk = SemanticIdLookup({1: (0, 1, 2)}, TokenParameterization("prefix_ngram", 4, 3), 30)
         rows = lk.rows(1)
         assert len(rows) == 3
         out = sparse_embed({1}, lk, table)
         np.testing.assert_allclose(out.value, table_vals[rows].sum(axis=0), rtol=1e-15)
+        np.testing.assert_array_equal(T.gather_groups(table, lk.rows_batch([1])).value[0], out.value)
 
 
 class TestHistoryEmbedding:
     def test_empty_history_gives_identical_pad_rows(self):
         model = make_model(T_len=3)
-        x, pad = _history_matrix(model, event(history=()))
-        assert pad.all()
-        np.testing.assert_array_equal(x.value[0], x.value[1])
-        np.testing.assert_array_equal(x.value[0], x.value[2])
+        x, pad = _history_block(model, [event(history=()), event(history=((3, 9000),))])
+        assert x.value.shape == (2, 3, 4)
+        assert pad[0].all()
+        np.testing.assert_array_equal(pad[1], [False, True, True])
+        np.testing.assert_array_equal(x.value[0, 0], x.value[0, 1])
+        np.testing.assert_array_equal(x.value[0, 0], x.value[0, 2])
+        np.testing.assert_array_equal(x.value[1, 1], x.value[0, 0])
 
     def test_overlong_history_drops_oldest(self):
         model = make_model(T_len=2)
         hist = ((30, 9000), (20, 8000), (10, 7000))  # most-recent-first
-        x_long, pad = _history_matrix(model, event(history=hist))
-        x_two, _ = _history_matrix(model, event(history=hist[:2]))
+        x, pad = _history_block(model, [event(history=hist), event(history=hist[:2])])
         assert not pad.any()
-        np.testing.assert_array_equal(x_long.value, x_two.value)
+        np.testing.assert_array_equal(x.value[0], x.value[1])
 
     def test_identical_histories_identical_matrix(self):
         model = make_model(T_len=4)
         hist = ((3, 9000), (9, 5000))
-        a, _ = _history_matrix(model, event(history=hist, user=1))
-        b, _ = _history_matrix(model, event(history=hist, user=2))
-        np.testing.assert_array_equal(a.value, b.value)
+        x, _ = _history_block(model, [event(history=hist, user=1), event(history=hist, user=2)])
+        np.testing.assert_array_equal(x.value[0], x.value[1])
 
     def test_ts_buckets_are_log_spaced(self):
         assert ts_bucket(0, 32) == 0
@@ -104,7 +115,7 @@ class TestBypass:
     def test_identity_weight_passes_through(self):
         model = make_model("bypass", T_len=3)
         model.params["agg.w"].value[:] = np.eye(4)
-        x, _ = _history_matrix(model, event(history=((3, 9000),)))
+        x, _ = _history_block(model, [event(history=((3, 9000),)), event(history=())])
         out, attn = _aggregate(model, x)
         assert attn is None
         np.testing.assert_array_equal(out.value, x.value)
@@ -112,9 +123,9 @@ class TestBypass:
     def test_zero_weight_gives_zeros(self):
         model = make_model("bypass", T_len=3)
         model.params["agg.w"].value[:] = 0.0
-        x, _ = _history_matrix(model, event(history=((3, 9000),)))
+        x, _ = _history_block(model, [event(history=((3, 9000),))])
         out, _ = _aggregate(model, x)
-        np.testing.assert_array_equal(out.value, np.zeros((3, 4)))
+        np.testing.assert_array_equal(out.value, np.zeros((1, 3, 4)))
 
     def test_zero_history_prediction_ignores_history_tables(self):
         model = make_model("bypass", T_len=3)
@@ -123,7 +134,7 @@ class TestBypass:
         model.params["history_table"].value[:] += 5.0
         model.params["ts_table"].value[:] -= 3.0
         assert forward(model, e).probability == before
-        row = model.rows_for_target(e.item_id)[0]
+        row = model.target_lookup.rows(e.item_id)[0]
         model.params["target_table"].value[row] += 0.5
         assert forward(model, e).probability != before
 
@@ -131,29 +142,30 @@ class TestBypass:
 class TestTransformer:
     def test_single_position_attention_is_identity(self):
         model = make_model("transformer", T_len=1)
-        x, _ = _history_matrix(model, event(history=((3, 9000),)))
+        x, _ = _history_block(model, [event(history=((3, 9000),)), event(history=())])
         out, attn = _aggregate(model, x)
-        np.testing.assert_allclose(attn.value, [[1.0]], rtol=0, atol=0)
+        np.testing.assert_allclose(attn.value, [[[1.0]], [[1.0]]], rtol=0, atol=0)
 
     def test_attention_rows_sum_to_one(self):
         model = make_model("transformer", T_len=5)
         res = forward(model, event(history=((3, 9000), (9, 5000))))
         np.testing.assert_allclose(res.attention.sum(axis=1), 1.0, atol=1e-9)
         assert res.attention.shape == (5, 5)
+        batch = forward_batch(model, [event(history=()), event(history=((3, 9000),) * 7)])
+        assert batch.attention.shape == (2, 5, 5)
+        np.testing.assert_allclose(batch.attention.sum(axis=2), 1.0, atol=1e-9)
 
     def test_permutation_equivariance_without_positions(self):
         model = make_model("transformer", T_len=3, seed=4)
         model.params["pos_embed"].value[:] = 0.0
         hist = ((3, 9000), (9, 5000), (17, 2000))
         perm = [2, 0, 1]
-        x, _ = _history_matrix(model, event(history=hist))
-        xp, _ = _history_matrix(model, event(history=tuple(hist[i] for i in perm)))
-        np.testing.assert_array_equal(xp.value, x.value[perm])
+        x, _ = _history_block(model, [event(history=hist), event(history=tuple(hist[i] for i in perm))])
+        np.testing.assert_array_equal(x.value[1], x.value[0][perm])
         out, attn = _aggregate(model, x)
-        out_p, attn_p = _aggregate(model, xp)
-        np.testing.assert_allclose(out_p.value, out.value[perm], rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.value[1], out.value[0][perm], rtol=1e-10, atol=1e-12)
         np.testing.assert_allclose(
-            attn_p.value, attn.value[np.ix_(perm, perm)], rtol=1e-10, atol=1e-12
+            attn.value[1], attn.value[0][np.ix_(perm, perm)], rtol=1e-10, atol=1e-12
         )
 
 
@@ -161,19 +173,20 @@ class TestPooledAttention:
     def test_output_row_count_is_seed_count_regardless_of_history_length(self):
         for t_len in (1, 4, 7):
             model = make_model("pma", T_len=t_len)
-            x, _ = _history_matrix(model, event(history=((3, 9000),)))
+            x, _ = _history_block(model, [event(history=((3, 9000),)), event(history=())])
             out, attn = _aggregate(model, x)
-            assert out.value.shape == (32, 4)
-            assert attn.value.shape == (32, t_len)
-            np.testing.assert_allclose(attn.value.sum(axis=1), 1.0, atol=1e-9)
+            assert out.value.shape == (2, 32, 4)
+            assert attn.value.shape == (2, 32, t_len)
+            np.testing.assert_allclose(attn.value.sum(axis=2), 1.0, atol=1e-9)
 
     def test_identical_seeds_identical_output_rows(self):
         model = make_model("pma", T_len=4, d_s=3)
         model.params["agg.seeds"].value[:] = model.params["agg.seeds"].value[0]
-        x, _ = _history_matrix(model, event(history=((3, 9000), (9, 5000))))
+        x, _ = _history_block(model, [event(history=((3, 9000), (9, 5000))), event(history=())])
         out, _ = _aggregate(model, x)
-        np.testing.assert_array_equal(out.value[0], out.value[1])
-        np.testing.assert_array_equal(out.value[0], out.value[2])
+        for b in range(2):
+            np.testing.assert_array_equal(out.value[b, 0], out.value[b, 1])
+            np.testing.assert_array_equal(out.value[b, 0], out.value[b, 2])
 
 
 class TestForward:
@@ -221,14 +234,13 @@ def toy_events(n=2, seed=0, t_len=4):
 
 @pytest.mark.parametrize("agg", ["bypass", "transformer", "pma"])
 def test_end_to_end_gradients_match_finite_differences(agg):
-    """Full-model gradient check on the 2-event toy config (T=4, d_m=4)."""
+    """Full-model gradient check on a 2-event batch (T=4, d_m=4)."""
     model = make_model(agg, T_len=4, d_m=4, seed=1, d_s=3, H=8)
     events = toy_events(2, seed=2)
     labels = np.array([[float(e.label)] for e in events])
 
     def loss_graph():
-        losses = [T.bce_with_logits(forward(model, e).logit, labels[i : i + 1]) for i, e in enumerate(events)]
-        return T.scale(T.add(losses[0], losses[1]), 0.5)
+        return T.bce_with_logits(forward_batch(model, events).logits, labels)
 
     loss = loss_graph()
     T.zero_grads(model.params.values())
@@ -332,6 +344,34 @@ class TestPersistence:
         loaded, meta = load_ranker(tmp_path / "r.ckpt", model.target_lookup, model.history_lookup)
         assert meta["seed"] == 15
         assert evaluate(loaded, events).ne == ne
+
+    def test_load_rejects_shape_mismatch_without_broadcasting(self, tmp_path):
+        model = make_model("bypass", seed=15, H=16)
+        save_ranker(tmp_path / "r.ckpt", model)
+        params, meta = load_checkpoint(tmp_path / "r.ckpt")
+        params["target_table"] = params["target_table"][:1]  # (1, d) would broadcast into (H, d)
+        save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
+        with pytest.raises(CheckpointError, match="target_table"):
+            load_ranker(tmp_path / "bad.ckpt", model.target_lookup, model.history_lookup)
+
+    def test_load_rejects_lookup_of_another_table_size(self, tmp_path):
+        model = make_model("bypass", seed=15, H=16)
+        save_ranker(tmp_path / "r.ckpt", model)
+        with pytest.raises(CheckpointError):
+            load_ranker(tmp_path / "r.ckpt", RandomHash(32, seed=1), model.history_lookup)
+
+    @pytest.mark.parametrize("change", ["missing", "unexpected"])
+    def test_load_rejects_parameter_name_mismatch(self, tmp_path, change):
+        model = make_model("transformer", seed=15)
+        save_ranker(tmp_path / "r.ckpt", model)
+        params, meta = load_checkpoint(tmp_path / "r.ckpt")
+        if change == "missing":
+            del params["agg.wq"]
+        else:
+            params["agg.extra"] = np.zeros(3)
+        save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
+        with pytest.raises(CheckpointError, match="names differ"):
+            load_ranker(tmp_path / "bad.ckpt", model.target_lookup, model.history_lookup)
 
     def test_prediction_dump_round_trip(self, tmp_path):
         model = make_model(seed=17)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from semidlab import tensor as T
+from semidlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from semidlab.rqvae import (
     FrozenModelError,
     RqVaeConfig,
@@ -326,6 +327,21 @@ class TestAssign:
         assert loaded.frozen and meta["seed"] == 18
         after, _ = assign(loaded, items)
         assert before == after
+
+    @pytest.mark.parametrize("change", ["shape", "missing", "unexpected"])
+    def test_load_rejects_mismatched_parameters(self, tmp_path, change):
+        cfg = RqVaeConfig(levels=2, codebook_size=4, input_dim=5, latent_dim=3, seed=20)
+        save_rqvae(tmp_path / "rq.ckpt", RqVaeModel.initialize(cfg), meta={"seed": 20})
+        params, meta = load_checkpoint(tmp_path / "rq.ckpt")
+        if change == "shape":
+            params["codebook.0"] = params["codebook.0"][:1]  # (1, d) would broadcast into (K, d)
+        elif change == "missing":
+            del params["codebook.1"]
+        else:
+            params["codebook.2"] = np.zeros((4, 3))
+        save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
+        with pytest.raises(CheckpointError):
+            load_rqvae(tmp_path / "bad.ckpt")
 
     def test_top_level_purity_on_hierarchical_corpus(self):
         emb, top, _ = gmm_hierarchy_embeddings(2000, 8, (4, 4, 4), (1.0, 0.4, 0.2, 0.08), seed=19)

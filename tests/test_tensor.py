@@ -59,18 +59,20 @@ class TestForwardValues:
         expected = np.array([[1.0, -1.0]]) / math.sqrt(1.0 + T.LAYERNORM_EPS)
         np.testing.assert_allclose(out.value, expected, rtol=1e-15)
 
+    # gather_sum: a single group of gather_groups sums its rows
+
     def test_gather_sum_single_row(self):
         table = T.constant(np.arange(12.0).reshape(4, 3))
-        np.testing.assert_array_equal(T.gather_sum(table, [2]).value, [6.0, 7.0, 8.0])
+        np.testing.assert_array_equal(T.gather_groups(table, [[2]]).value, [[6.0, 7.0, 8.0]])
 
     def test_gather_sum_hand_case(self):
         table = T.constant([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(T.gather_sum(table, [0, 1]).value, [1.0, 1.0])
+        np.testing.assert_array_equal(T.gather_groups(table, [[0, 1]]).value, [[1.0, 1.0]])
 
     def test_gather_sum_duplicate_rows_double(self):
         table = T.parameter(np.arange(6.0).reshape(3, 2))
-        out = T.gather_sum(table, [1, 1])
-        np.testing.assert_array_equal(out.value, 2.0 * table.value[1])
+        out = T.gather_groups(table, [[1, 1]])
+        np.testing.assert_array_equal(out.value, 2.0 * table.value[1:2])
         loss = T.sum_all(out)
         T.backward(loss)
         expected = np.zeros((3, 2))
@@ -80,12 +82,60 @@ class TestForwardValues:
     def test_gather_sum_out_of_range(self):
         table = T.constant(np.ones((3, 2)))
         with pytest.raises(IndexError):
-            T.gather_sum(table, [3])
+            T.gather_groups(table, [[3]])
+        with pytest.raises(IndexError):
+            T.gather_groups(table, [[-2]])
 
     def test_gather_groups_empty_group_is_zero_row(self):
         table = T.constant(np.arange(6.0).reshape(3, 2))
-        out = T.gather_groups(table, [[0, 2], []])
+        out = T.gather_groups(table, [[0, 2], [-1, -1]])
         np.testing.assert_array_equal(out.value, [[4.0, 6.0], [0.0, 0.0]])
+
+    def test_gather_groups_leading_axes_and_padding(self):
+        table = T.parameter(np.arange(8.0).reshape(4, 2))
+        index = np.array([[[0, -1], [3, 3]], [[-1, -1], [1, 2]]])
+        out = T.gather_groups(table, index)
+        np.testing.assert_array_equal(out.value, [[[0, 1], [12, 14]], [[0, 0], [6, 8]]])
+        T.backward(T.sum_all(out))
+        np.testing.assert_array_equal(table.grad, [[1, 1], [1, 1], [1, 1], [2, 2]])
+
+    def test_gather_groups_rejects_flat_index(self):
+        with pytest.raises(T.DimensionError):
+            T.gather_groups(T.constant(np.ones((3, 2))), [0, 1])
+
+    def test_bmm_shares_a_plain_matrix_across_the_batch(self):
+        rng = np.random.default_rng(4)
+        seeds = rng.normal(size=(3, 4))
+        keys = rng.normal(size=(2, 4, 5))
+        out = T.bmm(T.constant(seeds), T.constant(keys)).value
+        assert out.shape == (2, 3, 5)
+        for b in range(2):
+            np.testing.assert_allclose(out[b], seeds @ keys[b], rtol=1e-15)
+        with pytest.raises(T.DimensionError):
+            T.bmm(T.constant(np.ones((2, 3, 4))), T.constant(np.ones((3, 4, 5))))
+
+    def test_add_rowvec_broadcasts_only_over_leading_axes(self):
+        a = T.constant(np.zeros((2, 3, 4)))
+        np.testing.assert_array_equal(T.add_rowvec(a, T.constant(np.ones((3, 4)))).value, np.ones((2, 3, 4)))
+        for bad in (np.ones((2, 4)), np.ones((2, 3, 4)), np.ones(())):
+            with pytest.raises(T.DimensionError):
+                T.add_rowvec(a, T.constant(bad))
+        with pytest.raises(T.DimensionError):
+            T.add_rowvec(T.constant(np.ones((3, 4))), a)
+
+    def test_add_requires_equal_shapes(self):
+        with pytest.raises(T.DimensionError):
+            T.add(T.constant(np.zeros((2, 3, 4))), T.constant(np.ones((3, 4))))
+        with pytest.raises(T.DimensionError):
+            T.add(T.constant(np.zeros((3, 4))), T.constant(np.ones(4)))
+
+    def test_concat_flat_flattens_each_leading_entry(self):
+        a = np.arange(6.0).reshape(2, 3)
+        b = np.arange(8.0).reshape(2, 2, 2) + 10
+        out = T.concat_flat([T.constant(a), T.constant(b)]).value
+        np.testing.assert_array_equal(out, [[0, 1, 2, 10, 11, 12, 13], [3, 4, 5, 14, 15, 16, 17]])
+        with pytest.raises(T.DimensionError):
+            T.concat_flat([T.constant(a), T.constant(np.ones((3, 2)))])
 
     def test_sigmoid_zero(self):
         assert T.sigmoid(T.constant([0.0])).value[0] == 0.5
@@ -145,6 +195,16 @@ class TestBackward:
         fd = fd_grad(lambda: loss_tensor().value.item(), w.value, h=1e-3)
         assert_grads_close(w.grad, fd, rtol=1e-4, floor=1e-7)
 
+    def test_inner_gradients_released_and_repeat_backward_accumulates(self):
+        w = T.parameter(np.arange(3.0))
+        h = T.scale(w, 2.0)
+        loss = T.sum_all(h)
+        T.backward(loss)
+        assert h.grad is None and loss.grad is None
+        np.testing.assert_array_equal(w.grad, [2.0, 2.0, 2.0])
+        T.backward(loss)  # a second sweep adds the same gradient once more
+        np.testing.assert_array_equal(w.grad, [4.0, 4.0, 4.0])
+
     def test_backward_requires_scalar(self):
         w = T.parameter(np.ones((2, 2)))
         with pytest.raises(T.GraphError):
@@ -177,8 +237,8 @@ OP_CASES = {
     "layernorm_x": lambda rng, p: T.layernorm(
         p, T.constant(_rand(rng, 4)), T.constant(_rand(rng, 4))
     ),
-    "gather_sum": lambda rng, p: T.gather_sum(p, [0, 2, 2]),
-    "gather_groups": lambda rng, p: T.gather_groups(p, [[0, 1], [], [2, 2]]),
+    "gather_sum": lambda rng, p: T.gather_groups(p, [[0, 2, 2]]),
+    "gather_groups": lambda rng, p: T.gather_groups(p, [[0, 1], [-1, -1], [2, 2]]),
     "add": lambda rng, p: T.add(p, T.constant(_rand(rng, 3, 4))),
     "sub": lambda rng, p: T.sub(T.constant(_rand(rng, 3, 4)), p),
     "mul": lambda rng, p: T.mul(p, T.constant(_rand(rng, 3, 4))),
@@ -192,11 +252,51 @@ OP_CASES = {
     "sum_sq": lambda rng, p: T.sum_sq(p),
     "add_rowvec_m": lambda rng, p: T.add_rowvec(p, T.constant(_rand(rng, 4))),
     "reshape": lambda rng, p: T.reshape(p, (4, 3)),
-    "concat_flat": lambda rng, p: T.concat_flat([p, T.constant(_rand(rng, 5))]),
+    "concat_flat": lambda rng, p: T.concat_flat([p, T.constant(_rand(rng, 3, 5))]),
     "pairwise_dot_upper": lambda rng, p: T.pairwise_dot_upper(p),
     "bce_with_logits": lambda rng, p: T.bce_with_logits(
         p, (rng.random(size=(3, 4)) > 0.5).astype(float)
     ),
+    # leading batch axes; PARAM_SHAPES gives the parameter's shape
+    "matmul_a_3d": lambda rng, p: T.matmul(p, T.constant(_rand(rng, 4, 2))),
+    "matmul_b_3d": lambda rng, p: T.matmul(T.constant(_rand(rng, 2, 3, 4)), p),
+    "bmm_a": lambda rng, p: T.bmm(p, T.constant(_rand(rng, 2, 4, 5))),
+    "bmm_b": lambda rng, p: T.bmm(T.constant(_rand(rng, 2, 5, 3)), p),
+    "bmm_shared_a": lambda rng, p: T.bmm(p, T.constant(_rand(rng, 2, 4, 5))),
+    "bmm_shared_b": lambda rng, p: T.bmm(T.constant(_rand(rng, 2, 5, 3)), p),
+    "add_rowvec_table_3d": lambda rng, p: T.add_rowvec(T.constant(_rand(rng, 2, 3, 4)), p),
+    "add_rowvec_3d": lambda rng, p: T.add_rowvec(T.constant(_rand(rng, 2, 3, 4)), p),
+    "softmax_rows_3d": lambda rng, p: T.softmax_rows(p),
+    "layernorm_x_3d": lambda rng, p: T.layernorm(
+        p, T.constant(_rand(rng, 4)), T.constant(_rand(rng, 4))
+    ),
+    "layernorm_gain_3d": lambda rng, p: T.layernorm(
+        T.constant(_rand(rng, 2, 3, 4)), p, T.constant(_rand(rng, 4))
+    ),
+    "layernorm_bias_3d": lambda rng, p: T.layernorm(
+        T.constant(_rand(rng, 2, 3, 4)), T.constant(_rand(rng, 4)), p
+    ),
+    "transpose_3d": lambda rng, p: T.transpose(p),
+    "concat_rows_3d": lambda rng, p: T.concat_rows([T.constant(_rand(rng, 2, 1, 4)), p]),
+    "concat_flat_3d": lambda rng, p: T.concat_flat([T.constant(_rand(rng, 2, 5)), p]),
+    "pairwise_dot_upper_3d": lambda rng, p: T.pairwise_dot_upper(p),
+    "gather_groups_3d": lambda rng, p: T.gather_groups(p, [[[0, -1], [2, 2]], [[-1, -1], [1, 0]]]),
+}
+
+# parameter shape per case; every other case uses a 3x4 parameter
+PARAM_SHAPES = {
+    "matmul_b_3d": (4, 2),
+    "bmm_shared_a": (3, 4),
+    "bmm_shared_b": (3, 4),
+    "add_rowvec_table_3d": (3, 4),
+    "add_rowvec_3d": (4,),
+    "layernorm_gain_3d": (4,),
+    "layernorm_bias_3d": (4,),
+    "gather_groups_3d": (3, 4),
+    **{name: (2, 3, 4) for name in (
+        "matmul_a_3d", "bmm_a", "bmm_b", "softmax_rows_3d", "layernorm_x_3d", "transpose_3d",
+        "concat_rows_3d", "concat_flat_3d", "pairwise_dot_upper_3d",
+    )},
 }
 
 
@@ -205,7 +305,7 @@ def test_op_gradient_matches_finite_differences(name):
     """Reverse-mode vs central differences, 1e-4 relative with 1e-7 floor."""
     build = OP_CASES[name]
     rng = np.random.default_rng(hash(name) % 2**32)
-    pval = rng.normal(size=(3, 4))
+    pval = rng.normal(size=PARAM_SHAPES.get(name, (3, 4)))
     if name == "relu":
         pval += np.sign(pval)  # keep inputs away from the kink
     p = T.parameter(pval.copy())
@@ -220,6 +320,25 @@ def test_op_gradient_matches_finite_differences(name):
     T.backward(loss)
     fd = fd_grad(scalar, p.value)
     assert_grads_close(p.grad, fd, rtol=1e-4, floor=1e-7)
+
+
+@pytest.mark.parametrize(
+    "name,op",
+    [
+        ("matmul", lambda x: T.matmul(x, T.constant(np.arange(8.0).reshape(4, 2) / 7.0))),
+        ("softmax_rows", T.softmax_rows),
+        ("layernorm", lambda x: T.layernorm(x, T.constant(np.full(4, 1.5)), T.constant(np.full(4, 0.25)))),
+        ("transpose", T.transpose),
+        ("pairwise_dot_upper", T.pairwise_dot_upper),
+        ("add_rowvec", lambda x: T.add_rowvec(x, T.constant(np.arange(4.0)))),
+    ],
+)
+def test_batched_op_equals_op_on_each_slice(name, op):
+    """A leading batch axis gives, per entry, what the 2-D op gives."""
+    x = np.random.default_rng(12).normal(size=(3, 5, 4))
+    out = op(T.constant(x)).value
+    for b in range(3):
+        np.testing.assert_allclose(out[b], op(T.constant(x[b])).value, rtol=1e-14, atol=1e-15)
 
 
 def test_layernorm_affine_params_match_fd():
@@ -280,6 +399,33 @@ class TestCheckpoint:
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint at all")
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut", [8, 10, 12, 20])
+    def test_truncated_header_raises(self, tmp_path, cut):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 3))}, meta={"seed": 1})
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop", [1, 8, 48])
+    def test_truncated_payload_raises(self, tmp_path, drop):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": np.ones((2, 3)), "b": np.zeros(3)})
+        path.write_bytes(path.read_bytes()[:-drop])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"{not json", b"[1, 2]", b'{"version": 1, "meta": {}}', b'{"version": 1, "meta": {}, "params": [{"name": "w"}]}',
+         b'{"version": 1, "meta": {}, "params": [{"name": "w", "shape": [-1]}]}', b'{"version": 2}'],
+    )
+    def test_malformed_header_raises(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(b"SIDTC001" + len(header).to_bytes(4, "little") + header)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 

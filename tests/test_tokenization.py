@@ -1,12 +1,16 @@
 """Token parameterization formulas, table fitting, and lookup functions."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from semidlab.tokenization import (
+    VARIANTS,
     ConfigurationError,
     IndividualEmbedding,
     RandomHash,
@@ -157,6 +161,10 @@ class TestIndividualEmbedding:
         ie = IndividualEmbedding(range(57))
         assert ie.table_size == 58
 
+    def test_vocabulary_outside_int64_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="int64"):
+            IndividualEmbedding([1, 2**63])
+
 
 class TestSemanticIdLookup:
     def test_identical_codes_identical_rows(self):
@@ -190,3 +198,90 @@ class TestSemanticIdLookup:
         b = SemanticIdLookup(dict(table), P("all_bigrams", 4), 120)
         for i in range(50):
             assert a.rows(i) == b.rows(i)
+
+
+# ---------------------------------------------------------------------------
+# rows_batch: the vectorized lookup gives the per-ID rows
+
+
+INT64_EDGES = [0, 1, -1, 2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1, 2**62, -(2**62)]
+int64_ids = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES))
+
+
+def assert_rows_batch_matches_rows(lookup, ids):
+    got = lookup.rows_batch(ids)
+    assert got.shape == (len(ids), lookup.output_count)
+    assert np.issubdtype(got.dtype, np.integer)
+    assert got.tolist() == [list(lookup.rows(i)) for i in ids]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.one_of(int64_ids, st.integers(-(2**70), 2**70)), max_size=40),
+    table_size=st.one_of(st.integers(1, 50), st.integers(1, 2**40)),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_random_hash_rows_batch_matches_rows(ids, table_size, seed):
+    assert_rows_batch_matches_rows(RandomHash(table_size, seed=seed), ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    vocab=st.lists(int64_ids, max_size=30),
+    unseen=st.lists(int64_ids, max_size=20),
+    data=st.data(),
+)
+def test_individual_rows_batch_matches_rows(vocab, unseen, data):
+    lk = IndividualEmbedding(vocab)
+    pool = vocab + unseen
+    ids = data.draw(st.lists(st.sampled_from(pool), max_size=40)) if pool else []
+    ids += [2**63, -(2**63) - 1]  # outside int64, so never in the vocabulary
+    assert_rows_batch_matches_rows(lk, ids)
+    vocab_set = set(vocab)
+    for raw_id, row in zip(ids, lk.rows_batch(ids)[:, 0]):
+        assert (row == lk.unseen_row) == (raw_id not in vocab_set)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    k=st.integers(2, 40),
+    levels=st.integers(4, 6),
+    depth=st.integers(1, 6),
+    n_items=st.integers(1, 30),
+    data=st.data(),
+)
+def test_semantic_id_rows_batch_matches_rows(variant, k, levels, depth, n_items, data):
+    p = TokenParameterization(variant, k, min(depth, levels) if variant == "prefix_ngram" else 0)
+    codes = st.tuples(*[st.integers(0, k - 1)] * levels)
+    table = data.draw(st.dictionaries(st.integers(-(2**40), 2**40), codes, min_size=1, max_size=n_items))
+    table_size = data.draw(st.integers(p.output_count(levels), 5000))
+    lk = SemanticIdLookup(table, p, table_size)
+    # known IDs plus IDs missing from the table (all-zeros fallback)
+    ids = data.draw(st.lists(st.one_of(st.sampled_from(sorted(table)), st.integers(2**41, 2**42)), max_size=30))
+    logging.disable(logging.WARNING)
+    try:
+        assert_rows_batch_matches_rows(lk, ids)
+    finally:
+        logging.disable(logging.NOTSET)
+    fallback = fit_to_table(parameterize((0,) * levels, p), table_size, lk.output_count)
+    for raw_id, row in zip(ids, lk.rows_batch(ids).tolist()):
+        if raw_id not in table:
+            assert row == fallback
+
+
+def test_semantic_id_rows_batch_beyond_int64_index_space():
+    # K^(L+1) >= 2^62: the pre-hash indices leave int64, so rows_batch
+    # takes the exact per-ID path
+    k = 2**16
+    table = {1: (k - 1,) * 4, 2: (0, 1, 2, 3)}
+    lk = SemanticIdLookup(table, TokenParameterization("prefix_ngram", k, 4), 1_000_003)
+    assert_rows_batch_matches_rows(lk, [1, 2, 1])
+
+
+def test_semantic_id_rows_batch_warns_on_missing_id(caplog):
+    lk = SemanticIdLookup({1: (1, 2, 3)}, TokenParameterization("prefix_ngram", 4, 3), 30)
+    with caplog.at_level(logging.WARNING, logger="semidlab.tokenization"):
+        rows = lk.rows_batch([1, 99])
+    assert "99" in caplog.text
+    assert rows[1].tolist() == lk.rows(99)
