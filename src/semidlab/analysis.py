@@ -15,7 +15,6 @@ import numpy as np
 from . import ranker
 from .corpus import DAY, ground_truth_ctr
 from .metrics import SingleClassError, normalized_entropy
-from .runfiles import write_table
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +454,3 @@ def _json_default(obj):
         return float(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
-
-def save_series(path, kind: str, meta: dict, columns, arrays) -> None:
-    """Plot-ready delimited series file."""
-    rows = ([repr(float(v)) for v in row] for row in zip(*arrays))
-    write_table(path, kind, meta, list(columns), rows)

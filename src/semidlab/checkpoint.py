@@ -1,16 +1,21 @@
-"""Binary container for named parameter arrays.
+"""Binary container for named numeric arrays.
 
 Layout (version 1):
 
     bytes 0..7    magic ``b"SIDTC001"``
     bytes 8..11   little-endian uint32: header length n
     bytes 12..12+n UTF-8 JSON header
-    remainder     float64 little-endian payload, arrays back to back
+    remainder     little-endian payload, arrays back to back
 
 The header is ``{"version": 1, "meta": {...}, "params": [{"name":
-str, "shape": [int, ...]}, ...]}`` and arrays appear in the payload in
-header order. Values round-trip bit-exactly because the payload is the
-raw float64 bytes.
+str, "shape": [int, ...], "dtype": "<f8" | "<i8"}, ...]}`` and arrays
+appear in the payload in header order. Signed integer arrays are stored
+as ``"<i8"`` (raw IDs near 2^62 do not fit in float64); everything else
+as ``"<f8"``. An entry without ``dtype`` reads as ``"<f8"``, the only
+type of files written before the field existed. Values round-trip
+bit-exactly because the payload is the raw bytes.
+
+Model parameters, item tables and user tables live in this container.
 """
 
 from __future__ import annotations
@@ -22,10 +27,11 @@ import numpy as np
 
 MAGIC = b"SIDTC001"
 VERSION = 1
+DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
 
 class CheckpointError(ValueError):
-    """The file is not a valid parameter container."""
+    """The file is not a valid container, or not the arrays its reader expects."""
 
 
 def save_checkpoint(path, params, meta=None) -> None:
@@ -33,12 +39,10 @@ def save_checkpoint(path, params, meta=None) -> None:
     entries = []
     blobs = []
     for name, arr in params.items():
-        value = getattr(arr, "value", arr)
-        value = np.asarray(value, dtype=np.float64)
-        if not value.flags["C_CONTIGUOUS"]:
-            value = np.ascontiguousarray(value)
-        entries.append({"name": str(name), "shape": list(value.shape)})
-        blobs.append(value.astype("<f8", copy=False).tobytes())
+        value = np.asarray(getattr(arr, "value", arr))
+        dtype = "<i8" if value.dtype.kind == "i" else "<f8"
+        entries.append({"name": str(name), "shape": list(value.shape), "dtype": dtype})
+        blobs.append(np.asarray(value, dtype=dtype).tobytes())
     header = json.dumps(
         {"version": VERSION, "meta": meta or {}, "params": entries},
         sort_keys=True,
@@ -53,7 +57,7 @@ def save_checkpoint(path, params, meta=None) -> None:
 
 
 def load_checkpoint(path):
-    """Read a container; returns (dict name -> float64 array, meta dict).
+    """Read a container; returns (dict name -> float64 or int64 array, meta dict).
 
     Raises CheckpointError on a foreign, truncated or inconsistent file.
     """
@@ -70,7 +74,10 @@ def load_checkpoint(path):
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
         version = header.get("version")
         if version == VERSION:
-            entries = [(str(e["name"]), tuple(int(n) for n in e["shape"])) for e in header["params"]]
+            entries = [
+                (str(e["name"]), tuple(int(n) for n in e["shape"]), e.get("dtype", "<f8"))
+                for e in header["params"]
+            ]
             meta = header["meta"]
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
@@ -78,35 +85,49 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unsupported version {version}")
     params = {}
     offset = 12 + hlen
-    for name, shape in entries:
+    for name, shape, dtype in entries:
+        if dtype not in DTYPES:
+            raise CheckpointError(f"{path}: unsupported dtype {dtype!r} of {name!r}")
         if any(n < 0 for n in shape):
             raise CheckpointError(f"{path}: negative dimension in shape {shape} of {name!r}")
         count = int(np.prod(shape)) if shape else 1
         end = offset + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")
-        params[name] = np.frombuffer(raw[offset:end], dtype="<f8").astype(np.float64).reshape(shape)
+        params[name] = np.frombuffer(raw[offset:end], dtype=dtype).astype(DTYPES[dtype]).reshape(shape)
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")
     return params, meta
 
 
+def check_arrays(path, saved: dict, expected: dict) -> None:
+    """Check saved arrays against ``{name: (dtype, shape)}``.
+
+    A ``None`` dimension in an expected shape matches any length. The
+    names must be exactly the expected ones; anything else raises
+    CheckpointError.
+    """
+    missing = sorted(set(expected) - set(saved))
+    unexpected = sorted(set(saved) - set(expected))
+    if missing or unexpected:
+        raise CheckpointError(f"{path}: array names differ (missing {missing}, unexpected {unexpected})")
+    for name, (dtype, shape) in expected.items():
+        value = saved[name]
+        if value.dtype != DTYPES[dtype]:
+            raise CheckpointError(f"{path}: {name!r} is {value.dtype}, expected {np.dtype(DTYPES[dtype])}")
+        if len(value.shape) != len(shape) or any(e is not None and e != n for n, e in zip(value.shape, shape)):
+            raise CheckpointError(f"{path}: {name!r} has shape {value.shape}, expected {shape}")
+
+
 def assign_checkpoint_params(params: dict, saved: dict, path) -> None:
     """Copy saved arrays into a model's parameter tensors, in place.
 
-    The saved names must be exactly the model's and every shape must
-    match; anything else raises CheckpointError before any copy, so a
-    mismatched file never broadcasts into a table or half-loads.
+    The saved names must be exactly the model's, and every entry must be
+    float64 with the model's shape; anything else raises CheckpointError
+    before any copy, so a mismatched file never broadcasts into a table
+    or half-loads.
     """
-    missing = sorted(set(params) - set(saved))
-    unexpected = sorted(set(saved) - set(params))
-    if missing or unexpected:
-        raise CheckpointError(f"{path}: parameter names differ (missing {missing}, unexpected {unexpected})")
-    for name, value in saved.items():
-        if value.shape != params[name].value.shape:
-            raise CheckpointError(
-                f"{path}: {name!r} has shape {value.shape}, the model expects {params[name].value.shape}"
-            )
+    check_arrays(path, saved, {name: ("<f8", p.value.shape) for name, p in params.items()})
     for name, value in saved.items():
         params[name].value[:] = value

@@ -17,6 +17,10 @@ semantically similar items have similar click-through rates by
 construction.
 
 Time is integer seconds from epoch 0; a day is 86400 seconds.
+
+Item and user tables persist in the binary container of ``checkpoint``
+(bit-exact numeric arrays, integer fields as int64); event streams
+persist as tab-separated text tables of ``runfiles``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .runfiles import fmt_floats, read_table, write_table
+from .checkpoint import CheckpointError, check_arrays, load_checkpoint, save_checkpoint
+from .runfiles import read_table, write_table
 
 DAY = 86_400
 
@@ -384,67 +389,48 @@ def inject_aa_pairs(items: ItemTable, count: int, window: tuple[int, int], seed:
 
 
 # ---------------------------------------------------------------------------
-# persistence: tab-separated tables with embedded run metadata
+# persistence (see the module docstring)
+
+
+# array name -> (container dtype, shape); None matches any length
+_ITEM_ARRAYS = {
+    "raw_ids": ("<i8", (None,)),
+    "embeddings": ("<f8", (None, None)),
+    "top": ("<i8", (None,)),
+    "mid": ("<i8", (None,)),
+    "leaf": ("<i8", (None,)),
+    "birth": ("<i8", (None,)),
+    "death": ("<i8", (None,)),
+    "weight": ("<f8", (None,)),
+    "bias": ("<f8", (None,)),
+}
+_USER_ARRAYS = {"preferences": ("<f8", (None, None))}
 
 
 def save_items(path, items: ItemTable, meta: dict) -> None:
-    cols = ["raw_id", "birth", "death", "weight", "bias", "top", "mid", "leaf", "embedding"]
-
-    def rows():
-        for i in range(len(items)):
-            yield [
-                str(int(items.raw_ids[i])),
-                str(int(items.birth[i])),
-                str(int(items.death[i])),
-                repr(float(items.weight[i])),
-                repr(float(items.bias[i])),
-                str(int(items.top[i])),
-                str(int(items.mid[i])),
-                str(int(items.leaf[i])),
-                fmt_floats(items.embeddings[i]),
-            ]
-
-    write_table(path, "items", meta, cols, rows())
+    arrays = {name: np.asarray(getattr(items, name), dtype=dt) for name, (dt, _) in _ITEM_ARRAYS.items()}
+    save_checkpoint(path, arrays, meta=meta)
 
 
 def load_items(path):
-    meta, _, rows = read_table(path, "items")
-    n = len(rows)
-    raw = np.empty(n, dtype=np.int64)
-    birth = np.empty(n, dtype=np.int64)
-    death = np.empty(n, dtype=np.int64)
-    weight = np.empty(n)
-    bias = np.empty(n)
-    top = np.empty(n, dtype=np.int64)
-    mid = np.empty(n, dtype=np.int64)
-    leaf = np.empty(n, dtype=np.int64)
-    emb = None
-    for i, r in enumerate(rows):
-        raw[i], birth[i], death[i] = int(r[0]), int(r[1]), int(r[2])
-        weight[i], bias[i] = float(r[3]), float(r[4])
-        top[i], mid[i], leaf[i] = int(r[5]), int(r[6]), int(r[7])
-        vec = np.fromiter((float(v) for v in r[8].split(",")), dtype=np.float64)
-        if emb is None:
-            emb = np.empty((n, vec.size))
-        emb[i] = vec
-    items = ItemTable(raw, emb, top, mid, leaf, birth, death, weight, bias)
-    return items, meta
+    """Read an item table; CheckpointError on wrong names, types, shapes or lengths."""
+    arrays, meta = load_checkpoint(path)
+    check_arrays(path, arrays, _ITEM_ARRAYS)
+    lengths = {name: a.shape[0] for name, a in arrays.items()}
+    if len(set(lengths.values())) > 1:
+        raise CheckpointError(f"{path}: item arrays differ in length: {lengths}")
+    return ItemTable(**arrays), meta
 
 
 def save_users(path, users: UserTable, meta: dict) -> None:
-    write_table(
-        path,
-        "users",
-        meta,
-        ["user_id", "preference"],
-        ([str(i), fmt_floats(users.preferences[i])] for i in range(len(users))),
-    )
+    save_checkpoint(path, {"preferences": np.asarray(users.preferences, dtype=np.float64)}, meta=meta)
 
 
 def load_users(path):
-    meta, _, rows = read_table(path, "users")
-    prefs = [np.fromiter((float(v) for v in r[1].split(",")), dtype=np.float64) for r in rows]
-    return UserTable(preferences=np.vstack(prefs)), meta
+    """Read a user table; CheckpointError on a wrong name, type or shape."""
+    arrays, meta = load_checkpoint(path)
+    check_arrays(path, arrays, _USER_ARRAYS)
+    return UserTable(preferences=arrays["preferences"]), meta
 
 
 def _fmt_history(history) -> str:

@@ -200,6 +200,8 @@ class LossParts:
     total: T.Tensor  # graph scalar, mean over the batch
     reconstruction: float
     commitment: float  # sum over levels of the codeword-residual distance
+    codes: np.ndarray  # N x L codes the quantizer picked for the batch
+    residuals: list  # L+1 arrays, as returned by quantize_batch
 
 
 def loss(model: RqVaeModel, x) -> LossParts:
@@ -246,7 +248,13 @@ def loss(model: RqVaeModel, x) -> LossParts:
     commitment = float(
         sum(((residuals[l] - cb.value[codes[:, l]]) ** 2).sum() for l, cb in enumerate(model.codebooks))
     ) / n
-    return LossParts(total=total, reconstruction=float(recon.value) / n, commitment=commitment)
+    return LossParts(
+        total=total,
+        reconstruction=float(recon.value) / n,
+        commitment=commitment,
+        codes=codes,
+        residuals=residuals,
+    )
 
 
 def evaluate_loss(model: RqVaeModel, x) -> dict:
@@ -308,9 +316,11 @@ def train(model: RqVaeModel, embeddings) -> list[dict]:
     """Mini-batch training; freezes the model and returns the loss curve.
 
     The curve has one entry per epoch plus the post-initialization state
-    at epoch 0, each with full-dataset loss parts. Codewords that go a
-    whole epoch unused are reset to a random residual from the last
-    batch of that epoch.
+    at epoch 0, each with full-dataset loss parts. Each batch is encoded
+    and quantized once, inside ``loss``; the codebook usage counts and
+    the dead-code reset pool come from the codes and residuals it
+    returns. Codewords that go a whole epoch unused are reset to a
+    random residual from the last batch of that epoch.
     """
     if model.frozen:
         raise FrozenModelError("cannot train a frozen model")
@@ -331,13 +341,10 @@ def train(model: RqVaeModel, embeddings) -> list[dict]:
         usage = np.zeros((cfg.levels, cfg.codebook_size), dtype=np.int64)
         last_residuals = None
         for start in range(0, n, cfg.batch_size):
-            batch = x[order[start : start + cfg.batch_size]]
-            z_np = model._mlp_np("enc", batch)
-            codes, residuals, _ = quantize_batch(model, z_np)
+            parts = loss(model, x[order[start : start + cfg.batch_size]])
             for level in range(cfg.levels):
-                usage[level] += np.bincount(codes[:, level], minlength=cfg.codebook_size)
-            last_residuals = residuals
-            parts = loss(model, batch)
+                usage[level] += np.bincount(parts.codes[:, level], minlength=cfg.codebook_size)
+            last_residuals = parts.residuals
             opt.zero_grad()
             T.backward(parts.total)
             opt.step()
@@ -356,13 +363,16 @@ def train(model: RqVaeModel, embeddings) -> list[dict]:
 def assign(model: RqVaeModel, items: dict):
     """Map raw IDs to code tuples through the frozen quantizer.
 
-    Items with a malformed embedding get a per-item error entry instead
-    of failing the whole pass. Returns (assignments, errors).
+    Items with a malformed embedding (wrong shape, or a NaN or infinite
+    entry) get a per-item error entry instead of failing the whole pass;
+    both dicts keep the order of ``items``. The well-shaped embeddings
+    are checked, encoded and quantized as one array. Returns
+    (assignments, errors).
     """
     if not model.frozen:
         raise FrozenModelError("assign requires a frozen model")
     d = model.config.input_dim
-    good_ids: list[int] = []
+    ids: list[int] = []
     rows: list[np.ndarray] = []
     errors: dict[int, str] = {}
     for raw_id, emb in items.items():
@@ -370,18 +380,23 @@ def assign(model: RqVaeModel, items: dict):
         if arr.shape != (d,):
             errors[int(raw_id)] = f"embedding shape {arr.shape}, expected ({d},)"
             continue
-        if not np.all(np.isfinite(arr)):
-            errors[int(raw_id)] = "non-finite embedding"
-            continue
-        good_ids.append(int(raw_id))
+        ids.append(int(raw_id))
         rows.append(arr)
-    assignments: dict[int, tuple] = {}
-    if rows:
-        z = encode(model, np.vstack(rows))
-        codes, _, _ = quantize_batch(model, z)
-        for raw_id, c in zip(good_ids, codes):
-            assignments[raw_id] = tuple(int(v) for v in c)
-    return assignments, errors
+    x = np.stack(rows) if rows else np.empty((0, d))
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        for i in np.flatnonzero(~finite):
+            errors[ids[i]] = "non-finite embedding"
+        errors = {k: errors[k] for k in map(int, items) if k in errors}
+        ids = [raw_id for raw_id, ok in zip(ids, finite) if ok]
+        x = x[finite]
+    if not ids:
+        return {}, errors
+    z = encode(model, x)
+    del x  # quantization's distance matrices set the peak; do not hold the input too
+    codes, _, _ = quantize_batch(model, z)
+    # tuples zipped from L column lists: no transient list per item
+    return dict(zip(ids, zip(*codes.T.tolist()))), errors
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
-"""Shared helpers for run artifacts: config hashing, headers, float text.
+"""Shared helpers for text run artifacts: config hashing, headers, tables.
 
-Every artifact written by the pipeline embeds the experiment config hash
-and seed in `#`-prefixed header lines so downstream stages can refuse
-mismatched inputs. Floats are serialized with Python's shortest
-round-trip repr, which parses back bit-exactly.
+Event streams, Semantic ID tables and prediction dumps are tab-separated
+text tables. Each embeds the experiment config hash and seed in
+`#`-prefixed header lines so downstream stages can refuse mismatched
+inputs. Writers serialize floats with Python's shortest round-trip
+repr, which parses back bit-exactly. Numeric arrays (model parameters,
+item and user tables) go into the binary container of ``checkpoint``.
 """
 
 from __future__ import annotations
@@ -13,21 +15,13 @@ import json
 
 
 class ArtifactMismatchError(ValueError):
-    """An input artifact belongs to a different config or seed."""
+    """An input artifact is foreign or malformed, or belongs to a different config or seed."""
 
 
 def config_hash(config_dict) -> str:
     """Stable short hash of a JSON-serializable config mapping."""
     canonical = json.dumps(config_dict, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
-
-
-def fmt_float(x) -> str:
-    return repr(float(x))
-
-
-def fmt_floats(values, sep=",") -> str:
-    return sep.join(repr(float(v)) for v in values)
 
 
 def header_lines(kind: str, meta: dict) -> list[str]:
@@ -48,7 +42,11 @@ def write_table(path, kind: str, meta: dict, columns, rows) -> None:
 
 
 def read_table(path, kind: str):
-    """Read a table written by ``write_table``; returns (meta, columns, rows)."""
+    """Read a table written by ``write_table``; returns (meta, columns, rows).
+
+    Raises ArtifactMismatchError on a foreign header or on a row whose
+    field count differs from the ``# columns:`` line before it.
+    """
     meta: dict[str, str] = {}
     columns: list[str] = []
     rows: list[list[str]] = []
@@ -65,7 +63,12 @@ def read_table(path, kind: str):
                 key, _, value = line[2:].partition("=")
                 meta[key] = value
             elif line:
-                rows.append(line.split("\t"))
+                row = line.split("\t")
+                if len(row) != len(columns):
+                    raise ArtifactMismatchError(
+                        f"{path}: row {len(rows) + 1} has {len(row)} fields, expected {len(columns)} columns"
+                    )
+                rows.append(row)
     return meta, columns, rows
 
 

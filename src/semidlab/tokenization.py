@@ -244,6 +244,13 @@ class IndividualEmbedding:
 class SemanticIdLookup:
     """Semantic ID lookup: assignment table, then parameterize, then fit.
 
+    The constructor expands every code once into an (N+1)-by-G row
+    array: row i holds the rows of the table's i-th ID, and the last row
+    those of the all-zeros fallback code. ``rows``, ``rows_batch`` and
+    ``codes`` all read from these arrays through one ID-to-position
+    dict. A code outside [0, K) or outside int64 raises
+    ConfigurationError here, not at its first lookup.
+
     Items missing from the assignment table fall back to the all-zeros
     code with a logged warning; the simulator assigns codes at item
     birth, so hitting the fallback indicates a misconfigured run.
@@ -263,25 +270,38 @@ class SemanticIdLookup:
         if table_size < self.output_count:
             raise ConfigurationError("table size smaller than index count")
         self.table_size = int(table_size)
-        self._table = {int(k): tuple(int(c) for c in v) for k, v in id_table.items()}
-        self._fallback = (0,) * self.levels
+        self._position = dict(zip(map(int, id_table), range(len(id_table))))
+        self._fallback = len(id_table)
+        try:
+            self._codes = np.array([*id_table.values(), (0,) * self.levels], dtype=np.int64)
+        except OverflowError as exc:
+            raise ConfigurationError(f"code outside int64 in Semantic ID table: {exc}") from exc
         # pre-hash indices stay below k^(levels+1); past int64 only the
         # per-ID Python path is exact
-        self._vectorized = parameterization.codebook_size ** (self.levels + 1) < 2**62
+        if parameterization.codebook_size ** (self.levels + 1) < 2**62:
+            pre = parameterize_batch(self._codes, parameterization)
+            self._rows = fit_to_table_batch(pre, self.table_size)
+        else:
+            self._rows = np.array(
+                [
+                    fit_to_table(parameterize(c, parameterization), self.table_size, self.output_count)
+                    for c in self._codes.tolist()
+                ],
+                dtype=np.int64,
+            )
 
-    def codes(self, raw_id: int):
-        codes = self._table.get(int(raw_id))
-        if codes is None:
+    def _index(self, raw_id) -> int:
+        pos = self._position.get(int(raw_id))
+        if pos is None:
             log.warning("raw id %d missing from Semantic ID table; using all-zeros code", raw_id)
             return self._fallback
-        return codes
+        return pos
+
+    def codes(self, raw_id: int) -> tuple:
+        return tuple(self._codes[self._index(raw_id)].tolist())
 
     def rows(self, raw_id: int) -> list[int]:
-        pre = parameterize(self.codes(raw_id), self.parameterization)
-        return fit_to_table(pre, self.table_size, self.output_count)
+        return self._rows[self._index(raw_id)].tolist()
 
     def rows_batch(self, raw_ids) -> np.ndarray:
-        if not self._vectorized:
-            return np.array([self.rows(i) for i in raw_ids], dtype=np.int64).reshape(-1, self.output_count)
-        codes = np.array([self.codes(i) for i in raw_ids], dtype=np.int64).reshape(-1, self.levels)
-        return fit_to_table_batch(parameterize_batch(codes, self.parameterization), self.table_size)
+        return self._rows[np.array([self._index(i) for i in raw_ids], dtype=np.intp)]

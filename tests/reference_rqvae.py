@@ -1,0 +1,92 @@
+"""Double-pass RQ-VAE training and per-item assignment: the oracle for
+``semidlab.rqvae.train`` and ``semidlab.rqvae.assign``.
+
+Training encodes and quantizes every batch once with the numpy encoder
+for the codebook usage counts and the dead-code reset pool, then again
+inside ``loss`` for the gradient step. Assignment checks, converts and
+collects one item at a time. The array-at-a-time implementations must
+reproduce these parameters, loss curves and assignments bit for bit.
+"""
+
+import numpy as np
+
+from semidlab import tensor as T
+from semidlab.rqvae import (
+    FrozenModelError,
+    RqVaeConfigError,
+    _init_codebooks,
+    encode,
+    evaluate_loss,
+    loss,
+    quantize_batch,
+)
+
+
+def train(model, embeddings):
+    """Returns (loss curve, number of codewords reset)."""
+    if model.frozen:
+        raise FrozenModelError("cannot train a frozen model")
+    cfg = model.config
+    x = np.asarray(embeddings, dtype=np.float64)
+    n = x.shape[0]
+    if n < cfg.codebook_size:
+        raise RqVaeConfigError(f"need at least {cfg.codebook_size} embeddings, got {n}")
+
+    rng = np.random.default_rng([cfg.seed, 1])
+    _init_codebooks(model, x[: max(cfg.batch_size, cfg.codebook_size)], rng)
+    opt = T.make_optimizer(cfg.optimizer, list(model.params.values()), cfg.learning_rate)
+
+    resets = 0
+    curve = [{"epoch": 0, **evaluate_loss(model, x)}]
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        usage = np.zeros((cfg.levels, cfg.codebook_size), dtype=np.int64)
+        last_residuals = None
+        for start in range(0, n, cfg.batch_size):
+            batch = x[order[start : start + cfg.batch_size]]
+            z_np = model._mlp_np("enc", batch)
+            codes, residuals, _ = quantize_batch(model, z_np)
+            for level in range(cfg.levels):
+                usage[level] += np.bincount(codes[:, level], minlength=cfg.codebook_size)
+            last_residuals = residuals
+            parts = loss(model, batch)
+            opt.zero_grad()
+            T.backward(parts.total)
+            opt.step()
+        if cfg.learning_rate > 0 and last_residuals is not None:
+            for level, cb in enumerate(model.codebooks):
+                dead = np.flatnonzero(usage[level] == 0)
+                if dead.size:
+                    pool = last_residuals[level]
+                    picks = rng.integers(0, pool.shape[0], size=dead.size)
+                    cb.value[dead] = pool[picks]
+                    resets += dead.size
+        curve.append({"epoch": epoch, **evaluate_loss(model, x)})
+    model.frozen = True
+    return curve, resets
+
+
+def assign(model, items: dict):
+    if not model.frozen:
+        raise FrozenModelError("assign requires a frozen model")
+    d = model.config.input_dim
+    good_ids = []
+    rows = []
+    errors = {}
+    for raw_id, emb in items.items():
+        arr = np.asarray(emb, dtype=np.float64)
+        if arr.shape != (d,):
+            errors[int(raw_id)] = f"embedding shape {arr.shape}, expected ({d},)"
+            continue
+        if not np.all(np.isfinite(arr)):
+            errors[int(raw_id)] = "non-finite embedding"
+            continue
+        good_ids.append(int(raw_id))
+        rows.append(arr)
+    assignments = {}
+    if rows:
+        z = encode(model, np.vstack(rows))
+        codes, _, _ = quantize_batch(model, z)
+        for raw_id, c in zip(good_ids, codes):
+            assignments[raw_id] = tuple(int(v) for v in c)
+    return assignments, errors

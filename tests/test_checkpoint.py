@@ -1,0 +1,85 @@
+"""Container entries with a dtype: int64 and float64 arrays, files
+without the field, and the checks on what a model may load."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from semidlab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from semidlab.rqvae import RqVaeConfig, RqVaeModel, assign, load_rqvae, save_rqvae
+
+
+def write_without_dtype(path, params, meta):
+    """A container as written before entries had a ``dtype``: float64 only."""
+    entries = [{"name": name, "shape": list(np.shape(v))} for name, v in params.items()]
+    header = json.dumps({"version": 1, "meta": meta, "params": entries}, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<I", len(header)) + header)
+        for value in params.values():
+            fh.write(np.asarray(value, dtype="<f8").tobytes())
+
+
+def header_of(path) -> dict:
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12 : 12 + n])
+
+
+def test_entries_record_their_dtype(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"ids": np.array([1, 2], dtype=np.int32), "w": np.ones(2), "flags": np.array([True])})
+    assert [e["dtype"] for e in header_of(path)["params"]] == ["<i8", "<f8", "<f8"]
+    loaded, _ = load_checkpoint(path)
+    assert loaded["ids"].dtype == np.int64 and loaded["ids"].tolist() == [1, 2]
+    assert loaded["flags"].dtype == np.float64 and loaded["flags"].tolist() == [1.0]
+
+
+def test_int64_ids_round_trip_exactly(tmp_path):
+    ids = np.array([2**62, -(2**62), 2**63 - 1, -(2**63), 2**62 + 1, 0], dtype=np.int64)
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"ids": ids, "x": np.array([-0.0, 5e-324])})
+    loaded, _ = load_checkpoint(path)
+    assert loaded["ids"].dtype == np.int64
+    assert loaded["ids"].tolist() == ids.tolist()
+    assert loaded["x"].tobytes() == np.array([-0.0, 5e-324]).tobytes()
+    loaded["ids"][0] = 5  # arrays come back writable, not as views of the file
+
+
+def test_file_without_dtype_loads_as_float64(tmp_path):
+    cfg = RqVaeConfig(levels=2, codebook_size=4, input_dim=5, latent_dim=3, seed=25)
+    model = RqVaeModel.initialize(cfg)
+    model.frozen = True
+    path = tmp_path / "old.ckpt"
+    write_without_dtype(path, {n: p.value for n, p in model.params.items()},
+                        {"rqvae_config": cfg.to_dict(), "frozen": True})
+    assert all("dtype" not in e for e in header_of(path)["params"])
+    params, _ = load_checkpoint(path)
+    assert all(v.dtype == np.float64 for v in params.values())
+    loaded, _ = load_rqvae(path)
+    for name, p in model.params.items():
+        assert loaded.params[name].value.tobytes() == p.value.tobytes()
+    items = {i: np.random.default_rng(i).normal(size=5) for i in range(20)}
+    assert assign(loaded, items) == assign(model, items)
+
+
+@pytest.mark.parametrize("dtype", ["<i4", "<f4", ">f8", "float64", None])
+def test_unknown_dtype_raises(tmp_path, dtype):
+    header = json.dumps(
+        {"version": 1, "meta": {}, "params": [{"name": "w", "shape": [2], "dtype": dtype}]}
+    ).encode("utf-8")
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(16))
+    with pytest.raises(CheckpointError, match="dtype"):
+        load_checkpoint(path)
+
+
+def test_model_rejects_an_int64_parameter(tmp_path):
+    cfg = RqVaeConfig(levels=2, codebook_size=4, input_dim=5, latent_dim=3, seed=26)
+    save_rqvae(tmp_path / "rq.ckpt", RqVaeModel.initialize(cfg))
+    params, meta = load_checkpoint(tmp_path / "rq.ckpt")
+    params["codebook.0"] = np.zeros((4, 3), dtype=np.int64)  # right shape, wrong type
+    save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
+    with pytest.raises(CheckpointError, match="codebook.0"):
+        load_rqvae(tmp_path / "bad.ckpt")

@@ -4,12 +4,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from semidlab.checkpoint import CheckpointError, save_checkpoint
 from semidlab.corpus import (
     DAY,
     CorpusConfig,
     CorpusConfigError,
     ItemTable,
+    UserTable,
     calibrate_skew,
     generate_items,
     generate_stream,
@@ -329,3 +334,120 @@ class TestPersistence:
                 b.label,
                 b.history,
             )
+
+
+# ---------------------------------------------------------------------------
+# item and user tables in the binary container
+
+INT64_EDGES = [2**62, -(2**62), 2**62 - 1, 2**63 - 1, -(2**63), 0, -1]
+FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -1e-310, np.inf, -np.inf]
+int64_values = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES))
+float_values = st.one_of(st.floats(width=64), st.sampled_from(FLOAT_EDGES))
+
+
+@st.composite
+def item_tables(draw):
+    n = draw(st.integers(0, 12))
+    d = draw(st.integers(1, 5))
+
+    def ints():
+        return draw(hnp.arrays(np.int64, n, elements=int64_values))
+
+    def floats(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=float_values))
+
+    return ItemTable(
+        raw_ids=draw(hnp.arrays(np.int64, n, elements=int64_values, unique=True)),
+        embeddings=floats((n, d)),
+        top=ints(),
+        mid=ints(),
+        leaf=ints(),
+        birth=ints(),
+        death=ints(),
+        weight=floats(n),
+        bias=floats(n),
+    )
+
+
+def assert_same_table(a, b):
+    for f in dataclasses.fields(type(b)):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape, f.name
+            assert x.tobytes() == y.tobytes(), f.name  # -0.0, subnormals and NaN payloads too
+        else:
+            assert x == y, f.name
+
+
+@settings(max_examples=40, deadline=None)
+@given(items=item_tables(), seed=int64_values)
+def test_item_table_round_trips_every_field(tmp_path_factory, items, seed):
+    path = tmp_path_factory.mktemp("items") / "items.bin"
+    meta = {"config_hash": "abc", "seed": seed}
+    save_items(path, items, meta)
+    loaded, meta2 = load_items(path)
+    assert meta2 == meta
+    assert_same_table(loaded, items)
+
+
+@settings(max_examples=30, deadline=None)
+@given(prefs=st.integers(0, 10).flatmap(
+    lambda n: hnp.arrays(np.float64, (n, 4), elements=float_values)))
+def test_user_table_round_trips(tmp_path_factory, prefs):
+    path = tmp_path_factory.mktemp("users") / "users.bin"
+    save_users(path, UserTable(prefs), {"seed": 1})
+    loaded, meta = load_users(path)
+    assert meta == {"seed": 1}
+    assert_same_table(loaded, UserTable(prefs))
+
+
+class TestTableFiles:
+    def _items(self):
+        return generate_items(small_config(n_items=50))
+
+    def test_foreign_file_raises(self, tmp_path):
+        save_events(tmp_path / "events.tsv", [], {"seed": 1})
+        for load in (load_items, load_users):
+            with pytest.raises(CheckpointError):
+                load(tmp_path / "events.tsv")
+
+    @pytest.mark.parametrize("cut", [4, 30, 200, -1])
+    def test_truncated_file_raises(self, tmp_path, cut):
+        save_items(tmp_path / "items.bin", self._items(), {"seed": 1})
+        save_users(tmp_path / "users.bin", generate_users(small_config(n_users=5)), {"seed": 1})
+        for name, load in (("items.bin", load_items), ("users.bin", load_users)):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes()[:cut])
+            with pytest.raises(CheckpointError):
+                load(path)
+
+    def test_one_table_is_not_the_other(self, tmp_path):
+        save_items(tmp_path / "items.bin", self._items(), {"seed": 1})
+        save_users(tmp_path / "users.bin", generate_users(small_config(n_users=5)), {"seed": 1})
+        with pytest.raises(CheckpointError, match="names differ"):
+            load_users(tmp_path / "items.bin")
+        with pytest.raises(CheckpointError, match="names differ"):
+            load_items(tmp_path / "users.bin")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bias", lambda a: a[:-1]),  # one row short
+            ("embeddings", lambda a: a[:, 0]),  # 1-D
+            ("raw_ids", lambda a: a.astype(np.float64)),  # IDs would lose precision
+            ("weight", lambda a: a.astype(np.int64)),
+        ],
+    )
+    def test_wrong_shape_length_or_type_raises(self, tmp_path, field, value):
+        items = self._items()
+        arrays = {f: getattr(items, f) for f in
+                  ("raw_ids", "embeddings", "top", "mid", "leaf", "birth", "death", "weight", "bias")}
+        arrays[field] = value(arrays[field])
+        save_checkpoint(tmp_path / "items.bin", arrays, meta={"seed": 1})
+        with pytest.raises(CheckpointError, match=field):
+            load_items(tmp_path / "items.bin")
+
+    def test_user_table_must_be_a_matrix(self, tmp_path):
+        save_checkpoint(tmp_path / "users.bin", {"preferences": np.zeros(3)})
+        with pytest.raises(CheckpointError, match="preferences"):
+            load_users(tmp_path / "users.bin")

@@ -1,0 +1,59 @@
+"""Text tables: a row must have as many fields as the ``# columns:`` line."""
+
+import pytest
+
+from semidlab.corpus import ImpressionEvent, load_events, save_events
+from semidlab.rqvae import load_semid_table, save_semid_table
+from semidlab.runfiles import ArtifactMismatchError, read_table, write_table
+
+EVENTS = [
+    ImpressionEvent(0, 10, 3, 2**62, 1, ()),
+    ImpressionEvent(1, 20, 4, 17, 0, ((2**62, 10),)),
+]
+
+
+def cut_last_row(path, fields: int) -> None:
+    """Keep only the first ``fields`` tab-separated fields of the last row."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[-1] = "\t".join(lines[-1].split("\t")[:fields])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("fields", [1, 3, 5])
+def test_truncated_event_row_raises(tmp_path, fields):
+    path = tmp_path / "events.tsv"
+    save_events(path, EVENTS, {"seed": 1})
+    assert load_events(path)[0] == EVENTS
+    cut_last_row(path, fields)
+    with pytest.raises(ArtifactMismatchError, match=f"row 2 has {fields} fields, expected 6"):
+        load_events(path)
+
+
+def test_truncated_semid_row_raises(tmp_path):
+    path = tmp_path / "semid.tsv"
+    save_semid_table(path, {5: (1, 2, 3), 9: (0, 0, 1)}, {"seed": 1})
+    cut_last_row(path, 1)
+    with pytest.raises(ArtifactMismatchError, match="row 2 has 1 fields, expected 2"):
+        load_semid_table(path)
+
+
+def test_extra_field_raises(tmp_path):
+    path = tmp_path / "semid.tsv"
+    save_semid_table(path, {5: (1, 2, 3)}, {"seed": 1})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("9\t0,0,1\tjunk\n")
+    with pytest.raises(ArtifactMismatchError, match="row 2 has 3 fields"):
+        load_semid_table(path)
+
+
+def test_row_without_columns_line_raises(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("# semidlab things v1\n# seed=1\na\tb\n", encoding="utf-8")
+    with pytest.raises(ArtifactMismatchError, match="expected 0 columns"):
+        read_table(path, "things")
+
+
+def test_well_formed_table_reads_back(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_table(path, "things", {"seed": 1}, ["a", "b"], [["1", "x"], ["2", ""]])
+    assert read_table(path, "things") == ({"seed": "1"}, ["a", "b"], [["1", "x"], ["2", ""]])

@@ -285,3 +285,85 @@ def test_semantic_id_rows_batch_warns_on_missing_id(caplog):
         rows = lk.rows_batch([1, 99])
     assert "99" in caplog.text
     assert rows[1].tolist() == lk.rows(99)
+
+
+# ---------------------------------------------------------------------------
+# SemanticIdLookup against the per-ID reference fit_to_table(parameterize(codes))
+
+
+def reference_rows(table, p, table_size, raw_id):
+    levels = len(next(iter(table.values())))
+    codes = table.get(raw_id, (0,) * levels)
+    return fit_to_table(parameterize(codes, p), table_size, p.output_count(levels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    # small codebooks take the vectorized expansion; large ones push
+    # k^(L+1) past 2^62, where the constructor expands ID by ID
+    k=st.one_of(st.integers(2, 40), st.integers(2**13, 2**20)),
+    levels=st.integers(4, 6),
+    depth=st.integers(1, 6),
+    n_items=st.integers(1, 30),
+    data=st.data(),
+)
+def test_semantic_id_rows_match_per_id_reference(variant, k, levels, depth, n_items, data):
+    p = TokenParameterization(variant, k, min(depth, levels) if variant == "prefix_ngram" else 0)
+    codes = st.tuples(*[st.integers(0, k - 1)] * levels)
+    keys = st.one_of(int64_ids, st.integers(2**63, 2**70))
+    table = data.draw(st.dictionaries(keys, codes, min_size=1, max_size=n_items))
+    table[data.draw(keys)] = (k - 1,) * levels  # the largest pre-hash indices
+    table_size = data.draw(st.integers(p.output_count(levels), 2**40))
+    lk = SemanticIdLookup(table, p, table_size)
+    # known IDs plus missing ones, some outside int64
+    missing = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1), int64_ids)
+    ids = data.draw(st.lists(st.one_of(st.sampled_from(sorted(table)), missing), max_size=30))
+    logging.disable(logging.WARNING)
+    try:
+        want = [reference_rows(table, p, table_size, i) for i in ids]
+        assert [lk.rows(i) for i in ids] == want
+        got = lk.rows_batch(ids)
+        assert got.shape == (len(ids), lk.output_count)
+        assert got.tolist() == want
+        assert [lk.codes(i) for i in ids] == [table.get(i, (0,) * levels) for i in ids]
+    finally:
+        logging.disable(logging.NOTSET)
+
+
+@pytest.mark.parametrize("table_size", [97, 1_000_003])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_semantic_id_rows_beyond_int64_index_space_match_per_id_reference(variant, table_size):
+    # K^(L+1) = 2^96: the constructor must expand ID by ID, exactly
+    k, levels = 2**16, 5
+    p = TokenParameterization(variant, k, 5 if variant == "prefix_ngram" else 0)
+    rng = np.random.default_rng(24)
+    table = {i: tuple(int(c) for c in rng.integers(0, k, size=levels)) for i in range(20)}
+    table[99] = (k - 1,) * levels
+    lk = SemanticIdLookup(table, p, table_size)
+    ids = [*table, -7]  # -7 is missing
+    logging.disable(logging.WARNING)
+    try:
+        want = [reference_rows(table, p, table_size, i) for i in ids]
+        assert [lk.rows(i) for i in ids] == want
+        assert lk.rows_batch(ids).tolist() == want
+    finally:
+        logging.disable(logging.NOTSET)
+
+
+@pytest.mark.parametrize("code", [4, -1, 2**63, -(2**63) - 1])
+def test_semantic_id_lookup_rejects_out_of_range_code_at_construction(code):
+    table = {1: (0, 1, 2), 2: (1, code, 3)}
+    with pytest.raises(ConfigurationError):
+        SemanticIdLookup(table, P("prefix_ngram", 4, n=3), 300)
+
+
+def test_semantic_id_lookup_rejects_code_beyond_int64_in_a_huge_codebook():
+    # 2^63 lies inside [0, 2^64) but cannot be stored as an int64 code
+    with pytest.raises(ConfigurationError, match="int64"):
+        SemanticIdLookup({1: (2**63, 0, 0)}, P("trigram", 2**64), 300)
+
+
+def test_semantic_id_lookup_rows_batch_of_no_ids():
+    lk = SemanticIdLookup({1: (1, 2, 3)}, P("all_bigrams", 4), 30)
+    assert lk.rows_batch([]).shape == (0, 2)
