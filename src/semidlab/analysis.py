@@ -315,9 +315,7 @@ def click_loss_analog(
         scores, _ = ranker.score(model, pool_events)
         top = pool[np.argsort(-scores, kind="stable")[:set_size]]
         pref = users.preferences[event.user_id]
-        base_ctrs = [
-            ground_truth_ctr(pref, items.embeddings[i], temperature, bias) for i in top
-        ]
+        base_ctrs = ground_truth_ctr(pref, items.embeddings[top], temperature, bias)
         base = float(np.mean(base_ctrs))
         swap_pos = int(rng.integers(0, set_size))
         swap_idx = int(top[swap_pos])

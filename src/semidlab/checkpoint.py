@@ -20,6 +20,7 @@ Model parameters, item tables and user tables live in this container.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import struct
 
@@ -131,3 +132,18 @@ def assign_checkpoint_params(params: dict, saved: dict, path) -> None:
     check_arrays(path, saved, {name: ("<f8", p.value.shape) for name, p in params.items()})
     for name, value in saved.items():
         params[name].value[:] = value
+
+
+def config_from_meta(path, meta: dict, key: str, config_cls):
+    """Rebuild the dataclass config a model checkpoint keeps in ``meta[key]``.
+
+    Raises CheckpointError when the entry is missing, is not a mapping,
+    or names a field ``config_cls`` does not have.
+    """
+    saved = meta.get(key)
+    if not isinstance(saved, dict):
+        raise CheckpointError(f"{path}: meta has no {key!r} mapping")
+    unknown = sorted(set(saved) - {f.name for f in dataclasses.fields(config_cls)})
+    if unknown:
+        raise CheckpointError(f"{path}: {key!r} has unknown fields {unknown}")
+    return config_cls.from_dict(saved)

@@ -269,22 +269,17 @@ def generate_users(config: CorpusConfig) -> UserTable:
 _CTR_CLIP = 1e-12
 
 
-def ground_truth_ctr(preference, embedding, temperature: float, bias: float) -> float:
+def ground_truth_ctr(preferences, embeddings, temperature: float, bias):
     """Label oracle: logistic in the content embedding, so semantically
     close items get close probabilities for the same user.
 
-    ``bias`` is the item's own bias term (see ``ItemTable.bias``)."""
-    logit = np.dot(np.asarray(preference), np.asarray(embedding)) / float(temperature) + float(bias)
-    if logit >= 0:
-        p = 1.0 / (1.0 + np.exp(-logit))
-    else:
-        ex = np.exp(logit)
-        p = ex / (1.0 + ex)
-    return float(min(max(p, _CTR_CLIP), 1.0 - _CTR_CLIP))
-
-
-def _ctr_vector(preferences, embeddings, temperature, biases):
-    logits = np.einsum("ij,ij->i", preferences, embeddings) / float(temperature) + np.asarray(biases)
+    Row-wise over the last axis: (N, d) preferences and embeddings give
+    N probabilities, and one preference vector broadcasts against a
+    block of embeddings (two vectors give a 0-d array). ``bias`` is the
+    item's own bias term (see ``ItemTable.bias``), a scalar or one per
+    row. Probabilities are clipped to [1e-12, 1 - 1e-12].
+    """
+    logits = np.einsum("...j,...j->...", preferences, embeddings) / float(temperature) + np.asarray(bias)
     out = np.empty_like(logits)
     pos = logits >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
@@ -332,7 +327,7 @@ def generate_stream(items: ItemTable, users: UserTable, config: CorpusConfig) ->
     )
     user_ids = rng.integers(0, len(users), size=ts.size)
     item_idx = sample_items_at(rng, items, ts)
-    ctr = _ctr_vector(
+    ctr = ground_truth_ctr(
         users.preferences[user_ids],
         items.embeddings[item_idx],
         config.temperature,

@@ -16,10 +16,12 @@ Each lookup turns the batch's IDs into an integer row array, with -1
 where a position has no row, and one ``gather_groups`` per table builds
 the B-by-T-by-d history block and the B-by-1-by-d targets. The
 aggregation module and the interaction run on the batch axis, and the
-top MLP maps the B interaction rows to B logits. Training, evaluation
-and the analyses all score through this one path; frozen-model scoring
-(``score``) runs in minibatches of ``batch_size``, so one graph of at
-most that many events is alive at a time.
+top MLP maps the B interaction rows to B logits. The top MLP and the
+Transformer block's position-wise MLP are ``mlp.mlp`` stacks named
+``top`` and ``agg.mlp``. Training, evaluation and the analyses all
+score through this one path; frozen-model scoring (``score``) runs in
+minibatches of ``batch_size``, so one graph of at most that many events
+is alive at a time.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import assign_checkpoint_params, load_checkpoint, save_checkpoint
+from .checkpoint import assign_checkpoint_params, config_from_meta, load_checkpoint, save_checkpoint
 from .metrics import normalized_entropy
+from .mlp import init_mlp, mlp
 from .runfiles import read_table, write_table
 from .tokenization import (
     ConfigurationError,
@@ -52,7 +55,6 @@ class RankerConfigError(ValueError):
 class RankerConfig:
     d_m: int = 16
     aggregation: str = "bypass"
-    d_a: int | None = None  # attention width; must equal d_m for the residual
     d_s: int = 32  # number of learnable seed queries for pooled attention
     history_length: int = 8
     n_ts_buckets: int = 32
@@ -65,10 +67,6 @@ class RankerConfig:
     def __post_init__(self):
         if self.aggregation not in AGGREGATIONS:
             raise RankerConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.d_a is None:
-            self.d_a = self.d_m
-        if self.aggregation != "bypass" and self.d_a != self.d_m:
-            raise RankerConfigError("attention width must equal d_m (residual connections)")
         if self.history_length < 1 or self.d_m < 1:
             raise RankerConfigError("history_length and d_m must be positive")
         self.top_mlp = tuple(int(w) for w in self.top_mlp)
@@ -104,15 +102,6 @@ class RankerModel:
         def table(name, rows, cols, scale=0.05):
             p[name] = T.parameter(rng.normal(0.0, scale, size=(rows, cols)), name=name)
 
-        def mlp(prefix, sizes):
-            for i in range(len(sizes) - 1):
-                fan_in = sizes[i]
-                p[f"{prefix}.{i}.w"] = T.parameter(
-                    rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_in, sizes[i + 1])),
-                    name=f"{prefix}.{i}.w",
-                )
-                p[f"{prefix}.{i}.b"] = T.parameter(np.zeros(sizes[i + 1]), name=f"{prefix}.{i}.b")
-
         table("target_table", target_lookup.table_size, d)
         table("history_table", history_lookup.table_size, d)
         table("ts_table", config.n_ts_buckets, d)
@@ -128,22 +117,22 @@ class RankerModel:
                 if config.aggregation == "pma" and name == "wq":
                     continue
                 p[f"agg.{name}"] = T.parameter(
-                    rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, config.d_a)), name=f"agg.{name}"
+                    rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)), name=f"agg.{name}"
                 )
             for ln in ("ln1", "ln2"):
                 p[f"agg.{ln}.g"] = T.parameter(np.ones(d), name=f"agg.{ln}.g")
                 p[f"agg.{ln}.b"] = T.parameter(np.zeros(d), name=f"agg.{ln}.b")
-            mlp("agg.mlp", [d, _BLOCK_MLP_RATIO * d, d])
+            init_mlp(p, rng, "agg.mlp", [d, _BLOCK_MLP_RATIO * d, d])
             if config.aggregation == "pma":
                 p["agg.seeds"] = T.parameter(
-                    rng.normal(0.0, 1.0 / math.sqrt(config.d_a), size=(config.d_s, config.d_a)),
+                    rng.normal(0.0, 1.0 / math.sqrt(d), size=(config.d_s, d)),
                     name="agg.seeds",
                 )
                 m = config.d_s + 1
             else:
                 m = t + 1
         interaction_dim = m * (m - 1) // 2 + m * d
-        mlp("top", [interaction_dim, *config.top_mlp, 1])
+        init_mlp(p, rng, "top", [interaction_dim, *config.top_mlp, 1])
         return cls(config=config, target_lookup=target_lookup, history_lookup=history_lookup, params=p)
 
 
@@ -201,12 +190,6 @@ def _history_block(model: RankerModel, events) -> tuple[T.Tensor, np.ndarray]:
     return x, pad_mask
 
 
-def _block_mlp(model: RankerModel, x: T.Tensor) -> T.Tensor:
-    p = model.params
-    h = T.relu(T.add_rowvec(T.matmul(x, p["agg.mlp.0.w"]), p["agg.mlp.0.b"]))
-    return T.add_rowvec(T.matmul(h, p["agg.mlp.1.w"]), p["agg.mlp.1.b"])
-
-
 def _aggregate(model: RankerModel, x: T.Tensor) -> tuple[T.Tensor, T.Tensor | None]:
     """History module over a B-by-T-by-d block; returns the B-by-rows-by-d
     output and the B-by-rows-by-T attention (None for bypass)."""
@@ -225,7 +208,7 @@ def _aggregate(model: RankerModel, x: T.Tensor) -> tuple[T.Tensor, T.Tensor | No
     else:
         attn = T.softmax_rows(T.scale(T.bmm(p["agg.seeds"], T.transpose(keys)), inv_sqrt))
         x1 = T.add_rowvec(T.bmm(attn, values), p["agg.seeds"])
-    x2 = T.add(_block_mlp(model, T.layernorm(x1, p["agg.ln2.g"], p["agg.ln2.b"])), x1)
+    x2 = T.add(mlp(p, "agg.mlp", T.layernorm(x1, p["agg.ln2.g"], p["agg.ln2.b"])), x1)
     return x2, attn
 
 
@@ -240,12 +223,7 @@ def forward_batch(model: RankerModel, events) -> BatchResult:
     target = T.gather_groups(model.params["target_table"], target_rows[:, None, :])
     vectors = T.concat_rows([target, agg])
     interactions = T.pairwise_dot_upper(vectors)
-    h = T.concat_flat([interactions, vectors])
-    n_layers = len(model.config.top_mlp) + 1
-    for i in range(n_layers):
-        h = T.add_rowvec(T.matmul(h, model.params[f"top.{i}.w"]), model.params[f"top.{i}.b"])
-        if i < n_layers - 1:
-            h = T.relu(h)
+    h = mlp(model.params, "top", T.concat_flat([interactions, vectors]))
     return BatchResult(
         probabilities=T.sigmoid(h).value[:, 0],
         logits=h,
@@ -422,11 +400,12 @@ def save_ranker(path, model: RankerModel, meta: dict | None = None) -> None:
 def load_ranker(path, target_lookup, history_lookup) -> tuple[RankerModel, dict]:
     """Rebuild a model from a checkpoint plus reconstructed lookups.
 
-    Raises CheckpointError when the saved parameter names or shapes do
-    not match the model the config and lookups describe.
+    Raises CheckpointError when the meta holds no usable
+    ``ranker_config``, or when the saved parameter names or shapes do not
+    match the model the config and lookups describe.
     """
     params, meta = load_checkpoint(path)
-    config = RankerConfig.from_dict(meta["ranker_config"])
+    config = config_from_meta(path, meta, "ranker_config", RankerConfig)
     model = RankerModel.initialize(config, target_lookup, history_lookup)
     assign_checkpoint_params(model.params, params, path)
     model.frozen = True

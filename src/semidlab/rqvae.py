@@ -3,7 +3,9 @@
 An MLP encoder maps a content embedding to a latent vector, a stack of
 codebooks greedily quantizes the latent level by level (each level
 approximating the residual the previous levels left behind), and an MLP
-decoder reconstructs the input from the summed codewords. After
+decoder reconstructs the input from the summed codewords. Both MLPs are
+``mlp.mlp`` stacks named ``enc`` and ``dec``: graph-building on a
+``Tensor`` in ``loss``, values only on arrays everywhere else. After
 training the model is frozen and every item receives its code sequence,
 which downstream modules treat as the item's hierarchical semantic
 identifier.
@@ -22,7 +24,8 @@ from dataclasses import dataclass, asdict, field
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import assign_checkpoint_params, load_checkpoint, save_checkpoint
+from .checkpoint import assign_checkpoint_params, config_from_meta, load_checkpoint, save_checkpoint
+from .mlp import init_mlp, mlp
 from .runfiles import read_table, write_table
 
 
@@ -71,10 +74,6 @@ class RqVaeConfig:
         return cls(**d)
 
 
-def _mlp_param_names(prefix: str, sizes) -> list[tuple[str, str]]:
-    return [(f"{prefix}.{i}.w", f"{prefix}.{i}.b") for i in range(len(sizes) - 1)]
-
-
 @dataclass
 class RqVaeModel:
     config: RqVaeConfig
@@ -85,15 +84,8 @@ class RqVaeModel:
     def initialize(cls, config: RqVaeConfig) -> "RqVaeModel":
         rng = np.random.default_rng([config.seed, 0])
         params: dict[str, T.Tensor] = {}
-        enc_sizes = [config.input_dim, *config.hidden_sizes, config.latent_dim]
-        dec_sizes = [config.latent_dim, *reversed(config.hidden_sizes), config.input_dim]
-        for prefix, sizes in (("enc", enc_sizes), ("dec", dec_sizes)):
-            for i, (w_name, b_name) in enumerate(_mlp_param_names(prefix, sizes)):
-                fan_in, fan_out = sizes[i], sizes[i + 1]
-                params[w_name] = T.parameter(
-                    rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out)), name=w_name
-                )
-                params[b_name] = T.parameter(np.zeros(fan_out), name=b_name)
+        init_mlp(params, rng, "enc", [config.input_dim, *config.hidden_sizes, config.latent_dim])
+        init_mlp(params, rng, "dec", [config.latent_dim, *reversed(config.hidden_sizes), config.input_dim])
         for level in range(config.levels):
             name = f"codebook.{level}"
             params[name] = T.parameter(
@@ -105,32 +97,6 @@ class RqVaeModel:
     def codebooks(self) -> list:
         return [self.params[f"codebook.{l}"] for l in range(self.config.levels)]
 
-    def _mlp_np(self, prefix: str, x: np.ndarray) -> np.ndarray:
-        sizes = self._sizes(prefix)
-        out = x
-        for i in range(len(sizes) - 1):
-            out = out @ self.params[f"{prefix}.{i}.w"].value + self.params[f"{prefix}.{i}.b"].value
-            if i < len(sizes) - 2:
-                out = np.maximum(out, 0.0)
-        return out
-
-    def _mlp_t(self, prefix: str, x: T.Tensor) -> T.Tensor:
-        sizes = self._sizes(prefix)
-        out = x
-        for i in range(len(sizes) - 1):
-            out = T.add_rowvec(
-                T.matmul(out, self.params[f"{prefix}.{i}.w"]), self.params[f"{prefix}.{i}.b"]
-            )
-            if i < len(sizes) - 2:
-                out = T.relu(out)
-        return out
-
-    def _sizes(self, prefix: str) -> list[int]:
-        cfg = self.config
-        if prefix == "enc":
-            return [cfg.input_dim, *cfg.hidden_sizes, cfg.latent_dim]
-        return [cfg.latent_dim, *reversed(cfg.hidden_sizes), cfg.input_dim]
-
 
 def encode(model: RqVaeModel, x) -> np.ndarray:
     """Deterministic encoder forward pass; accepts a vector or a batch."""
@@ -141,7 +107,7 @@ def encode(model: RqVaeModel, x) -> np.ndarray:
         raise T.DimensionError(
             f"expected embeddings of dim {model.config.input_dim}, got {batch.shape[1]}"
         )
-    z = model._mlp_np("enc", batch)
+    z = mlp(model.params, "enc", batch)
     return z[0] if single else z
 
 
@@ -219,7 +185,7 @@ def loss(model: RqVaeModel, x) -> LossParts:
     n = x.shape[0]
     beta = model.config.commitment_weight
 
-    z_t = model._mlp_t("enc", T.constant(x))
+    z_t = mlp(model.params, "enc", T.constant(x))
     z = z_t.value
     codes, residuals, quantized = quantize_batch(model, z)
 
@@ -237,7 +203,7 @@ def loss(model: RqVaeModel, x) -> LossParts:
 
     # straight-through: decode the quantized latent, pass gradient to z
     z_st = T.add(z_t, T.constant(quantized - z))
-    x_hat = model._mlp_t("dec", z_st)
+    x_hat = mlp(model.params, "dec", z_st)
     recon = T.sum_sq(T.sub(T.constant(x), x_hat))
 
     total = recon
@@ -245,29 +211,29 @@ def loss(model: RqVaeModel, x) -> LossParts:
         total = T.add(total, term)
     total = T.scale(total, 1.0 / n)
 
-    commitment = float(
-        sum(((residuals[l] - cb.value[codes[:, l]]) ** 2).sum() for l, cb in enumerate(model.codebooks))
-    ) / n
     return LossParts(
         total=total,
         reconstruction=float(recon.value) / n,
-        commitment=commitment,
+        commitment=_commitment(model, codes, residuals),
         codes=codes,
         residuals=residuals,
     )
 
 
+def _commitment(model: RqVaeModel, codes: np.ndarray, residuals: list) -> float:
+    """Per-example sum over levels of the squared residual-to-codeword distance."""
+    total = sum(((residuals[l] - cb.value[codes[:, l]]) ** 2).sum() for l, cb in enumerate(model.codebooks))
+    return float(total) / codes.shape[0]
+
+
 def evaluate_loss(model: RqVaeModel, x) -> dict:
     """Loss parts without building a graph (works on frozen models)."""
     x = np.asarray(x, dtype=np.float64)
-    z = model._mlp_np("enc", x)
+    z = mlp(model.params, "enc", x)
     codes, residuals, quantized = quantize_batch(model, z)
-    x_hat = model._mlp_np("dec", quantized)
-    n = x.shape[0]
-    recon = float(((x - x_hat) ** 2).sum()) / n
-    commitment = float(
-        sum(((residuals[l] - cb.value[codes[:, l]]) ** 2).sum() for l, cb in enumerate(model.codebooks))
-    ) / n
+    x_hat = mlp(model.params, "dec", quantized)
+    recon = float(((x - x_hat) ** 2).sum()) / x.shape[0]
+    commitment = _commitment(model, codes, residuals)
     beta = model.config.commitment_weight
     return {
         "reconstruction": recon,
@@ -304,7 +270,7 @@ def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
 
 def _init_codebooks(model: RqVaeModel, sample: np.ndarray, rng: np.random.Generator) -> None:
     """Warm-start each level by k-means on that level's residuals."""
-    z = model._mlp_np("enc", sample)
+    z = mlp(model.params, "enc", sample)
     r = z
     for cb in model.codebooks:
         centers = _kmeans(r, model.config.codebook_size, model.config.kmeans_iters, rng)
@@ -320,12 +286,18 @@ def train(model: RqVaeModel, embeddings) -> list[dict]:
     and quantized once, inside ``loss``; the codebook usage counts and
     the dead-code reset pool come from the codes and residuals it
     returns. Codewords that go a whole epoch unused are reset to a
-    random residual from the last batch of that epoch.
+    random residual from the last batch of that epoch. Embeddings that
+    are not an (N, input_dim) array of finite values raise
+    RqVaeConfigError before the codebooks are initialized.
     """
     if model.frozen:
         raise FrozenModelError("cannot train a frozen model")
     cfg = model.config
     x = np.asarray(embeddings, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != cfg.input_dim:
+        raise RqVaeConfigError(f"embeddings must be (N, {cfg.input_dim}), got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise RqVaeConfigError("embeddings hold a NaN or infinite entry")
     n = x.shape[0]
     if n < cfg.codebook_size:
         raise RqVaeConfigError(f"need at least {cfg.codebook_size} embeddings, got {n}")
@@ -412,7 +384,7 @@ def save_rqvae(path, model: RqVaeModel, meta: dict | None = None) -> None:
 
 def load_rqvae(path) -> tuple[RqVaeModel, dict]:
     params, meta = load_checkpoint(path)
-    config = RqVaeConfig.from_dict(meta["rqvae_config"])
+    config = config_from_meta(path, meta, "rqvae_config", RqVaeConfig)
     model = RqVaeModel.initialize(config)
     assign_checkpoint_params(model.params, params, path)
     model.frozen = bool(meta.get("frozen", False))

@@ -291,24 +291,15 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.value - b.value, parents=(a, b), backward=back)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "mul")
-    av, bv = a.value, b.value
-
-    def back(g):
-        return g * bv, g * av
-
-    return Tensor(av * bv, parents=(a, b), backward=back)
-
-
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0); a NaN entry stays NaN and passes no gradient."""
     av = a.value
     mask = av > 0
 
     def back(g):
         return (g * mask,)
 
-    return Tensor(np.where(mask, av, 0.0), parents=(a,), backward=back)
+    return Tensor(np.maximum(av, 0.0), parents=(a,), backward=back)
 
 
 def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
@@ -369,22 +360,6 @@ def concat_rows(tensors) -> Tensor:
         return tuple(np.split(g, splits, axis=-2))
 
     return Tensor(np.concatenate([t.value for t in tensors], axis=-2), parents=tuple(tensors), backward=back)
-
-
-def mean(a: Tensor) -> Tensor:
-    n = a.value.size
-
-    def back(g):
-        return (np.full_like(a.value, g.item() / n),)
-
-    return Tensor(np.array(a.value.mean()), parents=(a,), backward=back)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    def back(g):
-        return (np.full_like(a.value, g.item()),)
-
-    return Tensor(np.array(a.value.sum()), parents=(a,), backward=back)
 
 
 def sum_sq(a: Tensor) -> Tensor:

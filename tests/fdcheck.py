@@ -2,9 +2,13 @@
 
 Kept independent of the engine under test: it only perturbs raw numpy
 buffers and re-runs a closure, never touching backward machinery.
+``weighted_sum`` is the analytic side's scalar reducer, built from two
+engine ops that have finite-difference cases of their own.
 """
 
 import numpy as np
+
+from semidlab import tensor as T
 
 
 def fd_grad(fn, arr, h=1e-5):
@@ -35,3 +39,14 @@ def assert_grads_close(analytic, numeric, rtol=1e-4, floor=1e-7):
     diff = np.abs(analytic - numeric)
     worst = (diff - bound).max()
     assert np.all(diff <= bound), f"gradient mismatch, worst excess {worst:.3e}"
+
+
+def weighted_sum(t, weights=None):
+    """Graph scalar sum(t * weights), all weights 1 by default.
+
+    Built as a (1, n) by (n, 1) ``matmul`` of the flattened tensor, so
+    the gradient reaching ``t`` is exactly ``weights``.
+    """
+    n = t.value.size
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64).reshape(n)
+    return T.matmul(T.reshape(t, (1, n)), T.constant(w.reshape(n, 1)))

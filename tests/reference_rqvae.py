@@ -2,10 +2,11 @@
 ``semidlab.rqvae.train`` and ``semidlab.rqvae.assign``.
 
 Training encodes and quantizes every batch once with the numpy encoder
-for the codebook usage counts and the dead-code reset pool, then again
-inside ``loss`` for the gradient step. Assignment checks, converts and
-collects one item at a time. The array-at-a-time implementations must
-reproduce these parameters, loss curves and assignments bit for bit.
+(``mlp_np``, a layer loop of its own) for the codebook usage counts and
+the dead-code reset pool, then again inside ``loss`` for the gradient
+step. Assignment checks, converts and collects one item at a time. The
+array-at-a-time implementations must reproduce these parameters, loss
+curves and assignments bit for bit.
 """
 
 import numpy as np
@@ -20,6 +21,22 @@ from semidlab.rqvae import (
     loss,
     quantize_batch,
 )
+
+
+def mlp_np(model, prefix, x):
+    """Encoder (``"enc"``) or decoder (``"dec"``) forward pass on an array,
+    layer sizes taken from the config."""
+    cfg = model.config
+    if prefix == "enc":
+        sizes = [cfg.input_dim, *cfg.hidden_sizes, cfg.latent_dim]
+    else:
+        sizes = [cfg.latent_dim, *reversed(cfg.hidden_sizes), cfg.input_dim]
+    out = x
+    for i in range(len(sizes) - 1):
+        out = out @ model.params[f"{prefix}.{i}.w"].value + model.params[f"{prefix}.{i}.b"].value
+        if i < len(sizes) - 2:
+            out = np.maximum(out, 0.0)
+    return out
 
 
 def train(model, embeddings):
@@ -44,7 +61,7 @@ def train(model, embeddings):
         last_residuals = None
         for start in range(0, n, cfg.batch_size):
             batch = x[order[start : start + cfg.batch_size]]
-            z_np = model._mlp_np("enc", batch)
+            z_np = mlp_np(model, "enc", batch)
             codes, residuals, _ = quantize_batch(model, z_np)
             for level in range(cfg.levels):
                 usage[level] += np.bincount(codes[:, level], minlength=cfg.codebook_size)

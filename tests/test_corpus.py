@@ -166,6 +166,25 @@ class TestGroundTruthCtr:
             p = ground_truth_ctr(rng.normal(size=8) * 10, rng.normal(size=8) * 10, 1.0, 0.0)
             assert 0.0 < p < 1.0
 
+    def test_rows_match_single_vector_calls(self):
+        rng = np.random.default_rng(2)
+        prefs = rng.normal(size=(50, 16)) * 3
+        embs = rng.normal(size=(50, 16))
+        bias = rng.normal(size=50)
+        rows = ground_truth_ctr(prefs, embs, 2.0, bias)
+        single = [ground_truth_ctr(prefs[i], embs[i], 2.0, bias[i]) for i in range(50)]
+        assert rows.shape == (50,)
+        assert rows.tobytes() == np.array(single).tobytes()
+
+    def test_one_preference_broadcasts_over_a_block(self):
+        rng = np.random.default_rng(3)
+        pref = rng.normal(size=16)
+        embs = rng.normal(size=(7, 16)) * 40
+        block = ground_truth_ctr(pref, embs, 1.0, -1.0)
+        tiled = ground_truth_ctr(np.tile(pref, (7, 1)), embs, 1.0, np.full(7, -1.0))
+        assert block.tobytes() == tiled.tobytes()
+        assert np.all((block >= 1e-12) & (block <= 1.0 - 1e-12))
+
     def test_same_leaf_swap_changes_ctr_less_than_cross_top_swap(self):
         cfg = small_config(n_items=6000, seed=4)
         items = generate_items(cfg)

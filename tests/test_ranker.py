@@ -373,6 +373,21 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="names differ"):
             load_ranker(tmp_path / "bad.ckpt", model.target_lookup, model.history_lookup)
 
+    @pytest.mark.parametrize("change", ["missing", "not_a_mapping", "removed_field"])
+    def test_load_rejects_missing_or_unknown_config(self, tmp_path, change):
+        model = make_model("transformer", seed=15)
+        save_ranker(tmp_path / "r.ckpt", model)
+        params, meta = load_checkpoint(tmp_path / "r.ckpt")
+        if change == "missing":
+            del meta["ranker_config"]
+        elif change == "not_a_mapping":
+            meta["ranker_config"] = "transformer"
+        else:
+            meta["ranker_config"]["d_a"] = model.config.d_m  # the attention width knob is gone
+        save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
+        with pytest.raises(CheckpointError, match="ranker_config"):
+            load_ranker(tmp_path / "bad.ckpt", model.target_lookup, model.history_lookup)
+
     def test_prediction_dump_round_trip(self, tmp_path):
         model = make_model(seed=17)
         events = toy_events(20, seed=18)

@@ -24,6 +24,7 @@ from semidlab.rqvae import (
     train,
 )
 
+import reference_rqvae as ref
 from fdcheck import assert_grads_close, fd_grad
 from oracles import cluster_purity, gmm_hierarchy_embeddings, nearest_index_bruteforce
 
@@ -187,7 +188,7 @@ class TestLoss:
 
         from semidlab.rqvae import quantize_batch as qb
 
-        base_z = model._mlp_np("enc", x)
+        base_z = ref.mlp_np(model, "enc", x)
         codes, residuals, quantized = qb(model, base_z)
         offset = quantized - base_z
         cums = []
@@ -213,8 +214,8 @@ class TestLoss:
         w = model.params["enc.0.w"]
 
         def surrogate():
-            z = model._mlp_np("enc", x)
-            xhat = model._mlp_np("dec", z + offset)
+            z = ref.mlp_np(model, "enc", x)
+            xhat = ref.mlp_np(model, "dec", z + offset)
             val = ((x - xhat) ** 2).sum()
             for cum in cums:
                 val += beta * ((z - cum) ** 2).sum()
@@ -281,6 +282,24 @@ class TestTrain:
         with pytest.raises(RqVaeConfigError):
             train(RqVaeModel.initialize(cfg), np.zeros((10, 2)))
 
+    @pytest.mark.parametrize("bad", ["1-D", "3-D", "narrow", "wide", "nan", "inf"])
+    def test_malformed_embeddings_rejected_before_kmeans(self, bad, monkeypatch):
+        cfg = RqVaeConfig(levels=1, codebook_size=4, input_dim=3, latent_dim=2)
+        emb = np.random.default_rng(21).normal(size=(40, 3))
+        if bad in ("nan", "inf"):
+            emb[17, 1] = np.nan if bad == "nan" else -np.inf
+        else:
+            emb = {"1-D": emb[:, 0], "3-D": emb[None], "narrow": emb[:, :2], "wide": np.hstack([emb, emb])}[bad]
+
+        def no_kmeans(*args):
+            raise AssertionError("k-means ran on malformed embeddings")
+
+        monkeypatch.setattr("semidlab.rqvae._kmeans", no_kmeans)
+        model = RqVaeModel.initialize(cfg)
+        with pytest.raises(RqVaeConfigError):
+            train(model, emb)
+        assert not model.frozen
+
     def test_training_frozen_model_rejected(self):
         model = scalar_identity_model([[-1.0, 1.0]])
         model.frozen = True
@@ -341,6 +360,21 @@ class TestAssign:
             params["codebook.2"] = np.zeros((4, 3))
         save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
         with pytest.raises(CheckpointError):
+            load_rqvae(tmp_path / "bad.ckpt")
+
+    @pytest.mark.parametrize("change", ["missing", "not_a_mapping", "unknown_field"])
+    def test_load_rejects_missing_or_unknown_config(self, tmp_path, change):
+        cfg = RqVaeConfig(levels=2, codebook_size=4, input_dim=5, latent_dim=3, seed=20)
+        save_rqvae(tmp_path / "rq.ckpt", RqVaeModel.initialize(cfg))
+        params, meta = load_checkpoint(tmp_path / "rq.ckpt")
+        if change == "missing":
+            del meta["rqvae_config"]
+        elif change == "not_a_mapping":
+            meta["rqvae_config"] = [1, 2]
+        else:
+            meta["rqvae_config"]["latent_width"] = 3
+        save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
+        with pytest.raises(CheckpointError, match="rqvae_config"):
             load_rqvae(tmp_path / "bad.ckpt")
 
     def test_top_level_purity_on_hierarchical_corpus(self):

@@ -74,7 +74,7 @@ def test_loss_returns_the_codes_and_residuals_of_its_pass():
     model = RqVaeModel.initialize(spec["config"])
     x = _embeddings(*spec["data"])[:50]
     parts = loss(model, x)
-    codes, residuals, _ = quantize_batch(model, model._mlp_np("enc", x))
+    codes, residuals, _ = quantize_batch(model, ref.mlp_np(model, "enc", x))
     assert np.array_equal(parts.codes, codes)
     assert len(parts.residuals) == len(residuals) == spec["config"].levels + 1
     for a, b in zip(parts.residuals, residuals):
