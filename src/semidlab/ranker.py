@@ -67,9 +67,15 @@ class RankerConfig:
     def __post_init__(self):
         if self.aggregation not in AGGREGATIONS:
             raise RankerConfigError(f"unknown aggregation {self.aggregation!r}")
-        if self.history_length < 1 or self.d_m < 1:
-            raise RankerConfigError("history_length and d_m must be positive")
+        if min(self.history_length, self.d_m, self.n_ts_buckets, self.batch_size) < 1:
+            raise RankerConfigError("history_length, d_m, n_ts_buckets and batch_size must be positive")
+        if self.aggregation == "pma" and self.d_s < 1:
+            raise RankerConfigError("pooled attention needs at least one seed query (d_s)")
+        if not self.learning_rate >= 0:
+            raise RankerConfigError("learning_rate must not be negative")
         self.top_mlp = tuple(int(w) for w in self.top_mlp)
+        if any(w < 1 for w in self.top_mlp):
+            raise RankerConfigError(f"top_mlp widths must be positive, got {self.top_mlp}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -59,10 +59,16 @@ class RqVaeConfig:
             raise RqVaeConfigError("codebook_size must be at least 2")
         if self.commitment_weight <= 0:
             raise RqVaeConfigError("commitment_weight must be positive")
+        if min(self.input_dim, self.latent_dim, self.batch_size) < 1:
+            raise RqVaeConfigError("input_dim, latent_dim and batch_size must be positive")
+        if min(self.epochs, self.kmeans_iters) < 0 or not self.learning_rate >= 0:
+            raise RqVaeConfigError("epochs, kmeans_iters and learning_rate must not be negative")
         if self.hidden_sizes is None:
             self.hidden_sizes = (2 * self.latent_dim,)
         else:
             self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+        if any(h < 1 for h in self.hidden_sizes):
+            raise RqVaeConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -16,9 +16,22 @@ axes of the first (a bias vector, a position table, or the
 pooled-attention seeds); ``bmm`` also shares a plain matrix across
 the batch. Row gathers take integer index arrays in which -1 marks
 "no row".
+
+A row gather's backward returns a row-sparse ``RowGrad`` (the rows it
+read and one gradient row per read) instead of a table-sized dense
+scatter, so a minibatch that touches a few hundred rows of a large
+embedding table never builds a table-sized gradient. Sums keep the
+arithmetic of the dense scatter, so every gradient, and every parameter
+the optimizers update from it, is bit-identical to the dense path: a
+contribution sums its entries into zeros in entry order, contributions
+add to each other in arrival order, and a row-sparse gradient that
+meets a dense one, or reaches a node that is not a leaf, is densified
+first. ``Tensor.grad`` always reads and assigns a dense float64 array.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,18 +52,30 @@ class Tensor:
     trainable parameters; ``backward`` fills their ``grad``.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "parents", "_backward", "name")
+    __slots__ = ("value", "_grad", "requires_grad", "parents", "_backward", "name")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None, name=""):
         arr = np.asarray(value, dtype=np.float64)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.value = arr
-        self.grad = None
+        self._grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self.parents = tuple(parents)
         self._backward = backward
         self.name = name
+
+    @property
+    def grad(self):
+        """The dense float64 gradient, or None; a row-sparse one is
+        densified on read and kept dense."""
+        if isinstance(self._grad, RowGrad):
+            self._grad = self._grad.dense()
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = None if value is None else np.asarray(value, dtype=np.float64)
 
     @property
     def shape(self):
@@ -75,10 +100,71 @@ def constant(value, name=""):
     return Tensor(value, requires_grad=False, name=name)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+class RowGrad:
+    """Row-sparse gradient of a matrix, as a row gather leaves it.
+
+    Each contribution is a pair (rows, values): entry i adds
+    ``values[i]`` to row ``rows[i]``, rows may repeat, and entries keep
+    the order in which the gather read them. ``nbytes`` counts the
+    stored indices and values.
+    """
+
+    __slots__ = ("shape", "parts")
+
+    def __init__(self, shape, rows: np.ndarray, values: np.ndarray):
+        self.shape = tuple(shape)
+        self.parts = [(rows, values)]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(rows.nbytes + values.nbytes for rows, values in self.parts)
+
+    def coalesce(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct rows and their gradient rows, summed as
+        ``dense`` sums them."""
+        # sort and drop repeats; ``np.unique`` would import numpy.ma
+        # (about 1.7 MB resident) on first use
+        rows = np.sort(np.concatenate([r for r, _ in self.parts]))
+        first = np.ones(rows.size, dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        rows = rows[first]
+        return rows, self._summed(rows.size, lambda r: np.searchsorted(rows, r))
+
+    def dense(self) -> np.ndarray:
+        return self._summed(self.shape[0], lambda r: r)
+
+    def _summed(self, n_rows: int, position) -> np.ndarray:
+        """Each contribution sums its entries into zeros in entry order,
+        then adds to the total, as the dense scatter and ``+=`` did, so
+        every row is bit-identical to the dense gradient's."""
+        out = np.zeros((n_rows, self.shape[1]))
+        for rows, values in self.parts:
+            part = np.zeros_like(out)
+            np.add.at(part, position(rows), values)
+            out += part
+        return out
+
+
+def _accumulate(t: Tensor, g) -> None:
+    """Add one gradient contribution to ``t``.
+
+    A row-sparse contribution to a leaf joins the leaf's earlier
+    row-sparse ones; meeting a dense gradient, or reaching an inner node
+    (whose backward closure takes an array), it is densified first.
+    """
+    if isinstance(g, RowGrad):
+        if t._backward is None and t._grad is None:
+            t._grad = g
+            return
+        if t._backward is None and isinstance(t._grad, RowGrad):
+            t._grad.parts.extend(g.parts)
+            return
+        g = g.dense()
+    if t._grad is None:
+        t._grad = np.zeros_like(t.value)
+    elif isinstance(t._grad, RowGrad):
+        t._grad = t._grad.dense()
+    t._grad += g
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -114,10 +200,10 @@ def backward(loss: Tensor) -> None:
     order = _topo_order(loss)
     _accumulate(loss, np.ones_like(loss.value))
     for node in reversed(order):
-        if node._backward is None or node.grad is None:
+        if node._backward is None or node._grad is None:
             continue
-        parent_grads = node._backward(node.grad)
-        node.grad = None
+        parent_grads = node._backward(node._grad)
+        node._grad = None
         for p, g in zip(node.parents, parent_grads):
             if p.requires_grad and g is not None:
                 _accumulate(p, g)
@@ -241,7 +327,8 @@ def gather_groups(table: Tensor, index) -> Tensor:
     ``index`` is an integer array of shape (..., G); -1 means "no row",
     so a group of all -1 yields a zero row. The output has shape
     (..., d). Rows add in index order and a row picked twice counts
-    twice, in the forward sum and in the scattered gradient.
+    twice, in the forward sum and in the gradient, a ``RowGrad`` with
+    one entry per row read.
     """
     tv = table.value
     if tv.ndim != 2:
@@ -259,11 +346,10 @@ def gather_groups(table: Tensor, index) -> Tensor:
     for g in range(idx.shape[-1]):
         out += picked[..., g, :]
     rows = idx[valid]
+    read_shape = picked.shape
 
     def back(g):
-        gt = np.zeros_like(tv)
-        np.add.at(gt, rows, np.broadcast_to(g[..., None, :], picked.shape)[valid])
-        return (gt,)
+        return (RowGrad(tv.shape, rows, np.broadcast_to(g[..., None, :], read_shape)[valid]),)
 
     return Tensor(out, parents=(table,), backward=back)
 
@@ -470,8 +556,20 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
 # parameter updates
 
 
+def _times_zero_is_plus_zero(x: float) -> bool:
+    """Whether ``x * 0.0`` is +0.0, so subtracting it leaves any value,
+    -0.0 and NaN included, bit-identical."""
+    return math.isfinite(x) and math.copysign(1.0, x) > 0
+
+
 class SGD:
-    """Plain gradient descent over a list of parameters."""
+    """Plain gradient descent over a list of parameters.
+
+    A row-sparse gradient updates only the rows it has entries for. The
+    dense step would subtract ``lr * 0.0`` from every other row, which
+    for a finite ``lr >= 0`` leaves them bit-identical; any other ``lr``
+    takes the dense step.
+    """
 
     def __init__(self, params, lr):
         self.params = list(params)
@@ -479,7 +577,12 @@ class SGD:
 
     def step(self):
         for p in self.params:
-            if p.grad is not None:
+            if p._grad is None:
+                continue
+            if isinstance(p._grad, RowGrad) and _times_zero_is_plus_zero(self.lr):
+                rows, sums = p._grad.coalesce()
+                p.value[rows] -= self.lr * sums
+            else:
                 p.value -= self.lr * p.grad
 
     def zero_grad(self):
@@ -487,7 +590,19 @@ class SGD:
 
 
 class Adam:
-    """Adam with the usual defaults: betas (0.9, 0.999), eps 1e-8."""
+    """Adam with the usual defaults: betas (0.9, 0.999), eps 1e-8.
+
+    A row whose moments m and v are 0 and whose gradient is 0 is a fixed
+    point of the update (m and v stay +0.0 and the step is
+    ``lr * 0.0 / eps``, +0.0), so with row-sparse gradients only the
+    rows that ever had a gradient entry are updated, by the dense
+    arithmetic in the same order, and every parameter, m and v stay
+    bit-identical to the dense step. A dense gradient marks every row,
+    and once every row is marked the dense step runs. Hyperparameters
+    outside the fixed-point argument (lr negative or not finite,
+    eps <= 0, |beta| >= 1) take the dense step. m and v start as
+    untouched zero pages.
+    """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
@@ -495,23 +610,48 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        self._m = [np.zeros(p.value.shape) for p in self.params]
+        self._v = [np.zeros(p.value.shape) for p in self.params]
+        # per parameter: None until a row-sparse gradient arrives, then a
+        # bool mask of the rows that ever had an entry, True once all have
+        self._touched = [None] * len(self.params)
+
+    def _moments_step(self, m, v, g, bias1, bias2):
+        """Update m and v in place; return the step to subtract."""
+        b1, b2 = self.beta1, self.beta2
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        return self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
 
     def step(self):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1**self.t
-        bias2 = 1.0 - b2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
+        bias1 = 1.0 - self.beta1**self.t
+        bias2 = 1.0 - self.beta2**self.t
+        sparse_ok = (
+            _times_zero_is_plus_zero(self.lr) and self.eps > 0 and abs(self.beta1) < 1 and abs(self.beta2) < 1
+        )
+        for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
+            if p._grad is None:
                 continue
-            g = p.grad
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            p.value -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            touched = self._touched[i]
+            if isinstance(p._grad, RowGrad) and touched is not True and sparse_ok:
+                rows, sums = p._grad.coalesce()
+                if touched is None:
+                    touched = self._touched[i] = np.zeros(p.value.shape[0], dtype=bool)
+                touched[rows] = True
+                if not touched.all():
+                    idx = np.flatnonzero(touched)
+                    g = np.zeros((idx.size, p.value.shape[1]))
+                    g[np.searchsorted(idx, rows)] = sums
+                    m_rows, v_rows = m[idx], v[idx]
+                    p.value[idx] -= self._moments_step(m_rows, v_rows, g, bias1, bias2)
+                    m[idx] = m_rows
+                    v[idx] = v_rows
+                    continue
+            self._touched[i] = True
+            p.value -= self._moments_step(m, v, p.grad, bias1, bias2)
 
     def zero_grad(self):
         zero_grads(self.params)

@@ -417,3 +417,17 @@ class TestPersistence:
         model.frozen = True
         with pytest.raises(RankerConfigError):
             train_one_epoch(model, toy_events(4))
+
+
+@pytest.mark.parametrize("fields", [
+    {"batch_size": 0}, {"aggregation": "pma", "d_s": 0}, {"n_ts_buckets": 0}, {"top_mlp": (8, 0)},
+    {"top_mlp": (-1,)}, {"learning_rate": -0.01}, {"learning_rate": float("nan")},
+])
+def test_config_rejects_empty_or_negative_sizes(fields):
+    with pytest.raises(RankerConfigError):
+        RankerConfig(**fields)
+
+
+def test_config_keeps_seed_count_unchecked_without_pma_and_zero_learning_rate():
+    cfg = RankerConfig(aggregation="transformer", d_s=0, learning_rate=0.0, top_mlp=())
+    assert (cfg.d_s, cfg.learning_rate, cfg.top_mlp) == (0, 0.0, ())

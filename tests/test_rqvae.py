@@ -395,3 +395,17 @@ class TestSemanticIdTableFile:
         loaded, meta = load_semid_table(tmp_path / "semid.tsv")
         assert loaded == mapping
         assert meta["config_hash"] == "h"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("epochs", -1), ("latent_dim", 0), ("input_dim", 0), ("hidden_sizes", (0,)),
+    ("hidden_sizes", (4, -2)), ("kmeans_iters", -1), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+])
+def test_config_rejects_empty_or_negative_sizes(field, value):
+    with pytest.raises(RqVaeConfigError):
+        RqVaeConfig(**{field: value})
+
+
+def test_config_keeps_zero_epochs_iterations_and_learning_rate():
+    cfg = RqVaeConfig(epochs=0, kmeans_iters=0, learning_rate=0.0, hidden_sizes=())
+    assert (cfg.epochs, cfg.kmeans_iters, cfg.learning_rate, cfg.hidden_sizes) == (0, 0, 0.0, ())
