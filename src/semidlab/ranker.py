@@ -71,8 +71,8 @@ class RankerConfig:
             raise RankerConfigError("history_length, d_m, n_ts_buckets and batch_size must be positive")
         if self.aggregation == "pma" and self.d_s < 1:
             raise RankerConfigError("pooled attention needs at least one seed query (d_s)")
-        if not self.learning_rate >= 0:
-            raise RankerConfigError("learning_rate must not be negative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise RankerConfigError("learning_rate must be finite and not negative")
         self.top_mlp = tuple(int(w) for w in self.top_mlp)
         if any(w < 1 for w in self.top_mlp):
             raise RankerConfigError(f"top_mlp widths must be positive, got {self.top_mlp}")

@@ -19,6 +19,7 @@ through a straight-through estimator on the quantized latent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict, field
 
 import numpy as np
@@ -61,8 +62,10 @@ class RqVaeConfig:
             raise RqVaeConfigError("commitment_weight must be positive")
         if min(self.input_dim, self.latent_dim, self.batch_size) < 1:
             raise RqVaeConfigError("input_dim, latent_dim and batch_size must be positive")
-        if min(self.epochs, self.kmeans_iters) < 0 or not self.learning_rate >= 0:
-            raise RqVaeConfigError("epochs, kmeans_iters and learning_rate must not be negative")
+        if min(self.epochs, self.kmeans_iters) < 0:
+            raise RqVaeConfigError("epochs and kmeans_iters must not be negative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise RqVaeConfigError("learning_rate must be finite and not negative")
         if self.hidden_sizes is None:
             self.hidden_sizes = (2 * self.latent_dim,)
         else:

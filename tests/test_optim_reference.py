@@ -155,6 +155,16 @@ def test_gather_gradient_stays_row_sparse_on_a_leaf():
     assert dense_grad.sum() == 12.0
 
 
+def test_gather_reading_as_many_entries_as_rows_scatters_densely():
+    table = T.parameter(_table(4, 2))
+    T.backward(weighted_sum(T.gather_groups(table, [[0, 0], [1, -1]])))
+    assert isinstance(table._grad, T.RowGrad)
+    table.grad = None
+    T.backward(weighted_sum(T.gather_groups(table, [[0, 0], [1, 1]])))
+    assert isinstance(table._grad, np.ndarray)
+    np.testing.assert_array_equal(table.grad, [[2, 2], [2, 2], [0, 0], [0, 0]])
+
+
 def test_row_sparse_gradient_is_densified_at_an_inner_node():
     p = T.parameter(_table(5, 2))
     inner = T.scale(p, 2.0)
@@ -172,13 +182,17 @@ def test_grad_assigns_a_dense_float64_array():
     assert p.grad is None
 
 
-def test_adam_updates_only_touched_rows_until_every_row_is_touched():
+def test_adam_updates_only_touched_rows_until_most_rows_are_touched():
     opt, table = assert_matches_reference(CASES["touched_then_idle"], _table(8, 3), "adam", 0.05)
     np.testing.assert_array_equal(np.flatnonzero(opt._touched[0]), [1, 3, 6])
     opt, _ = assert_matches_reference(CASES["dense_first"], _table(8, 3), "adam", 0.05)
     assert opt._touched[0] is True
-    full = [[[gather([[r] for r in range(8)], W(size=(8, 3)))]], [[gather([[2]], W(size=(1, 3)))]]]
-    opt, _ = assert_matches_reference(full, _table(8, 3), "adam", 0.05)
+    # 4 of 8 rows stay below DENSE_STEP_SHARE, 5 of 8 pass it
+    plan = [[[gather([[0, 1], [2, 3]], W(size=(2, 3)))]], [[gather([[5]], W(size=(1, 3)))]]]
+    _, opt, _ = run(NEW, plan[:1], _table(8, 3), "adam", 0.05)
+    np.testing.assert_array_equal(np.flatnonzero(opt._touched[0]), [0, 1, 2, 3])
+    opt, _ = assert_matches_reference(plan + [[[gather([[2]], W(size=(1, 3)))]]], _table(8, 3), "adam", 0.05)
+    assert 4 / 8 < T.DENSE_STEP_SHARE <= 5 / 8
     assert opt._touched[0] is True
 
 

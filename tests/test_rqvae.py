@@ -400,6 +400,7 @@ class TestSemanticIdTableFile:
 @pytest.mark.parametrize("field,value", [
     ("batch_size", 0), ("epochs", -1), ("latent_dim", 0), ("input_dim", 0), ("hidden_sizes", (0,)),
     ("hidden_sizes", (4, -2)), ("kmeans_iters", -1), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf")),
 ])
 def test_config_rejects_empty_or_negative_sizes(field, value):
     with pytest.raises(RqVaeConfigError):
