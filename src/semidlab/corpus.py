@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -113,13 +113,10 @@ class ItemTable:
     death: np.ndarray  # int64 seconds, exclusive
     weight: np.ndarray  # popularity, sums to 1 over the original corpus
     bias: np.ndarray = None  # per-item CTR bias, a pure function of the embedding
-    index_of: dict = field(repr=False, default_factory=dict)
 
     def __post_init__(self):
         if self.bias is None:
             self.bias = np.zeros(len(self.raw_ids))
-        if not self.index_of:
-            self.index_of = {int(x): i for i, x in enumerate(self.raw_ids)}
 
     def __len__(self):
         return len(self.raw_ids)

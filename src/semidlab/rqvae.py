@@ -64,8 +64,8 @@ class RqVaeConfig:
             raise RqVaeConfigError("input_dim, latent_dim and batch_size must be positive")
         if min(self.epochs, self.kmeans_iters) < 0:
             raise RqVaeConfigError("epochs and kmeans_iters must not be negative")
-        if not 0 <= self.learning_rate < math.inf:
-            raise RqVaeConfigError("learning_rate must be finite and not negative")
+        if not (math.isfinite(self.learning_rate) and math.copysign(1.0, self.learning_rate) > 0):
+            raise RqVaeConfigError("learning_rate must be finite and not negative (-0.0 included)")
         if self.hidden_sizes is None:
             self.hidden_sizes = (2 * self.latent_dim,)
         else:

@@ -82,10 +82,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def data(self):
-        return self.value.reshape(-1)
-
     def __repr__(self):
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor(shape={self.value.shape}{tag}, requires_grad={self.requires_grad})"
@@ -564,30 +560,33 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
 # parameter updates
 
 
-def _times_zero_is_plus_zero(x: float) -> bool:
-    """Whether ``x * 0.0`` is +0.0, so subtracting it leaves any value,
-    -0.0 and NaN included, bit-identical."""
-    return math.isfinite(x) and math.copysign(1.0, x) > 0
+def _checked_lr(lr) -> float:
+    """``lr`` as a float; one that is negative (-0.0 included) or not
+    finite raises ValueError. For any other ``lr``, ``lr * 0.0`` is
+    +0.0, which the row-sparse steps below rely on."""
+    lr = float(lr)
+    if not (math.isfinite(lr) and math.copysign(1.0, lr) > 0):
+        raise ValueError(f"learning rate must be finite and not negative (-0.0 included), got {lr}")
+    return lr
 
 
 class SGD:
     """Plain gradient descent over a list of parameters.
 
     A row-sparse gradient updates only the rows it has entries for. The
-    dense step would subtract ``lr * 0.0`` from every other row, which
-    for a finite ``lr >= 0`` leaves them bit-identical; any other ``lr``
-    takes the dense step.
+    dense step would subtract ``lr * 0.0``, +0.0, from every other row,
+    which leaves them bit-identical.
     """
 
     def __init__(self, params, lr):
         self.params = list(params)
-        self.lr = float(lr)
+        self.lr = _checked_lr(lr)
 
     def step(self):
         for p in self.params:
             if p._grad is None:
                 continue
-            if isinstance(p._grad, RowGrad) and _times_zero_is_plus_zero(self.lr):
+            if isinstance(p._grad, RowGrad):
                 rows, sums = p._grad.coalesce()
                 p.value[rows] -= self.lr * sums
             else:
@@ -615,14 +614,13 @@ class Adam:
     arithmetic in the same order, and every parameter, m and v stay
     bit-identical to the dense step. A dense gradient, or marks on
     ``DENSE_STEP_SHARE`` of the rows, switches the parameter to the
-    dense step for good; so does an lr that is negative (-0.0
-    included) or not finite.
+    dense step for good.
     m and v start as untouched zero pages.
     """
 
     def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
-        self.lr = float(lr)
+        self.lr = _checked_lr(lr)
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
@@ -645,12 +643,11 @@ class Adam:
         self.t += 1
         bias1 = 1.0 - self.beta1**self.t
         bias2 = 1.0 - self.beta2**self.t
-        sparse_ok = _times_zero_is_plus_zero(self.lr)
         for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
             if p._grad is None:
                 continue
             touched = self._touched[i]
-            if isinstance(p._grad, RowGrad) and touched is not True and sparse_ok:
+            if isinstance(p._grad, RowGrad) and touched is not True:
                 rows, sums = p._grad.coalesce()
                 if touched is None:
                     touched = self._touched[i] = np.zeros(p.value.shape[0], dtype=bool)

@@ -8,6 +8,15 @@ via a token parameterization.
 Every lookup maps one ID to a list of rows with ``rows`` and a sequence
 of N IDs to an N-by-G integer array with ``rows_batch``, where G is the
 lookup's ``output_count``; both give the same rows for the same ID.
+
+Raw IDs and codes are int64 values, and pre-hash indices stay below
+2^62: a raw ID outside int64, in ``rows``, in ``rows_batch`` or as a
+table or vocabulary key, and a parameterization whose index space
+K^(L+1) reaches 2^62 raise ConfigurationError. So each mapping has one
+array implementation. ``RandomHash.rows`` and ``SemanticIdLookup.rows``
+keep a per-ID path (a scalar hash, a dict lookup) because a single ID
+through numpy costs several times more, and callers that map one ID at
+a time, such as the corpus tokenizer benchmark, would pay that per ID.
 """
 
 from __future__ import annotations
@@ -67,48 +76,49 @@ class TokenParameterization:
         return self.prefix_depth
 
 
+def _check_int64(value: int, what: str) -> None:
+    if not -(2**63) <= value < 2**63:
+        raise ConfigurationError(f"{what} {value} outside int64")
+
+
+def _int64_array(values, what: str) -> np.ndarray:
+    """``values`` as an int64 array; a value outside int64 raises
+    ConfigurationError rather than wrapping."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError as exc:
+        raise ConfigurationError(f"{what} outside int64: {exc}") from exc
+
+
 def parameterize(codes, p: TokenParameterization) -> list[int]:
-    """Expand a code sequence into pre-hash indices.
+    """Expand one code sequence into pre-hash indices.
 
     Prefix-ngram emits one index per prefix depth 1..n; each depth-i
     index enumerates all K^i possible prefixes of that depth, offset past
     the shallower depths, so deeper prefixes never collide with shallower
     ones before table fitting.
     """
-    codes = tuple(int(c) for c in codes)
-    k = p.codebook_size
-    for c in codes:
-        if not 0 <= c < k:
-            raise ConfigurationError(f"code {c} outside [0, {k})")
-    g = p.output_count(len(codes))
-    if p.variant == "trigram":
-        return [k * k * codes[0] + k * codes[1] + codes[2]]
-    if p.variant == "fourgram":
-        return [k**3 * codes[0] + k * k * codes[1] + k * codes[2] + codes[3]]
-    if p.variant == "all_bigrams":
-        return [k * k * i + k * codes[i] + codes[i + 1] for i in range(len(codes) - 1)]
-    out = []
-    for depth in range(1, g + 1):
-        acc = 0
-        for t in range(depth):
-            acc += k ** (depth - 1 - t) * (codes[t] + 1)
-        out.append(acc - 1)
-    return out
+    return parameterize_batch([codes], p)[0].tolist()
 
 
 def parameterize_batch(codes, p: TokenParameterization) -> np.ndarray:
     """``parameterize`` over each row of an N-by-L code matrix.
 
-    Returns an N-by-G int64 array. The caller keeps the pre-hash indices
-    inside int64 (``SemanticIdLookup`` checks the index space first).
+    Returns an N-by-G int64 array. Every pre-hash index lies below
+    K^(L+1); an index space that reaches 2^62 raises ConfigurationError,
+    which keeps the indices and their partial sums inside int64.
     """
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = _int64_array(codes, "code")
     if codes.ndim != 2:
         raise ConfigurationError(f"expected an N-by-L code matrix, got shape {codes.shape}")
     k = p.codebook_size
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise ConfigurationError(f"code outside [0, {k})")
     g = p.output_count(codes.shape[1])
+    if k ** (codes.shape[1] + 1) >= 2**62:
+        raise ConfigurationError(
+            f"index space {k}^{codes.shape[1] + 1} reaches 2^62; pre-hash indices must stay inside int64"
+        )
     if p.variant == "trigram":
         return (k * k * codes[:, 0] + k * codes[:, 1] + codes[:, 2])[:, None]
     if p.variant == "fourgram":
@@ -125,31 +135,14 @@ def parameterize_batch(codes, p: TokenParameterization) -> np.ndarray:
     return out
 
 
-def prefix_depth_range(k: int, depth: int) -> tuple[int, int]:
-    """Half-open range of pre-hash indices emitted at one prefix depth."""
-    lo = (k**depth - k) // (k - 1)
-    hi = (k ** (depth + 1) - k) // (k - 1)
-    return lo, hi
-
-
-def fit_to_table(indices, table_size: int, output_count: int) -> list[int]:
-    """Fold pre-hash indices into table rows without cross-position collisions.
+def fit_to_table_batch(indices, table_size: int) -> np.ndarray:
+    """Fold an N-by-G pre-hash index array into table rows without
+    cross-position collisions.
 
     Position g (0-based) owns the disjoint row block
     [g*floor(H/G), (g+1)*floor(H/G)) and folds its index into that block
     by modulo, so two different positions can never share a row.
     """
-    indices = list(indices)
-    if len(indices) != output_count:
-        raise ConfigurationError(f"expected {output_count} indices, got {len(indices)}")
-    if table_size < output_count:
-        raise ConfigurationError(f"table size {table_size} smaller than position count {output_count}")
-    block = table_size // output_count
-    return [g * block + (int(ix) % block) for g, ix in enumerate(indices)]
-
-
-def fit_to_table_batch(indices, table_size: int) -> np.ndarray:
-    """``fit_to_table`` over each row of an N-by-G pre-hash index array."""
     indices = np.asarray(indices, dtype=np.int64)
     output_count = indices.shape[1]
     if table_size < output_count:
@@ -194,10 +187,13 @@ class RandomHash:
         self.output_count = 1
 
     def rows(self, raw_id: int) -> list[int]:
-        return [_splitmix64((int(raw_id) & _MASK64) ^ self.seed_mix) % self.table_size]
+        raw_id = int(raw_id)
+        _check_int64(raw_id, "raw id")
+        return [_splitmix64((raw_id & _MASK64) ^ self.seed_mix) % self.table_size]
 
     def rows_batch(self, raw_ids) -> np.ndarray:
-        x = np.array([int(i) & _MASK64 for i in raw_ids], dtype=np.uint64)
+        # the uint64 view of an int64 ID is its value modulo 2^64, as in ``rows``
+        x = _int64_array(raw_ids, "raw id").view(np.uint64)
         x = _splitmix64_array(x ^ np.uint64(self.seed_mix))
         return (x % np.uint64(self.table_size)).astype(np.int64)[:, None]
 
@@ -212,29 +208,22 @@ class IndividualEmbedding:
     kind = "individual"
 
     def __init__(self, vocabulary):
-        ids = sorted({int(x) for x in vocabulary})
-        if ids and not (-(2**63) <= ids[0] and ids[-1] < 2**63):
-            raise ConfigurationError("vocabulary IDs must fit in int64")
-        self._row = {x: i for i, x in enumerate(ids)}
-        self._ids = np.array(ids, dtype=np.int64)
-        self.unseen_row = len(ids)
-        self.table_size = len(ids) + 1
+        # sort and drop repeats; ``np.unique`` would import numpy.ma
+        # (about 1.7 MB resident) on first use
+        ids = np.sort(_int64_array(list(vocabulary), "vocabulary id"))
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        self._ids = ids[first]
+        self.unseen_row = self._ids.size
+        self.table_size = self._ids.size + 1
         self.output_count = 1
 
     def rows(self, raw_id: int) -> list[int]:
-        return [self._row.get(int(raw_id), self.unseen_row)]
+        return self.rows_batch([raw_id])[0].tolist()
 
     def rows_batch(self, raw_ids) -> np.ndarray:
-        """Rows found by binary search in the int64 vocabulary.
-
-        A batch holding an ID outside int64 goes through ``rows``, which
-        gives that ID the unseen row.
-        """
-        raw_ids = [int(i) for i in raw_ids]
-        try:
-            ids = np.array(raw_ids, dtype=np.int64)
-        except OverflowError:
-            return np.array([self.rows(i) for i in raw_ids], dtype=np.int64).reshape(-1, 1)
+        """Rows found by binary search in the sorted vocabulary."""
+        ids = _int64_array(raw_ids, "raw id")
         pos = np.searchsorted(self._ids, ids)
         found = pos < self._ids.size
         found[found] = self._ids[pos[found]] == ids[found]
@@ -246,10 +235,10 @@ class SemanticIdLookup:
 
     The constructor expands every code once into an (N+1)-by-G row
     array: row i holds the rows of the table's i-th ID, and the last row
-    those of the all-zeros fallback code. ``rows``, ``rows_batch`` and
-    ``codes`` all read from these arrays through one ID-to-position
-    dict. A code outside [0, K) or outside int64 raises
-    ConfigurationError here, not at its first lookup.
+    those of the all-zeros fallback code. ``rows`` and ``rows_batch``
+    read from it through one ID-to-position dict. A key outside int64, a
+    code outside [0, K) or an index space K^(L+1) at or past 2^62 raises
+    ConfigurationError here, not at the first lookup.
 
     Items missing from the assignment table fall back to the all-zeros
     code with a logged warning; the simulator assigns codes at item
@@ -267,38 +256,24 @@ class SemanticIdLookup:
         self.levels = lengths.pop()
         self.parameterization = parameterization
         self.output_count = parameterization.output_count(self.levels)
-        if table_size < self.output_count:
-            raise ConfigurationError("table size smaller than index count")
         self.table_size = int(table_size)
+        # min and max check the keys without copying them into new int
+        # objects, which the dict would keep alive beside the table's own
         self._position = dict(zip(map(int, id_table), range(len(id_table))))
+        _check_int64(min(self._position), "Semantic ID table key")
+        _check_int64(max(self._position), "Semantic ID table key")
         self._fallback = len(id_table)
-        try:
-            self._codes = np.array([*id_table.values(), (0,) * self.levels], dtype=np.int64)
-        except OverflowError as exc:
-            raise ConfigurationError(f"code outside int64 in Semantic ID table: {exc}") from exc
-        # pre-hash indices stay below k^(levels+1); past int64 only the
-        # per-ID Python path is exact
-        if parameterization.codebook_size ** (self.levels + 1) < 2**62:
-            pre = parameterize_batch(self._codes, parameterization)
-            self._rows = fit_to_table_batch(pre, self.table_size)
-        else:
-            self._rows = np.array(
-                [
-                    fit_to_table(parameterize(c, parameterization), self.table_size, self.output_count)
-                    for c in self._codes.tolist()
-                ],
-                dtype=np.int64,
-            )
+        pre = parameterize_batch([*id_table.values(), (0,) * self.levels], parameterization)
+        self._rows = fit_to_table_batch(pre, self.table_size)
 
     def _index(self, raw_id) -> int:
-        pos = self._position.get(int(raw_id))
+        raw_id = int(raw_id)
+        pos = self._position.get(raw_id)
         if pos is None:
+            _check_int64(raw_id, "raw id")
             log.warning("raw id %d missing from Semantic ID table; using all-zeros code", raw_id)
             return self._fallback
         return pos
-
-    def codes(self, raw_id: int) -> tuple:
-        return tuple(self._codes[self._index(raw_id)].tolist())
 
     def rows(self, raw_id: int) -> list[int]:
         return self._rows[self._index(raw_id)].tolist()

@@ -300,7 +300,7 @@ class TestAaPairs:
         train_ids = {e.item_id for e in stream.train}
         for orig, copy in pairs:
             assert copy not in train_ids
-            oi, ci = extended.index_of[orig], extended.index_of[copy]
+            (oi,), (ci,) = np.flatnonzero(extended.raw_ids == orig), np.flatnonzero(extended.raw_ids == copy)
             assert np.array_equal(extended.embeddings[oi], extended.embeddings[ci])
             assert extended.leaf[oi] == extended.leaf[ci]
             assert orig != copy

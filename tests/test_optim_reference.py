@@ -197,12 +197,15 @@ def test_adam_updates_only_touched_rows_until_most_rows_are_touched():
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
-@pytest.mark.parametrize("lr", [-0.05, float("inf")])
+@pytest.mark.parametrize("lr", [-0.05, float("inf"), -0.0, float("nan")])
 def test_hyperparameters_outside_the_fixed_point_take_the_dense_step(kind, lr):
-    init = _table(8, 3)
-    init[4] = -0.0
-    with np.errstate(invalid="ignore"):
-        assert_matches_reference(CASES["touched_then_idle"], init, kind, lr)
+    # an lr whose product with 0.0 is not +0.0 would move untouched rows,
+    # so the optimizers refuse it where it comes in
+    table = T.parameter(_table(8, 3), name="table")
+    with pytest.raises(ValueError, match="learning rate"):
+        NEW[2][kind]([table], lr)
+    with pytest.raises(ValueError, match="learning rate"):
+        T.make_optimizer(kind, [table], lr)
 
 
 @st.composite

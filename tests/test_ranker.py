@@ -422,7 +422,7 @@ class TestPersistence:
 @pytest.mark.parametrize("fields", [
     {"batch_size": 0}, {"aggregation": "pma", "d_s": 0}, {"n_ts_buckets": 0}, {"top_mlp": (8, 0)},
     {"top_mlp": (-1,)}, {"learning_rate": -0.01}, {"learning_rate": float("nan")},
-    {"learning_rate": float("inf")},
+    {"learning_rate": float("inf")}, {"learning_rate": -0.0},
 ])
 def test_config_rejects_empty_or_negative_sizes(fields):
     with pytest.raises(RankerConfigError):

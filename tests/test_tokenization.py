@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import oracles
+from oracles import fit_to_table, prefix_depth_range
 from semidlab.tokenization import (
     VARIANTS,
     ConfigurationError,
@@ -16,9 +18,9 @@ from semidlab.tokenization import (
     RandomHash,
     SemanticIdLookup,
     TokenParameterization,
-    fit_to_table,
+    fit_to_table_batch,
     parameterize,
-    prefix_depth_range,
+    parameterize_batch,
 )
 
 
@@ -206,6 +208,10 @@ class TestSemanticIdLookup:
 
 INT64_EDGES = [0, 1, -1, 2**63 - 1, 2**63 - 2, -(2**63), -(2**63) + 1, 2**62, -(2**62)]
 int64_ids = st.one_of(st.integers(-(2**63), 2**63 - 1), st.sampled_from(INT64_EDGES))
+OUTSIDE_INT64 = [2**63, -(2**63) - 1]
+outside_int64_ids = st.one_of(
+    st.sampled_from(OUTSIDE_INT64), st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1)
+)
 
 
 def assert_rows_batch_matches_rows(lookup, ids):
@@ -215,31 +221,47 @@ def assert_rows_batch_matches_rows(lookup, ids):
     assert got.tolist() == [list(lookup.rows(i)) for i in ids]
 
 
+def assert_rejects_id(lookup, ids, raw_id):
+    """``raw_id`` raises in ``rows``, and anywhere in a ``rows_batch``."""
+    with pytest.raises(ConfigurationError, match="int64"):
+        lookup.rows(raw_id)
+    for at in (0, len(ids)):
+        with pytest.raises(ConfigurationError, match="int64"):
+            lookup.rows_batch([*ids[:at], raw_id, *ids[at:]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    ids=st.lists(st.one_of(int64_ids, st.integers(-(2**70), 2**70)), max_size=40),
+    ids=st.lists(int64_ids, max_size=40),
+    outside=outside_int64_ids,
     table_size=st.one_of(st.integers(1, 50), st.integers(1, 2**40)),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_random_hash_rows_batch_matches_rows(ids, table_size, seed):
-    assert_rows_batch_matches_rows(RandomHash(table_size, seed=seed), ids)
+def test_random_hash_rows_batch_matches_rows(ids, outside, table_size, seed):
+    lk = RandomHash(table_size, seed=seed)
+    assert_rows_batch_matches_rows(lk, ids)
+    assert_rejects_id(lk, ids, outside)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     vocab=st.lists(int64_ids, max_size=30),
     unseen=st.lists(int64_ids, max_size=20),
+    outside=outside_int64_ids,
     data=st.data(),
 )
-def test_individual_rows_batch_matches_rows(vocab, unseen, data):
+def test_individual_rows_batch_matches_rows(vocab, unseen, outside, data):
     lk = IndividualEmbedding(vocab)
     pool = vocab + unseen
     ids = data.draw(st.lists(st.sampled_from(pool), max_size=40)) if pool else []
-    ids += [2**63, -(2**63) - 1]  # outside int64, so never in the vocabulary
     assert_rows_batch_matches_rows(lk, ids)
     vocab_set = set(vocab)
     for raw_id, row in zip(ids, lk.rows_batch(ids)[:, 0]):
         assert (row == lk.unseen_row) == (raw_id not in vocab_set)
+    # seen rows are the ranks of the distinct sorted vocabulary
+    assert [lk.rows(x)[0] for x in sorted(vocab_set)] == list(range(len(vocab_set)))
+    assert lk.table_size == len(vocab_set) + 1
+    assert_rejects_id(lk, ids, outside)
 
 
 @settings(max_examples=80, deadline=None)
@@ -271,12 +293,16 @@ def test_semantic_id_rows_batch_matches_rows(variant, k, levels, depth, n_items,
 
 
 def test_semantic_id_rows_batch_beyond_int64_index_space():
-    # K^(L+1) >= 2^62: the pre-hash indices leave int64, so rows_batch
-    # takes the exact per-ID path
+    # K = 2^16 with 4 levels: K^(L+1) = 2^80 reaches 2^62, where the
+    # pre-hash indices could leave int64, so construction raises
     k = 2**16
     table = {1: (k - 1,) * 4, 2: (0, 1, 2, 3)}
-    lk = SemanticIdLookup(table, TokenParameterization("prefix_ngram", k, 4), 1_000_003)
-    assert_rows_batch_matches_rows(lk, [1, 2, 1])
+    for variant in VARIANTS:
+        p = TokenParameterization(variant, k, 4 if variant == "prefix_ngram" else 0)
+        with pytest.raises(ConfigurationError, match="int64"):
+            SemanticIdLookup(table, p, 1_000_003)
+        with pytest.raises(ConfigurationError, match="int64"):
+            parameterize_batch(list(table.values()), p)
 
 
 def test_semantic_id_rows_batch_warns_on_missing_id(caplog):
@@ -288,37 +314,46 @@ def test_semantic_id_rows_batch_warns_on_missing_id(caplog):
 
 
 # ---------------------------------------------------------------------------
-# SemanticIdLookup against the per-ID reference fit_to_table(parameterize(codes))
+# SemanticIdLookup against the per-code oracles fit_to_table(parameterize(codes))
 
 
 def reference_rows(table, p, table_size, raw_id):
     levels = len(next(iter(table.values())))
     codes = table.get(raw_id, (0,) * levels)
-    return fit_to_table(parameterize(codes, p), table_size, p.output_count(levels))
+    return fit_to_table(oracles.parameterize(codes, p), table_size, p.output_count(levels))
+
+
+def largest_codebook(levels):
+    """The largest K whose index space K^(levels+1) stays below 2^62."""
+    k = round(2 ** (62 / (levels + 1)))
+    while k ** (levels + 1) >= 2**62:
+        k -= 1
+    while (k + 1) ** (levels + 1) < 2**62:
+        k += 1
+    return k
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     variant=st.sampled_from(VARIANTS),
-    # small codebooks take the vectorized expansion; large ones push
-    # k^(L+1) past 2^62, where the constructor expands ID by ID
-    k=st.one_of(st.integers(2, 40), st.integers(2**13, 2**20)),
     levels=st.integers(4, 6),
     depth=st.integers(1, 6),
     n_items=st.integers(1, 30),
     data=st.data(),
 )
-def test_semantic_id_rows_match_per_id_reference(variant, k, levels, depth, n_items, data):
+def test_semantic_id_rows_match_per_id_reference(variant, levels, depth, n_items, data):
+    # small codebooks, and the largest ones whose pre-hash indices stay
+    # inside int64; one past those raises at construction
+    k_max = largest_codebook(levels)
+    k = data.draw(st.one_of(st.integers(2, 40), st.integers(k_max - 3, k_max)))
     p = TokenParameterization(variant, k, min(depth, levels) if variant == "prefix_ngram" else 0)
     codes = st.tuples(*[st.integers(0, k - 1)] * levels)
-    keys = st.one_of(int64_ids, st.integers(2**63, 2**70))
-    table = data.draw(st.dictionaries(keys, codes, min_size=1, max_size=n_items))
-    table[data.draw(keys)] = (k - 1,) * levels  # the largest pre-hash indices
+    table = data.draw(st.dictionaries(int64_ids, codes, min_size=1, max_size=n_items))
+    table[data.draw(int64_ids)] = (k - 1,) * levels  # the largest pre-hash indices
     table_size = data.draw(st.integers(p.output_count(levels), 2**40))
     lk = SemanticIdLookup(table, p, table_size)
-    # known IDs plus missing ones, some outside int64
-    missing = st.one_of(st.integers(2**63, 2**70), st.integers(-(2**70), -(2**63) - 1), int64_ids)
-    ids = data.draw(st.lists(st.one_of(st.sampled_from(sorted(table)), missing), max_size=30))
+    # known IDs plus missing ones
+    ids = data.draw(st.lists(st.one_of(st.sampled_from(sorted(table)), int64_ids), max_size=30))
     logging.disable(logging.WARNING)
     try:
         want = [reference_rows(table, p, table_size, i) for i in ids]
@@ -326,18 +361,28 @@ def test_semantic_id_rows_match_per_id_reference(variant, k, levels, depth, n_it
         got = lk.rows_batch(ids)
         assert got.shape == (len(ids), lk.output_count)
         assert got.tolist() == want
-        assert [lk.codes(i) for i in ids] == [table.get(i, (0,) * levels) for i in ids]
     finally:
         logging.disable(logging.NOTSET)
+    # past int64: a missing ID, and the index space of one more code value
+    assert_rejects_id(lk, ids, data.draw(outside_int64_ids))
+    wide = TokenParameterization(variant, k_max + 1, p.prefix_depth)
+    with pytest.raises(ConfigurationError, match="int64"):
+        SemanticIdLookup(table, wide, table_size)
 
 
 @pytest.mark.parametrize("table_size", [97, 1_000_003])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_semantic_id_rows_beyond_int64_index_space_match_per_id_reference(variant, table_size):
-    # K^(L+1) = 2^96: the constructor must expand ID by ID, exactly
-    k, levels = 2**16, 5
-    p = TokenParameterization(variant, k, 5 if variant == "prefix_ngram" else 0)
+    # K = 2^16 with 5 levels, K^(L+1) = 2^96, raises at construction; the
+    # largest K inside int64 at 5 levels matches the oracle exactly
+    levels = 5
+    depth = 5 if variant == "prefix_ngram" else 0
     rng = np.random.default_rng(24)
+    table = {i: tuple(int(c) for c in rng.integers(0, 2**16, size=levels)) for i in range(20)}
+    with pytest.raises(ConfigurationError, match="int64"):
+        SemanticIdLookup(table, TokenParameterization(variant, 2**16, depth), table_size)
+    k = largest_codebook(levels)
+    p = TokenParameterization(variant, k, depth)
     table = {i: tuple(int(c) for c in rng.integers(0, k, size=levels)) for i in range(20)}
     table[99] = (k - 1,) * levels
     lk = SemanticIdLookup(table, p, table_size)
@@ -367,3 +412,90 @@ def test_semantic_id_lookup_rejects_code_beyond_int64_in_a_huge_codebook():
 def test_semantic_id_lookup_rows_batch_of_no_ids():
     lk = SemanticIdLookup({1: (1, 2, 3)}, P("all_bigrams", 4), 30)
     assert lk.rows_batch([]).shape == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# int64 contract: IDs outside int64 raise wherever they come in
+
+
+LOOKUPS = {
+    "random_hash": lambda: RandomHash(100, seed=1),
+    "individual": lambda: IndividualEmbedding([1, 2, 3]),
+    "semantic_id": lambda: SemanticIdLookup({1: (0, 1, 2), 2: (3, 3, 3)}, P("prefix_ngram", 4, n=3), 30),
+}
+
+
+@pytest.mark.parametrize("raw_id", OUTSIDE_INT64)
+@pytest.mark.parametrize("kind", sorted(LOOKUPS))
+def test_lookup_rejects_raw_id_outside_int64(kind, raw_id):
+    assert_rejects_id(LOOKUPS[kind](), [1, 2], raw_id)
+
+
+@pytest.mark.parametrize("raw_id", OUTSIDE_INT64)
+def test_table_and_vocabulary_keys_outside_int64_are_rejected(raw_id):
+    with pytest.raises(ConfigurationError, match="int64"):
+        IndividualEmbedding([1, raw_id])
+    with pytest.raises(ConfigurationError, match="int64"):
+        SemanticIdLookup({1: (0, 1, 2), raw_id: (1, 2, 3)}, P("prefix_ngram", 4, n=3), 30)
+
+
+# ---------------------------------------------------------------------------
+# batch functions against the per-code oracles
+
+
+@settings(max_examples=80, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), levels=st.integers(4, 6), depth=st.integers(1, 6), data=st.data())
+def test_parameterize_batch_matches_per_code_oracle(variant, levels, depth, data):
+    k = data.draw(st.one_of(st.integers(2, 40), st.integers(2, largest_codebook(levels))))
+    p = TokenParameterization(variant, k, min(depth, levels) if variant == "prefix_ngram" else 0)
+    codes = data.draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * levels), max_size=20))
+    want = [oracles.parameterize(c, p) for c in codes]
+    got = parameterize_batch(np.array(codes, dtype=np.int64).reshape(len(codes), levels), p)
+    assert got.dtype == np.int64 and got.shape == (len(codes), p.output_count(levels))
+    assert got.tolist() == want
+    assert [parameterize(c, p) for c in codes] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 7), levels=st.integers(1, 4))
+def test_parameterize_batch_prefix_depths_injective_and_contiguous(k, levels):
+    # every code of the given length: depth d sees every K^d prefix
+    codes = np.array(list(itertools.product(range(k), repeat=levels)), dtype=np.int64)
+    out = parameterize_batch(codes, P("prefix_ngram", k, n=levels))
+    hi_prev = 0
+    for depth in range(1, levels + 1):
+        prefixes = [tuple(c[:depth]) for c in codes.tolist()]
+        value_of = dict(zip(prefixes, out[:, depth - 1].tolist()))
+        # the value depends on the depth-d prefix alone ...
+        assert [value_of[x] for x in prefixes] == out[:, depth - 1].tolist()
+        # ... and the K^d prefixes fill one contiguous range, one value each
+        lo, hi = prefix_depth_range(k, depth)
+        assert len(value_of) == k**depth
+        assert sorted(value_of.values()) == list(range(lo, hi)), "prefix collision or gap within depth"
+        assert lo == hi_prev, "depth ranges leave a gap or overlap"
+        hi_prev = hi
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=st.integers(1, 6),
+    n=st.integers(0, 20),
+    table_size=st.one_of(st.integers(1, 60), st.integers(1, 2**40)),
+    data=st.data(),
+)
+def test_fit_to_table_batch_blocks_are_disjoint(g, n, table_size, data):
+    table_size = max(table_size, g)
+    pre = data.draw(st.lists(st.lists(st.integers(0, 2**62 - 1), min_size=g, max_size=g), min_size=n, max_size=n))
+    got = fit_to_table_batch(np.array(pre, dtype=np.int64).reshape(n, g), table_size)
+    assert got.shape == (n, g)
+    assert got.tolist() == [fit_to_table(row, table_size, g) for row in pre]
+    block = table_size // g
+    # position j's rows lie in block j, so two positions never share a row
+    for j in range(g):
+        assert np.all((j * block <= got[:, j]) & (got[:, j] < (j + 1) * block))
+    assert np.all(got < table_size)
+
+
+def test_fit_to_table_batch_rejects_table_smaller_than_positions():
+    with pytest.raises(ConfigurationError):
+        fit_to_table_batch(np.zeros((1, 3), dtype=np.int64), 2)
