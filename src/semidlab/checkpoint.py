@@ -15,13 +15,15 @@ as ``"<f8"``. An entry without ``dtype`` reads as ``"<f8"``, the only
 type of files written before the field existed. Values round-trip
 bit-exactly because the payload is the raw bytes.
 
-Model parameters, item tables and user tables live in this container.
+Model parameters, item tables, user tables and Semantic ID tables live
+in this container.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -76,7 +78,7 @@ def load_checkpoint(path):
         version = header.get("version")
         if version == VERSION:
             entries = [
-                (str(e["name"]), tuple(int(n) for n in e["shape"]), e.get("dtype", "<f8"))
+                (str(e["name"]), tuple(e["shape"]), e.get("dtype", "<f8"))
                 for e in header["params"]
             ]
             meta = header["meta"]
@@ -89,9 +91,16 @@ def load_checkpoint(path):
     for name, shape, dtype in entries:
         if dtype not in DTYPES:
             raise CheckpointError(f"{path}: unsupported dtype {dtype!r} of {name!r}")
+        # bool is a subclass of int; JSON true must not read as a length of 1
+        if any(type(n) is not int for n in shape):
+            raise CheckpointError(f"{path}: non-integer dimension in shape {list(shape)} of {name!r}")
         if any(n < 0 for n in shape):
             raise CheckpointError(f"{path}: negative dimension in shape {shape} of {name!r}")
-        count = int(np.prod(shape)) if shape else 1
+        # Python ints do not wrap; numpy refuses a shape whose nonzero
+        # dimensions span more bytes than an intp holds, even when empty
+        if 8 * math.prod(n or 1 for n in shape) > np.iinfo(np.intp).max:
+            raise CheckpointError(f"{path}: shape {shape} of {name!r} is too large")
+        count = math.prod(shape)
         end = offset + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")

@@ -1,11 +1,11 @@
 """Shared helpers for text run artifacts: config hashing, headers, tables.
 
-Event streams, Semantic ID tables and prediction dumps are tab-separated
-text tables. Each embeds the experiment config hash and seed in
-`#`-prefixed header lines so downstream stages can refuse mismatched
-inputs. Writers serialize floats with Python's shortest round-trip
-repr, which parses back bit-exactly. Numeric arrays (model parameters,
-item and user tables) go into the binary container of ``checkpoint``.
+Event streams and prediction dumps are tab-separated text tables. Each
+embeds the experiment config hash and seed in `#`-prefixed header lines
+so downstream stages can refuse mismatched inputs. Writers serialize
+floats with Python's shortest round-trip repr, which parses back
+bit-exactly. Numeric arrays (model parameters, item, user and Semantic
+ID tables) go into the binary container of ``checkpoint``.
 """
 
 from __future__ import annotations

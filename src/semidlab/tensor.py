@@ -48,9 +48,9 @@ class GraphError(ValueError):
 class Tensor:
     """A node in the computation graph.
 
-    ``value`` is the shaped float64 array; ``data`` exposes the flat
-    row-major view. Leaf tensors created with ``requires_grad=True`` are
-    trainable parameters; ``backward`` fills their ``grad``.
+    ``value`` is the shaped, C-contiguous float64 array. Leaf tensors
+    created with ``requires_grad=True`` are trainable parameters;
+    ``backward`` fills their ``grad``.
     """
 
     __slots__ = ("value", "_grad", "requires_grad", "parents", "_backward", "name")

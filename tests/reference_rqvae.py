@@ -7,6 +7,12 @@ the dead-code reset pool, then again inside ``loss`` for the gradient
 step. Assignment checks, converts and collects one item at a time. The
 array-at-a-time implementations must reproduce these parameters, loss
 curves and assignments bit for bit.
+
+The nearest-codeword search, k-means and the codebook warm start are
+copies of their first implementations: one distance matrix over all
+rows, and one mean per cluster from a boolean mask. They are the oracles
+for the blocked search and the one-pass k-means update in
+``semidlab.rqvae``.
 """
 
 import numpy as np
@@ -15,11 +21,9 @@ from semidlab import tensor as T
 from semidlab.rqvae import (
     FrozenModelError,
     RqVaeConfigError,
-    _init_codebooks,
     encode,
     evaluate_loss,
     loss,
-    quantize_batch,
 )
 
 
@@ -39,6 +43,65 @@ def mlp_np(model, prefix, x):
     return out
 
 
+def nearest_codes(codebook, residuals):
+    # squared distances via the expansion; argmin breaks ties at the
+    # smallest index
+    d2 = (
+        (residuals * residuals).sum(axis=1, keepdims=True)
+        - 2.0 * residuals @ codebook.T
+        + (codebook * codebook).sum(axis=1)
+    )
+    return np.argmin(d2, axis=1)
+
+
+def quantize_batch(model, z):
+    """Codes, L+1 residuals and quantized latents, as ``rqvae.quantize_batch``."""
+    codes = np.empty((z.shape[0], model.config.levels), dtype=np.int64)
+    residuals = [z]
+    r = z
+    for level, cb in enumerate(model.codebooks):
+        c = nearest_codes(cb.value, r)
+        codes[:, level] = c
+        r = r - cb.value[c]
+        residuals.append(r)
+    return codes, residuals, z - residuals[-1]
+
+
+def kmeans(points, k, iters, rng):
+    """Lloyd's algorithm with k-means++ seeding; empty clusters keep
+    their previous centroid."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    first = int(rng.integers(0, n))
+    centers[0] = points[first]
+    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = points[int(rng.integers(0, n))]
+            continue
+        pick = int(np.searchsorted(np.cumsum(d2), rng.random() * total, side="right"))
+        pick = min(pick, n - 1)
+        centers[j] = points[pick]
+        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    for _ in range(iters):
+        assign = nearest_codes(centers, points)
+        for j in range(k):
+            members = points[assign == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+    return centers
+
+
+def init_codebooks(model, sample, rng):
+    """Warm-start each level by k-means on that level's residuals."""
+    r = mlp_np(model, "enc", sample)
+    for cb in model.codebooks:
+        centers = kmeans(r, model.config.codebook_size, model.config.kmeans_iters, rng)
+        cb.value[:] = centers
+        r = r - centers[nearest_codes(centers, r)]
+
+
 def train(model, embeddings):
     """Returns (loss curve, number of codewords reset)."""
     if model.frozen:
@@ -50,7 +113,7 @@ def train(model, embeddings):
         raise RqVaeConfigError(f"need at least {cfg.codebook_size} embeddings, got {n}")
 
     rng = np.random.default_rng([cfg.seed, 1])
-    _init_codebooks(model, x[: max(cfg.batch_size, cfg.codebook_size)], rng)
+    init_codebooks(model, x[: max(cfg.batch_size, cfg.codebook_size)], rng)
     opt = T.make_optimizer(cfg.optimizer, list(model.params.values()), cfg.learning_rate)
 
     resets = 0

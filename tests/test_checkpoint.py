@@ -83,3 +83,28 @@ def test_model_rejects_an_int64_parameter(tmp_path):
     save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
     with pytest.raises(CheckpointError, match="codebook.0"):
         load_rqvae(tmp_path / "bad.ckpt")
+
+
+@pytest.mark.parametrize("shape", [
+    [2**32, 2**32],  # 2^64 entries: a product in int64 wraps to 0
+    [2**62, 4],
+    [0, 2**62],  # empty, but numpy cannot shape it
+    [2**63],
+])
+def test_shape_too_large_raises(tmp_path, shape):
+    header = json.dumps({"version": 1, "meta": {}, "params": [{"name": "w", "shape": shape}]}).encode("utf-8")
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(CheckpointError, match="too large"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape", [[2.5], [2.0], [True, 2], ["2"], [None], [[2]], "12"])
+def test_non_integer_shape_entry_raises(tmp_path, shape):
+    header = json.dumps(
+        {"version": 1, "meta": {}, "params": [{"name": "w", "shape": shape, "dtype": "<f8"}]}
+    ).encode("utf-8")
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(16))
+    with pytest.raises(CheckpointError, match="non-integer dimension"):
+        load_checkpoint(path)

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidlab import tensor as T
 from semidlab.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -23,6 +25,7 @@ from semidlab.rqvae import (
     save_semid_table,
     train,
 )
+from semidlab.runfiles import write_table
 
 import reference_rqvae as ref
 from fdcheck import assert_grads_close, fd_grad
@@ -395,6 +398,87 @@ class TestSemanticIdTableFile:
         loaded, meta = load_semid_table(tmp_path / "semid.tsv")
         assert loaded == mapping
         assert meta["config_hash"] == "h"
+
+    def test_file_holds_ascending_int64_ids_and_their_codes(self, tmp_path):
+        save_semid_table(tmp_path / "semid.bin", {97: (1, 2, 3), -5: (0, 0, 0), 2**63 - 1: (7, 1, 4)}, {})
+        arrays, _ = load_checkpoint(tmp_path / "semid.bin")
+        assert sorted(arrays) == ["codes", "raw_ids"]
+        assert arrays["raw_ids"].dtype == arrays["codes"].dtype == np.int64
+        assert arrays["raw_ids"].tolist() == [-5, 97, 2**63 - 1]
+        assert arrays["codes"].tolist() == [[0, 0, 0], [1, 2, 3], [7, 1, 4]]
+
+    def test_empty_table_round_trips(self, tmp_path):
+        save_semid_table(tmp_path / "semid.bin", {}, {"seed": 1})
+        assert load_semid_table(tmp_path / "semid.bin") == ({}, {"seed": 1})
+
+    def test_text_table_file_raises(self, tmp_path):
+        # the layout the text writer used: raw ID, comma-separated codes
+        path = tmp_path / "semid.tsv"
+        write_table(path, "semid_table", {"seed": 1}, ["raw_id", "codes"], [["5", "1,2,3"], ["9", "0,0,1"]])
+        with pytest.raises(CheckpointError, match="bad magic"):
+            load_semid_table(path)
+
+    IDS = np.array([-4, 5, 9], dtype=np.int64)
+    CODES = np.array([[1, 2], [0, 0], [3, 1]], dtype=np.int64)
+
+    @pytest.mark.parametrize("arrays,match", [
+        ({"raw_ids": IDS, "codes": CODES.astype(np.float64)}, "'codes' is float64"),
+        ({"raw_ids": IDS.astype(np.float64), "codes": CODES}, "'raw_ids' is float64"),
+        ({"raw_ids": IDS[:2], "codes": CODES}, "2 raw IDs but 3 code rows"),
+        ({"raw_ids": IDS, "codes": CODES[:2]}, "3 raw IDs but 2 code rows"),
+        ({"raw_ids": IDS}, r"missing \['codes'\]"),
+        ({"codes": CODES}, r"missing \['raw_ids'\]"),
+        ({"raw_ids": IDS, "codes": CODES, "levels": IDS}, r"unexpected \['levels'\]"),
+        ({"raw_ids": IDS[:, None], "codes": CODES}, "'raw_ids' has shape"),
+        ({"raw_ids": IDS, "codes": CODES.ravel()}, "'codes' has shape"),
+        ({"raw_ids": np.array([-4, 5, 5]), "codes": CODES}, "not strictly ascending"),
+        ({"raw_ids": np.array([9, 5, -4]), "codes": CODES}, "not strictly ascending"),
+    ])
+    def test_malformed_arrays_raise(self, tmp_path, arrays, match):
+        save_checkpoint(tmp_path / "semid.bin", arrays, meta={"seed": 1})
+        with pytest.raises(CheckpointError, match=match):
+            load_semid_table(tmp_path / "semid.bin")
+
+    @pytest.mark.parametrize("table", [{1: (0, 1), 2: (0,)}, {1: (), 2: (3,)}, {1: (0, 1, 2), 2: (0, 1), 3: (4, 5, 6)}])
+    def test_ragged_codes_raise_before_the_file_is_opened(self, tmp_path, table):
+        path = tmp_path / "semid.bin"
+        with pytest.raises(RqVaeConfigError, match="differ in length"):
+            save_semid_table(path, table, {})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("codes", [(0, 0.5), (1.0, 2.0), (0, 2**63), (0, -(2**63) - 1), (0, 2**70)])
+    def test_code_that_is_not_an_int64_raises_before_the_file_is_opened(self, tmp_path, codes):
+        path = tmp_path / "semid.bin"
+        with pytest.raises(RqVaeConfigError, match="integers inside int64"):
+            save_semid_table(path, {0: (1, 2), 7: codes}, {})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("raw_id", [2**63, -(2**63) - 1, 2**70])
+    def test_id_outside_int64_raises_before_the_file_is_opened(self, tmp_path, raw_id):
+        path = tmp_path / "semid.bin"
+        with pytest.raises(RqVaeConfigError, match="int64"):
+            save_semid_table(path, {0: (1, 2), raw_id: (3, 4)}, {})
+        assert not path.exists()
+
+
+int64_ids = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**62, 2**63 - 2, 2**63 - 1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), levels=st.integers(1, 5))
+def test_semid_table_round_trips(tmp_path_factory, data, levels):
+    codes = st.tuples(*[st.integers(0, 2**16)] * levels)
+    table = data.draw(st.dictionaries(int64_ids, codes, max_size=40))
+    path = tmp_path_factory.mktemp("semid") / "semid.bin"
+    meta = {"config_hash": "abc", "seed": data.draw(int64_ids)}
+    save_semid_table(path, table, meta)
+    loaded, loaded_meta = load_semid_table(path)
+    assert loaded == table and loaded_meta == meta
+    assert list(loaded) == sorted(table)
+    assert all(type(i) is int and all(type(c) is int for c in loaded[i]) for i in loaded)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -1,7 +1,12 @@
-"""Text tables: a row must have as many fields as the ``# columns:`` line."""
+"""Text tables: a row must have as many fields as the ``# columns:`` line.
+A Semantic ID table, kept in the binary container, must hold exactly
+the payload its header describes."""
+
+import struct
 
 import pytest
 
+from semidlab.checkpoint import CheckpointError
 from semidlab.corpus import ImpressionEvent, load_events, save_events
 from semidlab.rqvae import load_semid_table, save_semid_table
 from semidlab.runfiles import ArtifactMismatchError, read_table, write_table
@@ -30,19 +35,19 @@ def test_truncated_event_row_raises(tmp_path, fields):
 
 
 def test_truncated_semid_row_raises(tmp_path):
-    path = tmp_path / "semid.tsv"
+    path = tmp_path / "semid.bin"
     save_semid_table(path, {5: (1, 2, 3), 9: (0, 0, 1)}, {"seed": 1})
-    cut_last_row(path, 1)
-    with pytest.raises(ArtifactMismatchError, match="row 2 has 1 fields, expected 2"):
+    path.write_bytes(path.read_bytes()[:-8])  # the last row loses its last code
+    with pytest.raises(CheckpointError, match="truncated payload at parameter 'codes'"):
         load_semid_table(path)
 
 
 def test_extra_field_raises(tmp_path):
-    path = tmp_path / "semid.tsv"
+    path = tmp_path / "semid.bin"
     save_semid_table(path, {5: (1, 2, 3)}, {"seed": 1})
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("9\t0,0,1\tjunk\n")
-    with pytest.raises(ArtifactMismatchError, match="row 2 has 3 fields"):
+    with open(path, "ab") as fh:
+        fh.write(struct.pack("<q", 9))
+    with pytest.raises(CheckpointError, match="trailing bytes"):
         load_semid_table(path)
 
 
