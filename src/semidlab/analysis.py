@@ -292,19 +292,20 @@ def click_loss_analog(
     counted.
     """
     rng = np.random.default_rng([seed, 23])
-    id_list = [int(x) for x in items.raw_ids]
-    by_prefix: dict[int, dict] = {k: {} for k in depths}
-    for idx, raw in enumerate(id_list):
-        codes = semid_table.get(raw)
-        if codes is None:
-            continue
-        for k in depths:
-            by_prefix[k].setdefault(codes[:k], []).append(idx)
+    # (N, L) codes in item order, zeros where the table lacks the item
+    found = [semid_table.get(raw) for raw in items.raw_ids.tolist()]
+    in_table = np.array([c is not None for c in found], dtype=bool)
+    held = [c for c in found if c is not None]
+    if len({len(c) for c in held}) > 1:
+        raise ValueError(f"Semantic ID table mixes code lengths {sorted({len(c) for c in held})}")
+    codes = np.zeros((len(found), len(held[0]) if held else 0), dtype=np.int64)
+    codes[in_table] = held
 
     out = {k: {"rates": [], "skipped": 0} for k in depths}
     for event in context_events:
         t = event.timestamp
-        alive = np.flatnonzero(items.alive_mask(t))
+        alive_mask = items.alive_mask(t)
+        alive = np.flatnonzero(alive_mask)
         if alive.size < set_size + 1:
             continue
         pool = rng.choice(alive, size=min(pool_size, alive.size), replace=False)
@@ -319,19 +320,18 @@ def click_loss_analog(
         base = float(np.mean(base_ctrs))
         swap_pos = int(rng.integers(0, set_size))
         swap_idx = int(top[swap_pos])
-        swap_codes = semid_table.get(int(items.raw_ids[swap_idx]))
-        if swap_codes is None:
+        if not in_table[swap_idx]:
             continue
+        # alive items in the table, but the swapped one, sharing its k codes
+        same = codes == codes[swap_idx]
+        others = in_table & alive_mask
+        others[swap_idx] = False
         for k in depths:
-            candidates = [
-                i
-                for i in by_prefix[k].get(swap_codes[:k], ())
-                if i != swap_idx and items.birth[i] <= t < items.death[i]
-            ]
-            if not candidates:
+            candidates = np.flatnonzero(others & same[:, :k].all(axis=1))
+            if not candidates.size:
                 out[k]["skipped"] += 1
                 continue
-            alt = candidates[int(rng.integers(0, len(candidates)))]
+            alt = candidates[int(rng.integers(0, candidates.size))]
             new_ctr = ground_truth_ctr(pref, items.embeddings[alt], temperature, bias)
             mutated = base + (new_ctr - base_ctrs[swap_pos]) / set_size
             out[k]["rates"].append((mutated - base) / base)

@@ -86,6 +86,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
+    if not isinstance(meta, dict):
+        raise CheckpointError(f"{path}: header meta is {type(meta).__name__}, expected an object")
     params = {}
     offset = 12 + hlen
     for name, shape, dtype in entries:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .checkpoint import CheckpointError, check_arrays, load_checkpoint, save_checkpoint
-from .runfiles import read_table, write_table
+from .runfiles import field_error, read_table, write_table
 
 DAY = 86_400
 
@@ -463,9 +463,12 @@ def save_events(path, events, meta: dict) -> None:
 
 
 def load_events(path):
-    meta, _, rows = read_table(path, "events")
-    events = [
-        ImpressionEvent(int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]), _parse_history(r[5]))
-        for r in rows
-    ]
+    meta, columns, rows = read_table(path, "events")
+    try:
+        events = [
+            ImpressionEvent(int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]), _parse_history(r[5]))
+            for r in rows
+        ]
+    except ValueError as exc:
+        raise field_error(path, columns, rows, (int, int, int, int, int, _parse_history)) from exc
     return events, meta

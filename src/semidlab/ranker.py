@@ -35,7 +35,7 @@ from . import tensor as T
 from .checkpoint import assign_checkpoint_params, config_from_meta, load_checkpoint, save_checkpoint
 from .metrics import normalized_entropy
 from .mlp import init_mlp, mlp
-from .runfiles import read_table, write_table
+from .runfiles import field_error, read_table, write_table
 from .tokenization import (
     ConfigurationError,
     IndividualEmbedding,
@@ -269,49 +269,47 @@ class TrainResult:
     ne_curve: list  # trailing-window NE over the training pass
 
 
-def _backward_batch(model: RankerModel, batch) -> list[float]:
-    """Forward and backward over a minibatch; returns the probabilities.
+def _backward_batch(model: RankerModel, batch, labels: np.ndarray) -> np.ndarray:
+    """Forward and backward over a minibatch; returns the (B,) probabilities.
 
     Each event's loss is divided by ``batch_size``, a short last batch
     included. The graph is dropped on return, before the optimizer
     step allocates its temporaries.
     """
     out = forward_batch(model, batch)
-    labels = np.array([[float(e.label)] for e in batch])
-    loss = T.bce_with_logits(out.logits, labels)
+    loss = T.bce_with_logits(out.logits, labels[:, None])
     T.backward(T.scale(loss, len(batch) / model.config.batch_size))
-    return out.probabilities.tolist()
+    return out.probabilities
 
 
 def train_one_epoch(model: RankerModel, events, ne_window: int = 5000) -> TrainResult:
     """One sequential pass of minibatch cross-entropy training.
 
     Events must already be time-ordered. Each minibatch is one graph and
-    one optimizer step. The trailing-window NE uses each event's
-    pre-update prediction (progressive validation).
+    one optimizer step. Each full window of ``ne_window`` events with
+    both labels gives an NE point from the events' pre-update
+    predictions (progressive validation).
     """
     if model.frozen:
         raise RankerConfigError("model is frozen")
+    if ne_window < 1:
+        raise RankerConfigError(f"ne_window must be at least 1, got {ne_window}")
     cfg = model.config
     events = list(events)
-    params = list(model.params.values())
-    opt = T.make_optimizer(cfg.optimizer, params, cfg.learning_rate)
-    curve = []
-    window: list[tuple[int, float]] = []
+    labels = np.array([e.label for e in events], dtype=float)
+    preds = np.empty(len(events))
+    opt = T.make_optimizer(cfg.optimizer, model.params.values(), cfg.learning_rate)
     opt.zero_grad()
     for start in range(0, len(events), cfg.batch_size):
-        batch = events[start : start + cfg.batch_size]
-        probs = _backward_batch(model, batch)
+        batch = slice(start, start + cfg.batch_size)
+        preds[batch] = _backward_batch(model, events[batch], labels[batch])
         opt.step()
         opt.zero_grad()
-        for i, (event, prob) in enumerate(zip(batch, probs), start=start):
-            window.append((event.label, prob))
-            if len(window) == ne_window:
-                labels = np.array([l for l, _ in window], dtype=float)
-                preds = np.array([p for _, p in window])
-                if 0.0 < labels.mean() < 1.0:
-                    curve.append({"events_seen": i + 1, "ne": normalized_entropy(labels, preds)})
-                window = []
+    curve = []
+    for end in range(ne_window, len(events) + 1, ne_window):
+        window = slice(end - ne_window, end)
+        if 0.0 < labels[window].mean() < 1.0:
+            curve.append({"events_seen": end, "ne": normalized_entropy(labels[window], preds[window])})
     return TrainResult(ne_curve=curve)
 
 
@@ -440,6 +438,9 @@ def save_predictions(path, records, meta: dict, tags: dict | None = None) -> Non
 
 
 def load_predictions(path):
-    meta, _, rows = read_table(path, "predictions")
-    records = [PredictionRecord(int(r[0]), int(r[1]), float(r[2]), int(r[3])) for r in rows]
+    meta, columns, rows = read_table(path, "predictions")
+    try:
+        records = [PredictionRecord(int(r[0]), int(r[1]), float(r[2]), int(r[3])) for r in rows]
+    except ValueError as exc:
+        raise field_error(path, columns, rows, (int, int, float, int)) from exc
     return records, meta

@@ -248,26 +248,26 @@ def loss(model: RqVaeModel, x) -> LossParts:
     return LossParts(
         total=total,
         reconstruction=float(recon.value) / n,
-        commitment=_commitment(model, codes, residuals),
+        commitment=_commitment(residuals),
         codes=codes,
         residuals=residuals,
     )
 
 
-def _commitment(model: RqVaeModel, codes: np.ndarray, residuals: list) -> float:
-    """Per-example sum over levels of the squared residual-to-codeword distance."""
-    total = sum(((residuals[l] - cb.value[codes[:, l]]) ** 2).sum() for l, cb in enumerate(model.codebooks))
-    return float(total) / codes.shape[0]
+def _commitment(residuals: list) -> float:
+    """Per-example sum over levels of the squared residual-to-codeword distance (the next residual)."""
+    total = sum((r**2).sum() for r in residuals[1:])
+    return float(total) / residuals[0].shape[0]
 
 
 def evaluate_loss(model: RqVaeModel, x) -> dict:
     """Loss parts without building a graph (works on frozen models)."""
     x = np.asarray(x, dtype=np.float64)
     z = mlp(model.params, "enc", x)
-    codes, residuals, quantized = quantize_batch(model, z)
+    _, residuals, quantized = quantize_batch(model, z)
     x_hat = mlp(model.params, "dec", quantized)
     recon = float(((x - x_hat) ** 2).sum()) / x.shape[0]
-    commitment = _commitment(model, codes, residuals)
+    commitment = _commitment(residuals)
     beta = model.config.commitment_weight
     return {
         "reconstruction": recon,
@@ -279,7 +279,8 @@ def evaluate_loss(model: RqVaeModel, x) -> dict:
 def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding; empty clusters keep
     their previous centroid. Each iteration moves every centroid to its
-    members' mean in one pass over the points."""
+    members' mean in one pass over the points; they stop at an
+    assignment equal to the previous one, which would move no centroid."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     first = int(rng.integers(0, n))
@@ -294,8 +295,11 @@ def _kmeans(points: np.ndarray, k: int, iters: int, rng: np.random.Generator) ->
         pick = min(pick, n - 1)
         centers[j] = points[pick]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+    assign = None
     for _ in range(iters):
-        assign = _nearest_codes(centers, points)
+        previous, assign = assign, _nearest_codes(centers, points)
+        if previous is not None and np.array_equal(assign, previous):
+            break
         counts = np.bincount(assign, minlength=k)
         filled = counts > 0
         centers[filled] = _cluster_sums(points, assign, k)[filled] / counts[filled, None]

@@ -72,6 +72,18 @@ def read_table(path, kind: str):
     return meta, columns, rows
 
 
+def field_error(path, columns, rows, parsers) -> ArtifactMismatchError:
+    """The error naming the file, row and column of the first field its
+    column's parser rejects, for a reader whose own parse raised ValueError."""
+    for number, row in enumerate(rows, start=1):
+        for column, parse, text in zip(columns, parsers, row):
+            try:
+                parse(text)
+            except ValueError as exc:
+                return ArtifactMismatchError(f"{path}: row {number}, column {column!r}: {exc}")
+    return ArtifactMismatchError(f"{path}: a row does not parse")
+
+
 def check_same_run(path_a, meta_a: dict, path_b, meta_b: dict) -> None:
     """Refuse to combine artifacts from different configs or seeds."""
     for key in ("config_hash", "seed"):

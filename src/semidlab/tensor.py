@@ -18,21 +18,17 @@ the batch. Row gathers take integer index arrays in which -1 marks
 "no row".
 
 A row gather that reads fewer entries than its table has rows returns
-from backward a row-sparse ``RowGrad`` (the rows it read and one
-gradient row per read) instead of a table-sized dense scatter, so a
-minibatch that touches a few hundred rows of a large embedding table
-never builds a table-sized gradient. Sums keep the
-arithmetic of the dense scatter, so every gradient, and every parameter
-the optimizers update from it, is bit-identical to the dense path: a
-contribution sums its entries into zeros in entry order, contributions
-add to each other in arrival order, and a row-sparse gradient that
-meets a dense one, or reaches a node that is not a leaf, is densified
-first. ``Tensor.grad`` always reads and assigns a dense float64 array.
+from backward a row-sparse ``RowGrad`` instead of a table-sized dense
+scatter, so a minibatch that touches a few hundred rows of a large
+embedding table never builds a table-sized gradient. Every gradient,
+and every parameter the optimizers update from it, is bit-identical to
+the dense path. ``Tensor.grad`` always reads and assigns a dense array.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,64 +93,39 @@ def constant(value, name=""):
     return Tensor(value, requires_grad=False, name=name)
 
 
+@dataclass(slots=True, eq=False)
 class RowGrad:
     """Row-sparse gradient of a matrix, as a row gather leaves it.
 
-    Each contribution is a pair (rows, values): entry i adds
-    ``values[i]`` to row ``rows[i]``, rows may repeat, and entries keep
-    the order in which the gather read them. ``nbytes`` counts the
-    stored indices and values.
+    ``rows`` holds the distinct rows read, in ascending order, and
+    ``sums`` row i's gradient rows added into +0.0 in read order, which
+    is the dense scatter's arithmetic. ``nbytes`` counts both arrays.
     """
 
-    __slots__ = ("shape", "parts")
-
-    def __init__(self, shape, rows: np.ndarray, values: np.ndarray):
-        self.shape = tuple(shape)
-        self.parts = [(rows, values)]
+    shape: tuple
+    rows: np.ndarray
+    sums: np.ndarray
 
     @property
     def nbytes(self) -> int:
-        return sum(rows.nbytes + values.nbytes for rows, values in self.parts)
-
-    def coalesce(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sorted distinct rows and their gradient rows, summed as
-        ``dense`` sums them."""
-        # sort and drop repeats; ``np.unique`` would import numpy.ma
-        # (about 1.7 MB resident) on first use
-        rows = np.sort(np.concatenate([r for r, _ in self.parts]))
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        rows = rows[first]
-        return rows, self._summed(rows.size, lambda r: np.searchsorted(rows, r))
+        return self.rows.nbytes + self.sums.nbytes
 
     def dense(self) -> np.ndarray:
-        return self._summed(self.shape[0], lambda r: r)
-
-    def _summed(self, n_rows: int, position) -> np.ndarray:
-        """Each contribution sums its entries into zeros in entry order,
-        then adds to the total, as the dense scatter and ``+=`` did, so
-        every row is bit-identical to the dense gradient's."""
-        out = np.zeros((n_rows, self.shape[1]))
-        for rows, values in self.parts:
-            part = np.zeros_like(out)
-            np.add.at(part, position(rows), values)
-            out += part
+        out = np.zeros(self.shape)
+        out[self.rows] = self.sums
         return out
 
 
 def _accumulate(t: Tensor, g) -> None:
     """Add one gradient contribution to ``t``.
 
-    A row-sparse contribution to a leaf joins the leaf's earlier
-    row-sparse ones; meeting a dense gradient, or reaching an inner node
-    (whose backward closure takes an array), it is densified first.
+    A row-sparse gradient stays row-sparse only as the first
+    contribution to a leaf. A second contribution, a dense one, or an
+    inner node (whose backward closure takes an array) densifies it.
     """
     if isinstance(g, RowGrad):
         if t._backward is None and t._grad is None:
             t._grad = g
-            return
-        if t._backward is None and isinstance(t._grad, RowGrad):
-            t._grad.parts.extend(g.parts)
             return
         g = g.dense()
     if t._grad is None:
@@ -325,9 +296,8 @@ def gather_groups(table: Tensor, index) -> Tensor:
     so a group of all -1 yields a zero row. The output has shape
     (..., d). Rows add in index order and a row picked twice counts
     twice, in the forward sum and in the gradient. The gradient is a
-    ``RowGrad`` with one entry per row read, or, when there are at least
-    as many entries as table rows (an RQ-VAE codebook), the dense
-    scatter, which is then the smaller of the two.
+    ``RowGrad``, or the dense scatter for at least as many entries as
+    table rows (an RQ-VAE codebook), which is then the faster of the two.
     """
     tv = table.value
     if tv.ndim != 2:
@@ -349,11 +319,19 @@ def gather_groups(table: Tensor, index) -> Tensor:
 
     def back(g):
         values = np.broadcast_to(g[..., None, :], read_shape)[valid]
-        if rows.size < h:
-            return (RowGrad(tv.shape, rows, values),)
-        gt = np.zeros_like(tv)
-        np.add.at(gt, rows, values)
-        return (gt,)
+        if rows.size >= h:
+            gt = np.zeros_like(tv)
+            np.add.at(gt, rows, values)
+            return (gt,)
+        # sort and drop repeats; ``np.unique`` would import numpy.ma
+        # (about 1.7 MB resident) on first use
+        distinct = np.sort(rows)
+        first = np.ones(distinct.size, dtype=bool)
+        first[1:] = distinct[1:] != distinct[:-1]
+        distinct = distinct[first]
+        sums = np.zeros((distinct.size, tv.shape[1]))
+        np.add.at(sums, np.searchsorted(distinct, rows), values)
+        return (RowGrad(tv.shape, distinct, sums),)
 
     return Tensor(out, parents=(table,), backward=back)
 
@@ -573,9 +551,9 @@ def _checked_lr(lr) -> float:
 class SGD:
     """Plain gradient descent over a list of parameters.
 
-    A row-sparse gradient updates only the rows it has entries for. The
-    dense step would subtract ``lr * 0.0``, +0.0, from every other row,
-    which leaves them bit-identical.
+    A row-sparse gradient updates only its ``rows``, by its ``sums``.
+    The dense step would subtract ``lr * 0.0``, +0.0, from every other
+    row, which leaves them bit-identical.
     """
 
     def __init__(self, params, lr):
@@ -584,13 +562,11 @@ class SGD:
 
     def step(self):
         for p in self.params:
-            if p._grad is None:
-                continue
-            if isinstance(p._grad, RowGrad):
-                rows, sums = p._grad.coalesce()
-                p.value[rows] -= self.lr * sums
-            else:
-                p.value -= self.lr * p.grad
+            g = p._grad
+            if isinstance(g, RowGrad):
+                p.value[g.rows] -= self.lr * g.sums
+            elif g is not None:
+                p.value -= self.lr * g
 
     def zero_grad(self):
         zero_grads(self.params)
@@ -609,9 +585,9 @@ class Adam:
 
     A row whose moments m and v are 0 and whose gradient is 0 is a fixed
     point of the update (m and v stay +0.0 and the step is
-    ``lr * 0.0 / eps``, +0.0), so with row-sparse gradients only the
-    rows that ever had a gradient entry are updated, by the dense
-    arithmetic in the same order, and every parameter, m and v stay
+    ``lr * 0.0 / eps``, +0.0), so a row-sparse gradient marks its
+    ``rows`` as touched, only the rows ever touched are updated, by the
+    dense arithmetic in the same order, and every parameter, m and v stay
     bit-identical to the dense step. A dense gradient, or marks on
     ``DENSE_STEP_SHARE`` of the rows, switches the parameter to the
     dense step for good.
@@ -646,18 +622,17 @@ class Adam:
         for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
             if p._grad is None:
                 continue
-            touched = self._touched[i]
-            if isinstance(p._grad, RowGrad) and touched is not True:
-                rows, sums = p._grad.coalesce()
+            touched, g = self._touched[i], p._grad
+            if isinstance(g, RowGrad) and touched is not True:
                 if touched is None:
                     touched = self._touched[i] = np.zeros(p.value.shape[0], dtype=bool)
-                touched[rows] = True
+                touched[g.rows] = True
                 idx = np.flatnonzero(touched)
                 if idx.size < DENSE_STEP_SHARE * touched.size:
-                    g = np.zeros((idx.size, p.value.shape[1]))
-                    g[np.searchsorted(idx, rows)] = sums
+                    g_rows = np.zeros((idx.size, p.value.shape[1]))
+                    g_rows[np.searchsorted(idx, g.rows)] = g.sums
                     m_rows, v_rows = m[idx], v[idx]
-                    p.value[idx] -= self._moments_step(m_rows, v_rows, g, bias1, bias2)
+                    p.value[idx] -= self._moments_step(m_rows, v_rows, g_rows, bias1, bias2)
                     m[idx] = m_rows
                     v[idx] = v_rows
                     continue

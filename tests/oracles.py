@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from semidlab import ranker
+from semidlab.corpus import ground_truth_ctr
 from semidlab.tokenization import ConfigurationError
 
 
@@ -86,3 +88,65 @@ def fit_to_table(indices, table_size: int, output_count: int) -> list[int]:
         raise ConfigurationError(f"table size {table_size} smaller than position count {output_count}")
     block = table_size // output_count
     return [g * block + (int(ix) % block) for g, ix in enumerate(indices)]
+
+
+def click_loss_analog(
+    model, items, users, semid_table, context_events, depths, *, temperature, bias, set_size=5, pool_size=200, seed=0
+):
+    """``analysis.click_loss_analog`` with its same-prefix search over
+    dicts: one dict per depth maps each code prefix to the items that
+    carry it, and each swap filters its group for items alive at t."""
+    rng = np.random.default_rng([seed, 23])
+    id_list = [int(x) for x in items.raw_ids]
+    by_prefix = {k: {} for k in depths}
+    for idx, raw in enumerate(id_list):
+        codes = semid_table.get(raw)
+        if codes is None:
+            continue
+        for k in depths:
+            by_prefix[k].setdefault(codes[:k], []).append(idx)
+
+    out = {k: {"rates": [], "skipped": 0} for k in depths}
+    for event in context_events:
+        t = event.timestamp
+        alive = np.flatnonzero(items.alive_mask(t))
+        if alive.size < set_size + 1:
+            continue
+        pool = rng.choice(alive, size=min(pool_size, alive.size), replace=False)
+        pool_events = [
+            type(event)(event.event_id, t, event.user_id, int(items.raw_ids[idx]), 0, event.history)
+            for idx in pool
+        ]
+        scores, _ = ranker.score(model, pool_events)
+        top = pool[np.argsort(-scores, kind="stable")[:set_size]]
+        pref = users.preferences[event.user_id]
+        base_ctrs = ground_truth_ctr(pref, items.embeddings[top], temperature, bias)
+        base = float(np.mean(base_ctrs))
+        swap_pos = int(rng.integers(0, set_size))
+        swap_idx = int(top[swap_pos])
+        swap_codes = semid_table.get(int(items.raw_ids[swap_idx]))
+        if swap_codes is None:
+            continue
+        for k in depths:
+            candidates = [
+                i
+                for i in by_prefix[k].get(swap_codes[:k], ())
+                if i != swap_idx and items.birth[i] <= t < items.death[i]
+            ]
+            if not candidates:
+                out[k]["skipped"] += 1
+                continue
+            alt = candidates[int(rng.integers(0, len(candidates)))]
+            new_ctr = ground_truth_ctr(pref, items.embeddings[alt], temperature, bias)
+            mutated = base + (new_ctr - base_ctrs[swap_pos]) / set_size
+            out[k]["rates"].append((mutated - base) / base)
+    report = {}
+    for k in depths:
+        rates = out[k]["rates"]
+        report[k] = {
+            "click_loss_rate": float(np.mean(rates)) if rates else None,
+            "abs_click_loss_rate": float(np.abs(np.mean(rates))) if rates else None,
+            "n_swaps": len(rates),
+            "skipped": out[k]["skipped"],
+        }
+    return report

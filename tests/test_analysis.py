@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from semidlab.analysis import (
     MetricsReport,
     aar,
@@ -304,6 +305,35 @@ class TestClickLoss:
         assert report[3]["n_swaps"] + report[3]["skipped"] > 0
         if report[1]["abs_click_loss_rate"] is not None and report[3]["abs_click_loss_rate"] is not None:
             assert report[3]["abs_click_loss_rate"] <= report[1]["abs_click_loss_rate"] + 0.05
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    @pytest.mark.parametrize("table", ["full", "partial", "partial_all_zero_codes"])
+    def test_matches_the_dict_search_oracle(self, seed, table):
+        cfg, items, users, stream, semid, model = self._setup(seed)
+        if table != "full":
+            # items missing from the table never count as candidates, even
+            # when every code the table holds is 0, as a missing row reads
+            kept = np.random.default_rng(seed).random(len(semid)) < 0.6
+            semid = {raw: codes for (raw, codes), keep in zip(semid.items(), kept) if keep}
+            if table == "partial_all_zero_codes":
+                semid = dict.fromkeys(semid, (0, 0, 0))
+        # the latest contexts, where many same-prefix items have died
+        contexts = stream.eval[-20:]
+        assert all((items.death <= e.timestamp).sum() > 100 for e in contexts)
+        args = (model, items, users, semid, contexts, (1, 3, 4))
+        kwargs = dict(temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60, seed=seed)
+        report = click_loss_analog(*args, **kwargs)
+        assert report == oracles.click_loss_analog(*args, **kwargs)
+        assert report[1]["n_swaps"] > 0
+
+    def test_table_of_mixed_code_lengths_raises(self):
+        cfg, items, users, stream, semid, model = self._setup()
+        semid[int(items.raw_ids[0])] = (1, 2)
+        with pytest.raises(ValueError, match="code lengths"):
+            click_loss_analog(
+                model, items, users, semid, stream.eval[:2], depths=(1,),
+                temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60,
+            )
 
 
 class TestDistributionExports:

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from semidlab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from semidlab.ranker import RankerConfig, RankerModel, load_ranker, save_ranker
 from semidlab.rqvae import RqVaeConfig, RqVaeModel, assign, load_rqvae, save_rqvae
+from semidlab.tokenization import RandomHash
 
 
 def write_without_dtype(path, params, meta):
@@ -108,3 +110,29 @@ def test_non_integer_shape_entry_raises(tmp_path, shape):
     path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(16))
     with pytest.raises(CheckpointError, match="non-integer dimension"):
         load_checkpoint(path)
+
+
+def replace_meta(path, meta) -> None:
+    """Rewrite a container's header with ``meta`` in place of its own."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + n])
+    header["meta"] = meta
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + raw[12 + n :])
+
+
+@pytest.mark.parametrize("meta", [[], ["rqvae_config"], None, "frozen", 3])
+def test_meta_that_is_not_an_object_raises(tmp_path, meta):
+    rq_path, ranker_path = tmp_path / "rq.ckpt", tmp_path / "ranker.ckpt"
+    save_rqvae(rq_path, RqVaeModel.initialize(RqVaeConfig(input_dim=4, latent_dim=2, hidden_sizes=(3,))))
+    lookup = RandomHash(8, seed=1)
+    save_ranker(ranker_path, RankerModel.initialize(RankerConfig(d_m=2, history_length=2, top_mlp=(2,)), lookup, lookup))
+    for path in (rq_path, ranker_path):
+        replace_meta(path, meta)
+        with pytest.raises(CheckpointError, match="header meta is .*, expected an object"):
+            load_checkpoint(path)
+    with pytest.raises(CheckpointError, match="header meta"):
+        load_rqvae(rq_path)
+    with pytest.raises(CheckpointError, match="header meta"):
+        load_ranker(ranker_path, lookup, lookup)

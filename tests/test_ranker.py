@@ -297,6 +297,15 @@ class TestTraining:
         train_one_epoch(model, events)
         assert evaluate(model, events).ne < ne_before
 
+    @pytest.mark.parametrize("ne_window", [0, -5])
+    def test_ne_window_below_one_is_refused(self, ne_window):
+        model = make_model("bypass", seed=11)
+        before = {n: p.value.copy() for n, p in model.params.items()}
+        with pytest.raises(RankerConfigError, match="ne_window"):
+            train_one_epoch(model, toy_events(10, seed=11), ne_window=ne_window)
+        for name, p in model.params.items():
+            assert np.array_equal(p.value, before[name])
+
     def test_ne_curve_is_logged(self):
         events = toy_events(50, seed=11)
         model = make_model("bypass", seed=11)

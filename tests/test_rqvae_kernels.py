@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_rqvae as ref
+from semidlab import rqvae
 from semidlab.rqvae import (
     NEAREST_BLOCK_ROWS as BLOCK,
     RqVaeConfig,
@@ -126,6 +127,45 @@ def test_kmeans_on_signed_zeros():
 @pytest.mark.parametrize("d", [1, 8])
 def test_kmeans_without_iterations_is_the_seeding(d):
     assert_same_kmeans(points(np.random.default_rng(35), 200, d), 16, 0, seed=35)
+
+
+def record_calls(monkeypatch, module, name):
+    """The list of assignments ``module.name`` returns from now on."""
+    calls, real = [], getattr(module, name)
+
+    def recorded(codebook, residuals):
+        calls.append(real(codebook, residuals))
+        return calls[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def changes(assignments):
+    return [not np.array_equal(a, b) for a, b in zip(assignments, assignments[1:])]
+
+
+# 256 evenly spaced points on a line under two clusters: from seed 8's
+# seeding the boundary creeps toward the middle, so the assignment
+# changes at each of the first 8 iterations and is the same at the 9th
+LINE, LINE_SEED, LINE_CHANGING_ITERS = np.arange(256.0)[:, None], 8, 8
+
+
+def test_kmeans_stops_at_a_repeated_assignment(monkeypatch):
+    ref_calls = record_calls(monkeypatch, ref, "nearest_codes")
+    calls = record_calls(monkeypatch, rqvae, "_nearest_codes")
+    assert_same_kmeans(LINE, 2, 25, seed=LINE_SEED)
+    assert len(ref_calls) == 25
+    assert changes(ref_calls)[:LINE_CHANGING_ITERS] == [True] * (LINE_CHANGING_ITERS - 1) + [False]
+    assert len(calls) == LINE_CHANGING_ITERS + 1
+    assert changes(calls) == [True] * (LINE_CHANGING_ITERS - 1) + [False]
+
+
+def test_kmeans_runs_every_iteration_while_the_assignment_changes(monkeypatch):
+    calls = record_calls(monkeypatch, rqvae, "_nearest_codes")
+    assert_same_kmeans(LINE, 2, LINE_CHANGING_ITERS, seed=LINE_SEED)
+    assert len(calls) == LINE_CHANGING_ITERS
+    assert all(changes(calls))
 
 
 @pytest.mark.parametrize("kmeans_iters", [0, 3, 25])
