@@ -15,8 +15,8 @@ as ``"<f8"``. An entry without ``dtype`` reads as ``"<f8"``, the only
 type of files written before the field existed. Values round-trip
 bit-exactly because the payload is the raw bytes.
 
-Model parameters, item tables, user tables and Semantic ID tables live
-in this container.
+Model parameters, item tables, user tables, Semantic ID tables and
+event streams live in this container.
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ construction.
 
 Time is integer seconds from epoch 0; a day is 86400 seconds.
 
-Item and user tables persist in the binary container of ``checkpoint``
-(bit-exact numeric arrays, integer fields as int64); event streams
-persist as tab-separated text tables of ``runfiles``.
+Item tables, user tables and event streams persist in the binary
+container of ``checkpoint`` (bit-exact numeric arrays, integer fields as
+int64).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .checkpoint import CheckpointError, check_arrays, load_checkpoint, save_checkpoint
-from .runfiles import field_error, read_table, write_table
 
 DAY = 86_400
 
@@ -425,50 +424,46 @@ def load_users(path):
     return UserTable(preferences=arrays["preferences"]), meta
 
 
-def _fmt_history(history) -> str:
-    if not history:
-        return "-"
-    return "|".join(f"{item}:{t}" for item, t in history)
-
-
-def _parse_history(text: str):
-    if text == "-":
-        return ()
-    out = []
-    for part in text.split("|"):
-        item, _, t = part.partition(":")
-        out.append((int(item), int(t)))
-    return tuple(out)
+# (N,) int64 arrays; the (E, 2) ``history`` holds the (item_id, timestamp)
+# entries back to back, and event i owns the history_length[i] rows after
+# those of the events before it, most recent first
+_EVENT_COLUMNS = ("event_id", "timestamp", "user_id", "item_id", "label", "history_length")
+_EVENT_ARRAYS = {name: ("<i8", (None,)) for name in _EVENT_COLUMNS} | {"history": ("<i8", (None, 2))}
 
 
 def save_events(path, events, meta: dict) -> None:
-    cols = ["event_id", "timestamp", "user_id", "item_id", "label", "history"]
-    write_table(
-        path,
-        "events",
-        meta,
-        cols,
-        (
-            [
-                str(e.event_id),
-                str(e.timestamp),
-                str(e.user_id),
-                str(e.item_id),
-                str(e.label),
-                _fmt_history(e.history),
-            ]
-            for e in events
-        ),
-    )
+    """Write any iterable of events as int64 arrays; a value that is not an
+    integer inside int64 raises CorpusConfigError before the file is opened."""
+    rows, history = [], []
+    for e in events:
+        rows.append((e.event_id, e.timestamp, e.user_id, e.item_id, e.label, len(e.history)))
+        history.extend(e.history)
+    blocks = np.array(rows).reshape(len(rows), 6), np.array(history).reshape(len(history), 2)
+    # numpy infers uint64, float64 or object for a value that is not an integer inside int64
+    if any(b.size and b.dtype.kind != "i" for b in blocks):
+        raise CorpusConfigError(f"event fields must be int64 integers, got {[b.dtype.name for b in blocks]}")
+    columns, history = (b.astype(np.int64) for b in blocks)  # an empty block is float64
+    save_checkpoint(path, dict(zip(_EVENT_COLUMNS, columns.T), history=history), meta=meta)
 
 
 def load_events(path):
-    meta, columns, rows = read_table(path, "events")
-    try:
-        events = [
-            ImpressionEvent(int(r[0]), int(r[1]), int(r[2]), int(r[3]), int(r[4]), _parse_history(r[5]))
-            for r in rows
-        ]
-    except ValueError as exc:
-        raise field_error(path, columns, rows, (int, int, int, int, int, _parse_history)) from exc
-    return events, meta
+    """Read an event stream; returns (events, meta). Raises CheckpointError
+    on wrong names, types or shapes, columns of different lengths, history
+    lengths that are negative or do not sum to E, or a label not 0 or 1."""
+    arrays, meta = load_checkpoint(path)
+    check_arrays(path, arrays, _EVENT_ARRAYS)
+    lengths = {name: len(arrays[name]) for name in _EVENT_COLUMNS}
+    if len(set(lengths.values())) > 1:
+        raise CheckpointError(f"{path}: event arrays differ in length: {lengths}")
+    counts, history, labels = arrays["history_length"], arrays["history"], arrays["label"]
+    if np.any(counts < 0):
+        raise CheckpointError(f"{path}: negative history length {counts.min()}")
+    # with every length at most E the int64 sum cannot wrap
+    if np.any(counts > len(history)) or counts.sum() != len(history):
+        raise CheckpointError(f"{path}: history lengths sum to {sum(counts.tolist())}, not {len(history)}")
+    if np.any((labels != 0) & (labels != 1)):
+        raise CheckpointError(f"{path}: labels must be 0 or 1, got {np.setdiff1d(labels, [0, 1]).tolist()}")
+    entries = list(map(tuple, history.tolist()))
+    columns = [arrays[name].tolist() for name in _EVENT_COLUMNS]
+    rows = zip(*columns, np.cumsum(counts).tolist())
+    return [ImpressionEvent(*f, tuple(entries[end - n : end])) for *f, n, end in rows], meta

@@ -8,6 +8,11 @@ import math
 import numpy as np
 
 
+# predictions are clipped to [PREDICTION_CLIP, 1 - PREDICTION_CLIP], so
+# the log loss stays finite on a saturated prediction
+PREDICTION_CLIP = 1e-7
+
+
 class SingleClassError(ValueError):
     """NE is undefined when every label is identical (denominator 0)."""
 
@@ -16,7 +21,7 @@ def normalized_entropy(labels, predictions) -> float:
     """Model cross-entropy over the cross-entropy of the base-rate
     predictor; 1.0 means no lift over predicting the mean."""
     y = np.asarray(labels, dtype=np.float64)
-    p = np.clip(np.asarray(predictions, dtype=np.float64), 1e-7, 1.0 - 1e-7)
+    p = np.clip(np.asarray(predictions, dtype=np.float64), PREDICTION_CLIP, 1.0 - PREDICTION_CLIP)
     if y.size == 0:
         raise SingleClassError("empty stream")
     base = y.mean()

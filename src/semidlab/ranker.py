@@ -33,9 +33,9 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import assign_checkpoint_params, config_from_meta, load_checkpoint, save_checkpoint
-from .metrics import normalized_entropy
+from .metrics import PREDICTION_CLIP, normalized_entropy
 from .mlp import init_mlp, mlp
-from .runfiles import field_error, read_table, write_table
+from .runfiles import ArtifactMismatchError, field_error, read_table, write_table
 from .tokenization import (
     ConfigurationError,
     IndividualEmbedding,
@@ -249,9 +249,6 @@ def forward(model: RankerModel, event) -> ForwardResult:
     )
 
 
-PREDICTION_CLIP = 1e-7
-
-
 def clip_prediction(p: float) -> float:
     return min(max(p, PREDICTION_CLIP), 1.0 - PREDICTION_CLIP)
 
@@ -416,6 +413,9 @@ def load_ranker(path, target_lookup, history_lookup) -> tuple[RankerModel, dict]
     return model, meta
 
 
+PREDICTION_COLUMNS = ["event_id", "label", "prediction", "item_id", "segment"]
+
+
 def save_predictions(path, records, meta: dict, tags: dict | None = None) -> None:
     """Per-example prediction dump; ``tags`` optionally labels events."""
     tags = tags or {}
@@ -423,7 +423,7 @@ def save_predictions(path, records, meta: dict, tags: dict | None = None) -> Non
         path,
         "predictions",
         meta,
-        ["event_id", "label", "prediction", "item_id", "segment"],
+        PREDICTION_COLUMNS,
         (
             [
                 str(r.event_id),
@@ -437,10 +437,31 @@ def save_predictions(path, records, meta: dict, tags: dict | None = None) -> Non
     )
 
 
+def _parse_label(text: str) -> int:
+    label = int(text)
+    if label not in (0, 1):
+        raise ValueError(f"label {label} is not 0 or 1")
+    return label
+
+
+def _parse_probability(text: str) -> float:
+    p = float(text)
+    if not 0.0 <= p <= 1.0:  # NaN fails too
+        raise ValueError(f"prediction {p!r} is not in [0, 1]")
+    return p
+
+
 def load_predictions(path):
+    """Read a dump written by ``save_predictions``; returns (records, meta),
+    the meta values as strings. Raises ArtifactMismatchError on other
+    columns, a field that does not parse, a label other than 0 or 1, or a
+    prediction that is NaN or outside [0, 1]. ``segment`` is not read back."""
     meta, columns, rows = read_table(path, "predictions")
+    if columns != PREDICTION_COLUMNS:
+        raise ArtifactMismatchError(f"{path}: columns {columns}, expected {PREDICTION_COLUMNS}")
+    parsers = (int, _parse_label, _parse_probability, int)
     try:
-        records = [PredictionRecord(int(r[0]), int(r[1]), float(r[2]), int(r[3])) for r in rows]
+        records = [PredictionRecord(*(parse(text) for parse, text in zip(parsers, r))) for r in rows]
     except ValueError as exc:
-        raise field_error(path, columns, rows, (int, int, float, int)) from exc
+        raise field_error(path, columns, rows, parsers) from exc
     return records, meta

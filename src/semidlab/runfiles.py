@@ -1,11 +1,12 @@
 """Shared helpers for text run artifacts: config hashing, headers, tables.
 
-Event streams and prediction dumps are tab-separated text tables. Each
-embeds the experiment config hash and seed in `#`-prefixed header lines
-so downstream stages can refuse mismatched inputs. Writers serialize
-floats with Python's shortest round-trip repr, which parses back
-bit-exactly. Numeric arrays (model parameters, item, user and Semantic
-ID tables) go into the binary container of ``checkpoint``.
+Prediction dumps are the only text tables: tab-separated, with a string
+``segment`` column. A dump embeds the experiment config hash and seed in
+`#`-prefixed header lines so downstream stages can refuse mismatched
+inputs. Writers serialize floats with Python's shortest round-trip repr,
+which parses back bit-exactly. Numeric arrays (model parameters, item,
+user and Semantic ID tables, event streams) go into the binary container
+of ``checkpoint``.
 """
 
 from __future__ import annotations

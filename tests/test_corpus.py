@@ -13,6 +13,7 @@ from semidlab.corpus import (
     DAY,
     CorpusConfig,
     CorpusConfigError,
+    ImpressionEvent,
     ItemTable,
     UserTable,
     calibrate_skew,
@@ -418,6 +419,29 @@ def test_user_table_round_trips(tmp_path_factory, prefs):
     loaded, meta = load_users(path)
     assert meta == {"seed": 1}
     assert_same_table(loaded, UserTable(prefs))
+
+
+@st.composite
+def event_streams(draw):
+    def event():
+        n = draw(st.sampled_from([0, 8]) | st.integers(0, 8))
+        history = tuple((draw(int64_values), draw(int64_values)) for _ in range(n))
+        fields = [draw(int64_values) for _ in range(4)]
+        return ImpressionEvent(*fields, draw(st.sampled_from([0, 1])), history)
+
+    return [event() for _ in range(draw(st.integers(0, 6)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(events=event_streams(), seed=int64_values)
+def test_event_stream_round_trips_every_field(tmp_path_factory, events, seed):
+    path = tmp_path_factory.mktemp("events") / "events.bin"
+    meta = {"config_hash": "abc", "seed": seed}
+    save_events(path, events, meta)
+    loaded, meta2 = load_events(path)
+    assert meta2 == meta
+    assert [dataclasses.astuple(e) for e in loaded] == [dataclasses.astuple(e) for e in events]
+    assert all(type(v) is int for e in loaded for v in dataclasses.astuple(e)[:5])
 
 
 class TestTableFiles:
