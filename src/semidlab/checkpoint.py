@@ -17,6 +17,11 @@ bit-exactly because the payload is the raw bytes.
 
 Model parameters, item tables, user tables, Semantic ID tables and
 event streams live in this container.
+
+``int64_array`` is every module's one check for an integer array: a
+value that is not an integer inside int64 raises the caller's own error.
+``Config`` gives the configs kept in checkpoint meta one ``to_dict``
+(tuples as lists); ``config_from_meta`` rebuilds them by constructor.
 """
 
 from __future__ import annotations
@@ -35,6 +40,17 @@ DTYPES = {"<f8": np.float64, "<i8": np.int64}
 
 class CheckpointError(ValueError):
     """The file is not a valid container, or not the arrays its reader expects."""
+
+
+def int64_array(values, what: str, error) -> np.ndarray:
+    """``values`` as an int64 array, uncopied if it is one; raises ``error``
+    unless every value is an integer inside int64. For any other value numpy
+    infers float64, object, uint64, a string or a bool dtype."""
+    array = np.asarray(values)
+    kind = array.dtype.kind
+    if array.size and not (kind == "i" or kind == "u" and array.max() < 2**63):
+        raise error(f"{what} must be integers inside int64, got {array.dtype} values")
+    return array.astype(np.int64, copy=False)
 
 
 def save_checkpoint(path, params, meta=None) -> None:
@@ -145,8 +161,15 @@ def assign_checkpoint_params(params: dict, saved: dict, path) -> None:
         params[name].value[:] = value
 
 
+class Config:
+    """Base of the dataclass configs; ``to_dict`` writes tuples as lists."""
+
+    def to_dict(self) -> dict:
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in dataclasses.asdict(self).items()}
+
+
 def config_from_meta(path, meta: dict, key: str, config_cls):
-    """Rebuild the dataclass config a model checkpoint keeps in ``meta[key]``.
+    """Rebuild the ``Config`` a model checkpoint keeps in ``meta[key]``.
 
     Raises CheckpointError when the entry is missing, is not a mapping,
     or names a field ``config_cls`` does not have.
@@ -157,4 +180,4 @@ def config_from_meta(path, meta: dict, key: str, config_cls):
     unknown = sorted(set(saved) - {f.name for f in dataclasses.fields(config_cls)})
     if unknown:
         raise CheckpointError(f"{path}: {key!r} has unknown fields {unknown}")
-    return config_cls.from_dict(saved)
+    return config_cls(**saved)

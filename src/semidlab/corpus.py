@@ -20,18 +20,19 @@ Time is integer seconds from epoch 0; a day is 86400 seconds.
 
 Item tables, user tables and event streams persist in the binary
 container of ``checkpoint`` (bit-exact numeric arrays, integer fields as
-int64).
+int64). A value that is not an integer inside int64 in an integer field
+(a ``birth`` of 0.5, say) raises CorpusConfigError before a file opens.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checkpoint import CheckpointError, check_arrays, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, Config, check_arrays, int64_array, load_checkpoint, save_checkpoint
 
 DAY = 86_400
 
@@ -48,7 +49,7 @@ class CorpusConfigError(ValueError):
 
 
 @dataclass
-class CorpusConfig:
+class CorpusConfig(Config):
     """Everything the generator needs; serializable as a flat JSON object."""
 
     n_items: int = 20_000
@@ -88,16 +89,6 @@ class CorpusConfig:
         if not 0.0 < self.initial_cohort_fraction <= 1.0:
             raise CorpusConfigError("initial cohort fraction must be in (0, 1]")
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["branching"] = list(self.branching)
-        d["level_scales"] = list(self.level_scales)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusConfig":
-        return cls(**d)
-
 
 @dataclass
 class ItemTable:
@@ -111,11 +102,7 @@ class ItemTable:
     birth: np.ndarray  # int64 seconds
     death: np.ndarray  # int64 seconds, exclusive
     weight: np.ndarray  # popularity, sums to 1 over the original corpus
-    bias: np.ndarray = None  # per-item CTR bias, a pure function of the embedding
-
-    def __post_init__(self):
-        if self.bias is None:
-            self.bias = np.zeros(len(self.raw_ids))
+    bias: np.ndarray  # per-item CTR bias, a pure function of the embedding
 
     def __len__(self):
         return len(self.raw_ids)
@@ -351,7 +338,8 @@ def generate_stream(items: ItemTable, users: UserTable, config: CorpusConfig) ->
 def inject_aa_pairs(items: ItemTable, count: int, window: tuple[int, int], seed: int):
     """Create exact item copies under fresh raw IDs for A/A scoring.
 
-    Copies share the original's embedding, generator path, and lifetime;
+    Copies share every ``ItemTable`` field of their original but
+    ``raw_ids``: embedding, generator path, lifetime, weight and bias;
     they are created after stream generation so they can never appear in
     training events. Returns (extended item table, list of
     (original_id, copy_id)).
@@ -364,17 +352,8 @@ def inject_aa_pairs(items: ItemTable, count: int, window: tuple[int, int], seed:
     count = min(count, alive.size)
     originals = rng.choice(alive, size=count, replace=False)
     copy_ids = _unique_raw_ids(count, rng, taken=items.raw_ids)
-    extended = ItemTable(
-        raw_ids=np.concatenate([items.raw_ids, copy_ids]),
-        embeddings=np.vstack([items.embeddings, items.embeddings[originals]]),
-        top=np.concatenate([items.top, items.top[originals]]),
-        mid=np.concatenate([items.mid, items.mid[originals]]),
-        leaf=np.concatenate([items.leaf, items.leaf[originals]]),
-        birth=np.concatenate([items.birth, items.birth[originals]]),
-        death=np.concatenate([items.death, items.death[originals]]),
-        weight=np.concatenate([items.weight, items.weight[originals]]),
-        bias=np.concatenate([items.bias, items.bias[originals]]),
-    )
+    copies = {f.name: getattr(items, f.name)[originals] for f in fields(ItemTable)} | {"raw_ids": copy_ids}
+    extended = ItemTable(**{name: np.concatenate([getattr(items, name), c]) for name, c in copies.items()})
     pairs = [(int(items.raw_ids[o]), int(c)) for o, c in zip(originals, copy_ids)]
     return extended, pairs
 
@@ -399,7 +378,10 @@ _USER_ARRAYS = {"preferences": ("<f8", (None, None))}
 
 
 def save_items(path, items: ItemTable, meta: dict) -> None:
-    arrays = {name: np.asarray(getattr(items, name), dtype=dt) for name, (dt, _) in _ITEM_ARRAYS.items()}
+    arrays = {}
+    for name, (dt, _) in _ITEM_ARRAYS.items():
+        value = getattr(items, name)
+        arrays[name] = int64_array(value, name, CorpusConfigError) if dt == "<i8" else np.asarray(value, dtype=dt)
     save_checkpoint(path, arrays, meta=meta)
 
 
@@ -438,11 +420,8 @@ def save_events(path, events, meta: dict) -> None:
     for e in events:
         rows.append((e.event_id, e.timestamp, e.user_id, e.item_id, e.label, len(e.history)))
         history.extend(e.history)
-    blocks = np.array(rows).reshape(len(rows), 6), np.array(history).reshape(len(history), 2)
-    # numpy infers uint64, float64 or object for a value that is not an integer inside int64
-    if any(b.size and b.dtype.kind != "i" for b in blocks):
-        raise CorpusConfigError(f"event fields must be int64 integers, got {[b.dtype.name for b in blocks]}")
-    columns, history = (b.astype(np.int64) for b in blocks)  # an empty block is float64
+    columns = int64_array(rows, "event fields", CorpusConfigError).reshape(len(rows), 6)
+    history = int64_array(history, "event history", CorpusConfigError).reshape(len(history), 2)
     save_checkpoint(path, dict(zip(_EVENT_COLUMNS, columns.T), history=history), meta=meta)
 
 

@@ -27,12 +27,12 @@ is alive at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import assign_checkpoint_params, config_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import Config, assign_checkpoint_params, config_from_meta, load_checkpoint, save_checkpoint
 from .metrics import PREDICTION_CLIP, normalized_entropy
 from .mlp import init_mlp, mlp
 from .runfiles import ArtifactMismatchError, field_error, read_table, write_table
@@ -52,7 +52,7 @@ class RankerConfigError(ValueError):
 
 
 @dataclass
-class RankerConfig:
+class RankerConfig(Config):
     d_m: int = 16
     aggregation: str = "bypass"
     d_s: int = 32  # number of learnable seed queries for pooled attention
@@ -76,15 +76,6 @@ class RankerConfig:
         self.top_mlp = tuple(int(w) for w in self.top_mlp)
         if any(w < 1 for w in self.top_mlp):
             raise RankerConfigError(f"top_mlp widths must be positive, got {self.top_mlp}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["top_mlp"] = list(self.top_mlp)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RankerConfig":
-        return cls(**d)
 
 
 # transformer-block position-wise MLP width, relative to d_m

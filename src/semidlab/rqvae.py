@@ -20,16 +20,18 @@ through a straight-through estimator on the quantized latent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import (
     CheckpointError,
+    Config,
     assign_checkpoint_params,
     check_arrays,
     config_from_meta,
+    int64_array,
     load_checkpoint,
     save_checkpoint,
 )
@@ -45,7 +47,7 @@ class FrozenModelError(RuntimeError):
 
 
 @dataclass
-class RqVaeConfig:
+class RqVaeConfig(Config):
     levels: int = 3
     codebook_size: int = 64
     input_dim: int = 16
@@ -78,15 +80,6 @@ class RqVaeConfig:
             self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h < 1 for h in self.hidden_sizes):
             raise RqVaeConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["hidden_sizes"] = list(self.hidden_sizes)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RqVaeConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -446,23 +439,17 @@ def save_semid_table(path, assignments: dict, meta: dict) -> None:
 
     The file holds an int64 ``raw_ids`` (N,) array in ascending order and
     an int64 ``codes`` (N, L) array whose row i is the code sequence of
-    ``raw_ids[i]``. Code sequences of different lengths, an ID outside
-    int64 or a code that is not an integer inside int64 raise
-    RqVaeConfigError before the file is opened.
+    ``raw_ids[i]``. Code sequences of different lengths, or an ID or code
+    that is not an integer inside int64, raise RqVaeConfigError before the
+    file is opened.
     """
     raw_ids = sorted(assignments)
     rows = [assignments[raw_id] for raw_id in raw_ids]
     width = len(rows[0]) if rows else 0
     if any(len(codes) != width for codes in rows):
         raise RqVaeConfigError(f"code sequences differ in length: {sorted({len(codes) for codes in rows})}")
-    if raw_ids and not (-(2**63) <= raw_ids[0] and raw_ids[-1] < 2**63):
-        raise RqVaeConfigError(f"raw IDs must fit in int64, got {raw_ids[0]} .. {raw_ids[-1]}")
-    # numpy infers float64 or object for a float code or one outside int64
-    codes = np.array(rows).reshape(len(rows), width)
-    if codes.size and codes.dtype.kind != "i":
-        raise RqVaeConfigError(f"codes must be integers inside int64, got {codes.dtype} values")
-    arrays = {"raw_ids": np.array(raw_ids, dtype=np.int64), "codes": codes.astype(np.int64)}
-    save_checkpoint(path, arrays, meta=meta)
+    raw_ids, codes = int64_array(raw_ids, "raw IDs", RqVaeConfigError), int64_array(rows, "codes", RqVaeConfigError)
+    save_checkpoint(path, {"raw_ids": raw_ids, "codes": codes.reshape(len(rows), width)}, meta=meta)
 
 
 def load_semid_table(path):

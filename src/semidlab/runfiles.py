@@ -4,15 +4,23 @@ Prediction dumps are the only text tables: tab-separated, with a string
 ``segment`` column. A dump embeds the experiment config hash and seed in
 `#`-prefixed header lines so downstream stages can refuse mismatched
 inputs. Writers serialize floats with Python's shortest round-trip repr,
-which parses back bit-exactly. Numeric arrays (model parameters, item,
-user and Semantic ID tables, event streams) go into the binary container
-of ``checkpoint``.
+which parses back bit-exactly. Text that would not read back as written
+(a tab, newline or carriage return anywhere, or an ``=`` in a meta key)
+is refused before the file is opened. Numeric arrays (model parameters,
+item, user and Semantic ID tables, event streams) go into the binary
+container of ``checkpoint``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+
+# a tab splits a field, a newline or carriage return ends a line, and the
+# first "=" of a header line ends its meta key
+_FIELD_BREAK = re.compile(r"[\t\n\r]")
+_KEY_BREAK = re.compile(r"[\t\n\r=]")
 
 
 class ArtifactMismatchError(ValueError):
@@ -32,8 +40,28 @@ def header_lines(kind: str, meta: dict) -> list[str]:
     return lines
 
 
+def _check_text(path, what: str, texts, breaks=_FIELD_BREAK) -> None:
+    for text in texts:
+        found = breaks.search(text)
+        if found:
+            raise ArtifactMismatchError(f"{path}: {what} {text!r} holds {found.group()!r} and would not read back")
+
+
 def write_table(path, kind: str, meta: dict, columns, rows) -> None:
-    """Write a line-delimited table with header comments; tab-separated."""
+    """Write a line-delimited table with header comments; tab-separated.
+
+    A column name, field, meta key or meta value holding a tab, newline
+    or carriage return, or a meta key holding ``=``, raises
+    ArtifactMismatchError before the file is opened.
+    """
+    _check_text(path, "meta key", map(str, meta), _KEY_BREAK)
+    _check_text(path, "meta value", map(str, meta.values()))
+    _check_text(path, "column name", columns)
+    rows = list(rows)
+    # one search over all fields at once; the per-field scan names the culprit
+    if _FIELD_BREAK.search("".join(map("".join, rows))):
+        for row in rows:
+            _check_text(path, "field", row)
     with open(path, "w", encoding="utf-8") as fh:
         for line in header_lines(kind, meta):
             fh.write(line + "\n")

@@ -13,8 +13,11 @@ Raw IDs and codes are int64 values, and pre-hash indices stay below
 2^62: a raw ID outside int64, in ``rows``, in ``rows_batch`` or as a
 table or vocabulary key, and a parameterization whose index space
 K^(L+1) reaches 2^62 raise ConfigurationError. So each mapping has one
-array implementation. ``RandomHash.rows`` and ``SemanticIdLookup.rows``
-keep a per-ID path (a scalar hash, a dict lookup) because a single ID
+array implementation. Its array entry points (``parameterize_batch``,
+the ``RandomHash`` and ``IndividualEmbedding`` ``rows_batch``, the
+vocabulary) raise it for a non-integer such as 1.5 or "7" too.
+``RandomHash.rows`` and ``SemanticIdLookup.rows`` keep a per-ID path (a
+scalar hash, a dict lookup, a scalar int64 check) because a single ID
 through numpy costs several times more, and callers that map one ID at
 a time, such as the corpus tokenizer benchmark, would pay that per ID.
 """
@@ -25,6 +28,8 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .checkpoint import int64_array
 
 log = logging.getLogger(__name__)
 
@@ -81,15 +86,6 @@ def _check_int64(value: int, what: str) -> None:
         raise ConfigurationError(f"{what} {value} outside int64")
 
 
-def _int64_array(values, what: str) -> np.ndarray:
-    """``values`` as an int64 array; a value outside int64 raises
-    ConfigurationError rather than wrapping."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError as exc:
-        raise ConfigurationError(f"{what} outside int64: {exc}") from exc
-
-
 def parameterize(codes, p: TokenParameterization) -> list[int]:
     """Expand one code sequence into pre-hash indices.
 
@@ -108,7 +104,7 @@ def parameterize_batch(codes, p: TokenParameterization) -> np.ndarray:
     K^(L+1); an index space that reaches 2^62 raises ConfigurationError,
     which keeps the indices and their partial sums inside int64.
     """
-    codes = _int64_array(codes, "code")
+    codes = int64_array(codes, "codes", ConfigurationError)
     if codes.ndim != 2:
         raise ConfigurationError(f"expected an N-by-L code matrix, got shape {codes.shape}")
     k = p.codebook_size
@@ -193,7 +189,7 @@ class RandomHash:
 
     def rows_batch(self, raw_ids) -> np.ndarray:
         # the uint64 view of an int64 ID is its value modulo 2^64, as in ``rows``
-        x = _int64_array(raw_ids, "raw id").view(np.uint64)
+        x = int64_array(raw_ids, "raw ids", ConfigurationError).view(np.uint64)
         x = _splitmix64_array(x ^ np.uint64(self.seed_mix))
         return (x % np.uint64(self.table_size)).astype(np.int64)[:, None]
 
@@ -210,7 +206,7 @@ class IndividualEmbedding:
     def __init__(self, vocabulary):
         # sort and drop repeats; ``np.unique`` would import numpy.ma
         # (about 1.7 MB resident) on first use
-        ids = np.sort(_int64_array(list(vocabulary), "vocabulary id"))
+        ids = np.sort(int64_array(list(vocabulary), "vocabulary ids", ConfigurationError))
         first = np.ones(ids.size, dtype=bool)
         first[1:] = ids[1:] != ids[:-1]
         self._ids = ids[first]
@@ -223,7 +219,7 @@ class IndividualEmbedding:
 
     def rows_batch(self, raw_ids) -> np.ndarray:
         """Rows found by binary search in the sorted vocabulary."""
-        ids = _int64_array(raw_ids, "raw id")
+        ids = int64_array(raw_ids, "raw ids", ConfigurationError)
         pos = np.searchsorted(self._ids, ids)
         found = pos < self._ids.size
         found[found] = self._ids[pos[found]] == ids[found]

@@ -441,3 +441,23 @@ def test_config_rejects_empty_or_negative_sizes(fields):
 def test_config_keeps_seed_count_unchecked_without_pma_and_zero_learning_rate():
     cfg = RankerConfig(aggregation="transformer", d_s=0, learning_rate=0.0, top_mlp=())
     assert (cfg.d_s, cfg.learning_rate, cfg.top_mlp) == (0, 0.0, ())
+
+
+# age buckets against the integer rule: bucket b holds ages of at least
+# 60 * (2^b - 1) s, up to the corpus horizon
+HORIZON_S = 5 * 86_400
+AGE_THRESHOLDS = [60 * (2**b - 1) for b in range(1, 64) if 60 * (2**b - 1) <= HORIZON_S]
+
+
+def integer_bucket(age: int, n_buckets: int) -> int:
+    return min(n_buckets - 1, sum(t <= max(age, 0) for t in AGE_THRESHOLDS))
+
+
+@pytest.mark.parametrize("n_buckets", [1, 2, 8, 32])
+def test_ts_bucket_matches_integer_thresholds_at_every_edge(n_buckets):
+    ages = {0, 1, HORIZON_S, -1, -59, -60, -61, -HORIZON_S, -(10**12)}
+    ages.update(t + step for t in AGE_THRESHOLDS for step in (-1, 0, 1))
+    mismatches = [(a, ts_bucket(a, n_buckets), integer_bucket(a, n_buckets)) for a in sorted(ages)
+                  if ts_bucket(a, n_buckets) != integer_bucket(a, n_buckets)]
+    assert mismatches == []
+    assert len(AGE_THRESHOLDS) == 12  # 60 s .. 68.3 h, all inside the horizon

@@ -215,3 +215,46 @@ def test_well_formed_table_reads_back(tmp_path):
     path = tmp_path / "t.tsv"
     write_table(path, "things", {"seed": 1}, ["a", "b"], [["1", "x"], ["2", ""]])
     assert read_table(path, "things") == ({"seed": "1"}, ["a", "b"], [["1", "x"], ["2", ""]])
+
+
+# text that would not read back as written is refused before the file opens
+@pytest.mark.parametrize("meta, columns, rows, match", [
+    ({"seed": "1\n# config_hash=zzz"}, ["a"], [["1"]], "meta value"),
+    ({"seed": "1\r"}, ["a"], [["1"]], "meta value"),
+    ({"seed": "a\tb"}, ["a"], [["1"]], "meta value"),
+    ({"a=b": 1}, ["a"], [["1"]], "meta key 'a=b' holds '='"),
+    ({"a\nb": 1}, ["a"], [["1"]], "meta key"),
+    ({"seed": 1}, ["a\tb"], [["1"]], "column name"),
+    ({"seed": 1}, ["a", "b"], [["1", "x"], ["2", "y\tz"]], "field 'y\\\\tz' holds"),
+    ({"seed": 1}, ["a"], [["x\ny"]], "field"),
+    ({"seed": 1}, ["a"], [["x\r"]], "field"),
+], ids=[
+    "meta-value-newline", "meta-value-return", "meta-value-tab", "meta-key-equals", "meta-key-newline",
+    "column-tab", "field-tab", "field-newline", "field-return",
+])
+def test_text_that_would_not_read_back_raises_before_the_file_opens(tmp_path, meta, columns, rows, match):
+    path = tmp_path / "t.tsv"
+    with pytest.raises(ArtifactMismatchError, match=match):
+        write_table(path, "things", meta, columns, iter(rows))
+    assert not path.exists()
+
+
+def test_segment_tag_with_a_tab_is_refused(tmp_path):
+    path = tmp_path / "predictions.tsv"
+    with pytest.raises(ArtifactMismatchError, match="field 'he\\\\tad'"):
+        save_predictions(path, RECORDS, {"config_hash": "abc", "seed": 1}, {1: "he\tad"})
+    assert not path.exists()
+
+
+def test_meta_holding_a_header_line_cannot_pass_for_another_run(tmp_path):
+    path = tmp_path / "predictions.tsv"
+    with pytest.raises(ArtifactMismatchError, match="meta value"):
+        save_predictions(path, RECORDS, {"seed": "1\n# config_hash=zzz"})
+    assert not path.exists()
+
+
+def test_equals_and_spaces_in_meta_values_and_fields_read_back(tmp_path):
+    path = tmp_path / "t.tsv"
+    meta, rows = {"seed": "a=b c", "note": "# x"}, [["1 2", "=", ""]]
+    write_table(path, "things", meta, ["a", "b c", "d"], rows)
+    assert read_table(path, "things") == (meta, ["a", "b c", "d"], rows)
