@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ranker
+from .checkpoint import semid_table_arrays
 from .corpus import DAY, ground_truth_ctr
 from .metrics import SingleClassError, normalized_entropy
 
@@ -31,7 +32,6 @@ class SegmentSpec:
     tail: set
     new_items: set
     train_seen: set
-    cutoffs: tuple = (0.25, 0.75)
 
     def tag(self, item_id: int) -> str:
         if item_id in self.head:
@@ -41,8 +41,9 @@ class SegmentSpec:
         return "tail"
 
 
-def build_segments(train_counts: dict, universe, eval_item_ids, cutoffs=(0.25, 0.75)) -> SegmentSpec:
-    """Cut the impression-sorted item list at the cumulative cutoffs.
+def build_segments(train_counts: dict, universe, eval_item_ids) -> SegmentSpec:
+    """Cut the impression-sorted item list at 25% and 75% of cumulative
+    training impressions.
 
     ``train_counts`` maps item id -> training impressions (missing = 0);
     ``universe`` is every item id; items seen only in evaluation form the
@@ -57,17 +58,16 @@ def build_segments(train_counts: dict, universe, eval_item_ids, cutoffs=(0.25, 0
     for idx in order:
         item = universe[idx]
         c = counts[idx]
-        if total > 0 and cum < cutoffs[0] * total:
+        if total > 0 and cum < 0.25 * total:
             head.add(item)
-        elif total > 0 and cum < cutoffs[1] * total:
+        elif total > 0 and cum < 0.75 * total:
             torso.add(item)
         else:
             tail.add(item)
         cum += c
     train_seen = {x for x in universe if train_counts.get(x, 0) > 0}
     new_items = {int(x) for x in eval_item_ids} - train_seen
-    return SegmentSpec(head=head, torso=torso, tail=tail, new_items=new_items,
-                       train_seen=train_seen, cutoffs=tuple(cutoffs))
+    return SegmentSpec(head=head, torso=torso, tail=tail, new_items=new_items, train_seen=train_seen)
 
 
 def _ne_or_note(records) -> dict:
@@ -100,16 +100,15 @@ def segment_ne(records, segments: SegmentSpec) -> dict:
 # drift
 
 
-def default_drift_windows(train_end: int, reference_hours=(48.0, 42.0, 6.0)) -> tuple:
+def default_drift_windows(train_end: int) -> tuple:
     """Early/late training windows, scaled from the 4-day reference.
 
     At a 4-day horizon the early window is [end-48h, end-42h] and the
     late window the last 6 hours; other horizons scale proportionally.
     """
     scale = train_end / (96.0 * 3600.0)
-    early = (train_end - int(reference_hours[0] * 3600 * scale),
-             train_end - int(reference_hours[1] * 3600 * scale))
-    late = (train_end - int(reference_hours[2] * 3600 * scale), train_end)
+    early = (train_end - int(48.0 * 3600 * scale), train_end - int(42.0 * 3600 * scale))
+    late = (train_end - int(6.0 * 3600 * scale), train_end)
     return early, late
 
 
@@ -151,7 +150,8 @@ class ClusterGroupStats:
     distance_std: float | None
 
 
-def _cluster_stats(clusters: list, rng: np.random.Generator, max_pairs=1_000_000) -> ClusterGroupStats:
+def _cluster_stats(clusters: list, rng: np.random.Generator) -> ClusterGroupStats:
+    max_pairs = 1_000_000  # beyond this many centroid pairs, distances come from as many random pairs
     variances = []
     centroids = []
     for members in clusters:
@@ -183,12 +183,12 @@ def _cluster_stats(clusters: list, rng: np.random.Generator, max_pairs=1_000_000
     )
 
 
-def cluster_geometry(item_embeddings: dict, partition: dict, small_sizes=(4, 10), top_n=1000, seed=0) -> dict:
+def cluster_geometry(item_embeddings: dict, partition: dict, small_sizes=(4, 10)) -> dict:
     """Intra-cluster variance and centroid pairwise distance for a
     partition of per-item embedding rows.
 
     Two cluster groups are reported: small clusters (member count inside
-    ``small_sizes`` inclusive) and the ``top_n`` largest. Variance is
+    ``small_sizes`` inclusive) and the 1000 largest. Variance is
     per-dimension, averaged over dimensions then clusters; clusters with
     fewer than two members contribute no variance.
     """
@@ -198,12 +198,12 @@ def cluster_geometry(item_embeddings: dict, partition: dict, small_sizes=(4, 10)
             groups.setdefault(key, []).append(item_embeddings[item_id])
     ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), str(kv[0])))
     clusters = [members for _, members in ordered]
-    rng = np.random.default_rng([seed, 17])
+    rng = np.random.default_rng([0, 17])
     lo, hi = small_sizes
     return {
         "all": _cluster_stats(clusters, rng),
         "small": _cluster_stats([m for m in clusters if lo <= len(m) <= hi], rng),
-        "top": _cluster_stats(clusters[:top_n], rng),
+        "top": _cluster_stats(clusters[:1000], rng),
     }
 
 
@@ -292,14 +292,13 @@ def click_loss_analog(
     counted.
     """
     rng = np.random.default_rng([seed, 23])
-    # (N, L) codes in item order, zeros where the table lacks the item
-    found = [semid_table.get(raw) for raw in items.raw_ids.tolist()]
-    in_table = np.array([c is not None for c in found], dtype=bool)
-    held = [c for c in found if c is not None]
-    if len({len(c) for c in held}) > 1:
-        raise ValueError(f"Semantic ID table mixes code lengths {sorted({len(c) for c in held})}")
-    codes = np.zeros((len(found), len(held[0]) if held else 0), dtype=np.int64)
-    codes[in_table] = held
+    # (N, L) codes in item order; position -1 picks the zero row appended
+    # for items the table lacks
+    _, table_codes = semid_table_arrays(semid_table, ValueError)
+    position = dict(zip(semid_table, range(len(semid_table))))
+    at = np.array([position.get(raw, -1) for raw in items.raw_ids.tolist()], dtype=np.intp)
+    in_table = at >= 0
+    codes = np.vstack([table_codes, np.zeros(table_codes.shape[1], dtype=np.int64)])[at]
 
     out = {k: {"rates": [], "skipped": 0} for k in depths}
     for event in context_events:

@@ -20,6 +20,8 @@ event streams live in this container.
 
 ``int64_array`` is every module's one check for an integer array: a
 value that is not an integer inside int64 raises the caller's own error.
+``semid_table_arrays`` is every reader's one Semantic ID table check, and
+``sorted_distinct`` the one dedupe (``np.unique`` imports numpy.ma, 1.7 MB).
 ``Config`` gives the configs kept in checkpoint meta one ``to_dict``
 (tuples as lists); ``config_from_meta`` rebuilds them by constructor.
 """
@@ -27,6 +29,7 @@ value that is not an integer inside int64 raises the caller's own error.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import struct
@@ -51,6 +54,26 @@ def int64_array(values, what: str, error) -> np.ndarray:
     if array.size and not (kind == "i" or kind == "u" and array.max() < 2**63):
         raise error(f"{what} must be integers inside int64, got {array.dtype} values")
     return array.astype(np.int64, copy=False)
+
+
+def semid_table_arrays(table: dict, error) -> tuple[np.ndarray, np.ndarray]:
+    """A ``{raw_id: codes}`` table as int64 (N,) IDs and (N, L) codes in table order; raises
+    ``error`` when code lengths differ or a key or code is not an integer inside int64."""
+    lengths = {len(codes) for codes in table.values()}
+    if len(lengths) > 1:
+        raise error(f"Semantic ID code sequences differ in length: code lengths {sorted(lengths)}")
+    raw_ids = int64_array(list(table), "Semantic ID table keys", error)
+    # a flat list converts in about half the time of a list of tuples
+    codes = int64_array(list(itertools.chain.from_iterable(table.values())), "codes", error)
+    return raw_ids, codes.reshape(len(table), lengths.pop() if lengths else 0)
+
+
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending, as ``np.unique`` gives them."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
 
 
 def save_checkpoint(path, params, meta=None) -> None:

@@ -240,10 +240,6 @@ def forward(model: RankerModel, event) -> ForwardResult:
     )
 
 
-def clip_prediction(p: float) -> float:
-    return min(max(p, PREDICTION_CLIP), 1.0 - PREDICTION_CLIP)
-
-
 @dataclass(slots=True)
 class PredictionRecord:
     event_id: int
@@ -339,13 +335,12 @@ def evaluate(model: RankerModel, events, keep_attention: bool = False) -> EvalRe
     if not events:
         raise ValueError("empty evaluation stream")
     probabilities, attentions = score(model, events, keep_attention)
+    probabilities = np.clip(probabilities, PREDICTION_CLIP, 1.0 - PREDICTION_CLIP)
     records = [
-        PredictionRecord(event.event_id, event.label, clip_prediction(prob), event.item_id)
+        PredictionRecord(event.event_id, event.label, prob, event.item_id)
         for event, prob in zip(events, probabilities.tolist())
     ]
-    labels = np.array([float(r.label) for r in records])
-    preds = np.array([r.prediction for r in records])
-    ne = normalized_entropy(labels, preds)
+    ne = normalized_entropy([event.label for event in events], probabilities)
     return EvalResult(ne=ne, records=records, attentions=attentions)
 
 

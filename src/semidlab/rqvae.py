@@ -31,9 +31,9 @@ from .checkpoint import (
     assign_checkpoint_params,
     check_arrays,
     config_from_meta,
-    int64_array,
     load_checkpoint,
     save_checkpoint,
+    semid_table_arrays,
 )
 from .mlp import init_mlp, mlp
 
@@ -439,17 +439,12 @@ def save_semid_table(path, assignments: dict, meta: dict) -> None:
 
     The file holds an int64 ``raw_ids`` (N,) array in ascending order and
     an int64 ``codes`` (N, L) array whose row i is the code sequence of
-    ``raw_ids[i]``. Code sequences of different lengths, or an ID or code
-    that is not an integer inside int64, raise RqVaeConfigError before the
-    file is opened.
+    ``raw_ids[i]``. A table that ``checkpoint.semid_table_arrays`` refuses
+    raises RqVaeConfigError before the file is opened.
     """
-    raw_ids = sorted(assignments)
-    rows = [assignments[raw_id] for raw_id in raw_ids]
-    width = len(rows[0]) if rows else 0
-    if any(len(codes) != width for codes in rows):
-        raise RqVaeConfigError(f"code sequences differ in length: {sorted({len(codes) for codes in rows})}")
-    raw_ids, codes = int64_array(raw_ids, "raw IDs", RqVaeConfigError), int64_array(rows, "codes", RqVaeConfigError)
-    save_checkpoint(path, {"raw_ids": raw_ids, "codes": codes.reshape(len(rows), width)}, meta=meta)
+    raw_ids, codes = semid_table_arrays(assignments, RqVaeConfigError)
+    order = np.argsort(raw_ids)
+    save_checkpoint(path, {"raw_ids": raw_ids[order], "codes": codes[order]}, meta=meta)
 
 
 def load_semid_table(path):

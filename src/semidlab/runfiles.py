@@ -5,10 +5,9 @@ Prediction dumps are the only text tables: tab-separated, with a string
 `#`-prefixed header lines so downstream stages can refuse mismatched
 inputs. Writers serialize floats with Python's shortest round-trip repr,
 which parses back bit-exactly. Text that would not read back as written
-(a tab, newline or carriage return anywhere, or an ``=`` in a meta key)
-is refused before the file is opened. Numeric arrays (model parameters,
-item, user and Semantic ID tables, event streams) go into the binary
-container of ``checkpoint``.
+(see ``write_table``) is refused before the file is opened. Numeric
+arrays (model parameters, item, user and Semantic ID tables, event
+streams) go into the binary container of ``checkpoint``.
 """
 
 from __future__ import annotations
@@ -18,9 +17,10 @@ import json
 import re
 
 # a tab splits a field, a newline or carriage return ends a line, and the
-# first "=" of a header line ends its meta key
+# first "=" of a header line ends its meta key; a key "columns: ..."
+# would read back as the columns line
 _FIELD_BREAK = re.compile(r"[\t\n\r]")
-_KEY_BREAK = re.compile(r"[\t\n\r=]")
+_KEY_BREAK = re.compile(r"[\t\n\r=]|^columns: ")
 
 
 class ArtifactMismatchError(ValueError):
@@ -51,8 +51,8 @@ def write_table(path, kind: str, meta: dict, columns, rows) -> None:
     """Write a line-delimited table with header comments; tab-separated.
 
     A column name, field, meta key or meta value holding a tab, newline
-    or carriage return, or a meta key holding ``=``, raises
-    ArtifactMismatchError before the file is opened.
+    or carriage return, or a meta key holding ``=`` or starting with
+    ``columns: ``, raises ArtifactMismatchError before the file is opened.
     """
     _check_text(path, "meta key", map(str, meta), _KEY_BREAK)
     _check_text(path, "meta value", map(str, meta.values()))
@@ -73,12 +73,13 @@ def write_table(path, kind: str, meta: dict, columns, rows) -> None:
 def read_table(path, kind: str):
     """Read a table written by ``write_table``; returns (meta, columns, rows).
 
-    Raises ArtifactMismatchError on a foreign header or on a row whose
-    field count differs from the ``# columns:`` line before it.
+    Raises ArtifactMismatchError on a foreign header or on a row (every
+    line after the ``# columns:`` line) whose field count differs from it.
     """
     meta: dict[str, str] = {}
     columns: list[str] = []
     rows: list[list[str]] = []
+    in_header = True
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
         expected = f"# semidlab {kind} v1"
@@ -86,12 +87,13 @@ def read_table(path, kind: str):
             raise ArtifactMismatchError(f"{path}: expected header {expected!r}, got {first!r}")
         for line in fh:
             line = line.rstrip("\n")
-            if line.startswith("# columns: "):
+            if in_header and line.startswith("# columns: "):
                 columns = line[len("# columns: ") :].split("\t")
-            elif line.startswith("# "):
+                in_header = False
+            elif in_header and line.startswith("# "):
                 key, _, value = line[2:].partition("=")
                 meta[key] = value
-            elif line:
+            elif line or not in_header:
                 row = line.split("\t")
                 if len(row) != len(columns):
                     raise ArtifactMismatchError(

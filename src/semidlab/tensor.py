@@ -32,6 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import sorted_distinct
+
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible with the requested operation."""
@@ -323,12 +325,7 @@ def gather_groups(table: Tensor, index) -> Tensor:
             gt = np.zeros_like(tv)
             np.add.at(gt, rows, values)
             return (gt,)
-        # sort and drop repeats; ``np.unique`` would import numpy.ma
-        # (about 1.7 MB resident) on first use
-        distinct = np.sort(rows)
-        first = np.ones(distinct.size, dtype=bool)
-        first[1:] = distinct[1:] != distinct[:-1]
-        distinct = distinct[first]
+        distinct = sorted_distinct(rows)
         sums = np.zeros((distinct.size, tv.shape[1]))
         np.add.at(sums, np.searchsorted(distinct, rows), values)
         return (RowGrad(tv.shape, distinct, sums),)
@@ -580,8 +577,11 @@ class SGD:
 DENSE_STEP_SHARE = 0.6
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam with the usual defaults: betas (0.9, 0.999), eps 1e-8.
+    """Adam with betas (``ADAM_BETA1``, ``ADAM_BETA2``) and eps ``ADAM_EPS``.
 
     A row whose moments m and v are 0 and whose gradient is 0 is a fixed
     point of the update (m and v stay +0.0 and the step is
@@ -594,11 +594,9 @@ class Adam:
     m and v start as untouched zero pages.
     """
 
-    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = _checked_lr(lr)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros(p.value.shape) for p in self.params]
         self._v = [np.zeros(p.value.shape) for p in self.params]
@@ -608,17 +606,16 @@ class Adam:
 
     def _moments_step(self, m, v, g, bias1, bias2):
         """Update m and v in place; return the step to subtract."""
-        b1, b2 = self.beta1, self.beta2
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        return self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
+        return self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
     def step(self):
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        bias1 = 1.0 - ADAM_BETA1**self.t
+        bias2 = 1.0 - ADAM_BETA2**self.t
         for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
             if p._grad is None:
                 continue

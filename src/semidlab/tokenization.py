@@ -10,16 +10,16 @@ of N IDs to an N-by-G integer array with ``rows_batch``, where G is the
 lookup's ``output_count``; both give the same rows for the same ID.
 
 Raw IDs and codes are int64 values, and pre-hash indices stay below
-2^62: a raw ID outside int64, in ``rows``, in ``rows_batch`` or as a
-table or vocabulary key, and a parameterization whose index space
-K^(L+1) reaches 2^62 raise ConfigurationError. So each mapping has one
-array implementation. Its array entry points (``parameterize_batch``,
-the ``RandomHash`` and ``IndividualEmbedding`` ``rows_batch``, the
-vocabulary) raise it for a non-integer such as 1.5 or "7" too.
-``RandomHash.rows`` and ``SemanticIdLookup.rows`` keep a per-ID path (a
-scalar hash, a dict lookup, a scalar int64 check) because a single ID
-through numpy costs several times more, and callers that map one ID at
-a time, such as the corpus tokenizer benchmark, would pay that per ID.
+2^62. ``checkpoint.int64_array``'s rule decides what a raw ID is on
+every path: a value that is not an integer inside int64 (1.9, True,
+np.float64(1.0), "7", 2^63) in ``rows``, ``rows_batch`` or a table or
+vocabulary key raises ConfigurationError rather than taking another
+ID's rows, as does an index space K^(L+1) that reaches 2^62. Each
+mapping has one array implementation; ``RandomHash.rows`` and
+``SemanticIdLookup.rows`` keep a per-ID path (a scalar hash, a dict
+lookup, numpy only for an ID that is not an exact ``int``) because one
+ID through numpy costs several times more, and callers that map one ID
+at a time, such as the corpus tokenizer benchmark, would pay it per ID.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import int64_array
+from .checkpoint import int64_array, semid_table_arrays, sorted_distinct
 
 log = logging.getLogger(__name__)
 
@@ -81,9 +81,11 @@ class TokenParameterization:
         return self.prefix_depth
 
 
-def _check_int64(value: int, what: str) -> None:
-    if not -(2**63) <= value < 2**63:
-        raise ConfigurationError(f"{what} {value} outside int64")
+def _raw_id(raw_id) -> int:
+    """One raw ID as an int under ``int64_array``'s rule; an exact int skips numpy."""
+    if type(raw_id) is int and -(2**63) <= raw_id < 2**63:
+        return raw_id
+    return int(int64_array(raw_id, "raw id", ConfigurationError))
 
 
 def parameterize(codes, p: TokenParameterization) -> list[int]:
@@ -183,9 +185,7 @@ class RandomHash:
         self.output_count = 1
 
     def rows(self, raw_id: int) -> list[int]:
-        raw_id = int(raw_id)
-        _check_int64(raw_id, "raw id")
-        return [_splitmix64((raw_id & _MASK64) ^ self.seed_mix) % self.table_size]
+        return [_splitmix64((_raw_id(raw_id) & _MASK64) ^ self.seed_mix) % self.table_size]
 
     def rows_batch(self, raw_ids) -> np.ndarray:
         # the uint64 view of an int64 ID is its value modulo 2^64, as in ``rows``
@@ -204,12 +204,7 @@ class IndividualEmbedding:
     kind = "individual"
 
     def __init__(self, vocabulary):
-        # sort and drop repeats; ``np.unique`` would import numpy.ma
-        # (about 1.7 MB resident) on first use
-        ids = np.sort(int64_array(list(vocabulary), "vocabulary ids", ConfigurationError))
-        first = np.ones(ids.size, dtype=bool)
-        first[1:] = ids[1:] != ids[:-1]
-        self._ids = ids[first]
+        self._ids = sorted_distinct(int64_array(list(vocabulary), "vocabulary ids", ConfigurationError))
         self.unseen_row = self._ids.size
         self.table_size = self._ids.size + 1
         self.output_count = 1
@@ -232,7 +227,8 @@ class SemanticIdLookup:
     The constructor expands every code once into an (N+1)-by-G row
     array: row i holds the rows of the table's i-th ID, and the last row
     those of the all-zeros fallback code. ``rows`` and ``rows_batch``
-    read from it through one ID-to-position dict. A key outside int64, a
+    read from it through one dict from the table's own keys to
+    positions. A table that ``checkpoint.semid_table_arrays`` refuses, a
     code outside [0, K) or an index space K^(L+1) at or past 2^62 raises
     ConfigurationError here, not at the first lookup.
 
@@ -246,33 +242,26 @@ class SemanticIdLookup:
     def __init__(self, id_table, parameterization: TokenParameterization, table_size: int):
         if not id_table:
             raise ConfigurationError("empty Semantic ID table")
-        lengths = {len(c) for c in id_table.values()}
-        if len(lengths) != 1:
-            raise ConfigurationError(f"inconsistent code lengths in table: {sorted(lengths)}")
-        self.levels = lengths.pop()
+        _, codes = semid_table_arrays(id_table, ConfigurationError)
+        self.levels = codes.shape[1]
         self.parameterization = parameterization
         self.output_count = parameterization.output_count(self.levels)
         self.table_size = int(table_size)
-        # min and max check the keys without copying them into new int
-        # objects, which the dict would keep alive beside the table's own
-        self._position = dict(zip(map(int, id_table), range(len(id_table))))
-        _check_int64(min(self._position), "Semantic ID table key")
-        _check_int64(max(self._position), "Semantic ID table key")
+        self._position = dict(zip(id_table, range(len(id_table))))
         self._fallback = len(id_table)
-        pre = parameterize_batch([*id_table.values(), (0,) * self.levels], parameterization)
+        pre = parameterize_batch(np.vstack([codes, np.zeros(self.levels, dtype=np.int64)]), parameterization)
         self._rows = fit_to_table_batch(pre, self.table_size)
 
-    def _index(self, raw_id) -> int:
-        raw_id = int(raw_id)
+    def _index(self, raw_id: int) -> int:
         pos = self._position.get(raw_id)
         if pos is None:
-            _check_int64(raw_id, "raw id")
             log.warning("raw id %d missing from Semantic ID table; using all-zeros code", raw_id)
             return self._fallback
         return pos
 
     def rows(self, raw_id: int) -> list[int]:
-        return self._rows[self._index(raw_id)].tolist()
+        return self._rows[self._index(_raw_id(raw_id))].tolist()
 
     def rows_batch(self, raw_ids) -> np.ndarray:
-        return self._rows[np.array([self._index(i) for i in raw_ids], dtype=np.intp)]
+        ids = int64_array(raw_ids, "raw ids", ConfigurationError).tolist()
+        return self._rows[np.array([self._index(i) for i in ids], dtype=np.intp)]

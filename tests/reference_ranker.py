@@ -12,13 +12,12 @@ import math
 import numpy as np
 
 from semidlab import tensor as T
-from semidlab.metrics import normalized_entropy
+from semidlab.metrics import PREDICTION_CLIP, normalized_entropy
 from semidlab.ranker import (
     EvalResult,
     ForwardResult,
     PredictionRecord,
     TrainResult,
-    clip_prediction,
     ts_bucket,
 )
 
@@ -139,7 +138,8 @@ def evaluate(model, events, keep_attention: bool = False) -> EvalResult:
     records, attentions = [], []
     for event in events:
         out = forward(model, event)
-        records.append(PredictionRecord(event.event_id, event.label, clip_prediction(out.probability), event.item_id))
+        prediction = min(max(out.probability, PREDICTION_CLIP), 1.0 - PREDICTION_CLIP)
+        records.append(PredictionRecord(event.event_id, event.label, prediction, event.item_id))
         if keep_attention and out.attention is not None:
             attentions.append((out.attention, out.pad_positions))
     ne = normalized_entropy([r.label for r in records], [r.prediction for r in records])
