@@ -23,7 +23,8 @@ value that is not an integer inside int64 raises the caller's own error.
 ``semid_table_arrays`` is every reader's one Semantic ID table check, and
 ``sorted_distinct`` the one dedupe (``np.unique`` imports numpy.ma, 1.7 MB).
 ``Config`` gives the configs kept in checkpoint meta one ``to_dict``
-(tuples as lists); ``config_from_meta`` rebuilds them by constructor.
+(tuples as lists) and one rule that their float values are finite;
+``config_from_meta`` rebuilds them by constructor.
 """
 
 from __future__ import annotations
@@ -185,7 +186,15 @@ def assign_checkpoint_params(params: dict, saved: dict, path) -> None:
 
 
 class Config:
-    """Base of the dataclass configs; ``to_dict`` writes tuples as lists."""
+    """Base of the dataclass configs; ``to_dict`` writes tuples as lists and
+    ``check_finite``, which every ``__post_init__`` calls, refuses NaN and infinite floats."""
+
+    def check_finite(self, error) -> None:
+        """Raise ``error`` unless every float field, tuple entries included, is finite."""
+        for name, value in dataclasses.asdict(self).items():
+            entries = value if isinstance(value, (tuple, list)) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise error(f"{name} must be finite, got {value!r}")
 
     def to_dict(self) -> dict:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in dataclasses.asdict(self).items()}

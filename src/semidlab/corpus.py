@@ -76,10 +76,15 @@ class CorpusConfig(Config):
     def __post_init__(self):
         self.branching = tuple(int(b) for b in self.branching)
         self.level_scales = tuple(float(s) for s in self.level_scales)
+        self.check_finite(CorpusConfigError)
         if min(self.n_items, self.n_users, self.n_train_events, self.n_eval_events) <= 0:
             raise CorpusConfigError("item, user, and event counts must be positive")
         if len(self.branching) != 3 or min(self.branching) < 1:
             raise CorpusConfigError("branching must be three positive component counts")
+        if len(self.level_scales) != 4:
+            raise CorpusConfigError(f"level_scales must hold four scales, got {self.level_scales}")
+        if self.temperature <= 0 or self.embedding_dim < 1:
+            raise CorpusConfigError("temperature and embedding_dim must be positive")
         if self.horizon_days < 1.0:
             raise CorpusConfigError("horizon must be at least one day")
         if self.train_days + self.eval_hours / 24.0 > self.horizon_days + 1e-9:

@@ -9,7 +9,10 @@ the collected vectors followed by an MLP and a sigmoid.
 
 History sequences are most-recent-first. Positions beyond the real
 history hold a learned pad embedding; attention is deliberately not
-masked over pads, so pad-attention statistics are measurable.
+masked over pads, so pad-attention statistics are measurable. Each
+history entry adds the row of its age bucket: bucket b holds integer
+ages of at least 60 * (2^b - 1) s, capped at b = 57, the last bucket an
+int64 age reaches. One ``np.searchsorted`` buckets a minibatch's ages.
 
 A minibatch of B events is scored as one graph (``forward_batch``).
 Each lookup turns the batch's IDs into an integer row array, with -1
@@ -32,7 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import Config, assign_checkpoint_params, config_from_meta, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    Config,
+    assign_checkpoint_params,
+    config_from_meta,
+    int64_array,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .metrics import PREDICTION_CLIP, normalized_entropy
 from .mlp import init_mlp, mlp
 from .runfiles import ArtifactMismatchError, field_error, read_table, write_table
@@ -65,14 +75,17 @@ class RankerConfig(Config):
     seed: int = 0
 
     def __post_init__(self):
+        self.check_finite(RankerConfigError)
         if self.aggregation not in AGGREGATIONS:
             raise RankerConfigError(f"unknown aggregation {self.aggregation!r}")
+        if not isinstance(self.optimizer, str) or self.optimizer not in T.OPTIMIZERS:
+            raise RankerConfigError(f"unknown optimizer {self.optimizer!r}; known: {sorted(T.OPTIMIZERS)}")
         if min(self.history_length, self.d_m, self.n_ts_buckets, self.batch_size) < 1:
             raise RankerConfigError("history_length, d_m, n_ts_buckets and batch_size must be positive")
         if self.aggregation == "pma" and self.d_s < 1:
             raise RankerConfigError("pooled attention needs at least one seed query (d_s)")
-        if not (math.isfinite(self.learning_rate) and math.copysign(1.0, self.learning_rate) > 0):
-            raise RankerConfigError("learning_rate must be finite and not negative (-0.0 included)")
+        if math.copysign(1.0, self.learning_rate) < 0:
+            raise RankerConfigError("learning_rate must not be negative (-0.0 included)")
         self.top_mlp = tuple(int(w) for w in self.top_mlp)
         if any(w < 1 for w in self.top_mlp):
             raise RankerConfigError(f"top_mlp widths must be positive, got {self.top_mlp}")
@@ -133,11 +146,14 @@ class RankerModel:
         return cls(config=config, target_lookup=target_lookup, history_lookup=history_lookup, params=p)
 
 
-def ts_bucket(age_seconds: int, n_buckets: int) -> int:
-    """Log-spaced age buckets: bucket 0 is under a minute, each further
-    bucket doubles the age span."""
-    age = max(int(age_seconds), 0)
-    return min(n_buckets - 1, int(math.log2(1.0 + age / 60.0)))
+# where bucket b >= 1 starts; 60 * (2^58 - 1) s is past the largest int64
+AGE_THRESHOLDS = np.array([60 * (2**b - 1) for b in range(1, 58)], dtype=np.int64)
+
+
+def ts_bucket(age_seconds, n_buckets: int):
+    """Age bucket of an int or of each entry of an int64 array, at most
+    n_buckets - 1; bucket 0 holds ages under a minute, negative ones too."""
+    return np.minimum(np.searchsorted(AGE_THRESHOLDS, age_seconds, side="right"), n_buckets - 1)
 
 
 @dataclass
@@ -165,13 +181,12 @@ def _history_block(model: RankerModel, events) -> tuple[T.Tensor, np.ndarray]:
     """
     cfg = model.config
     t = cfg.history_length
-    item_ids = []
+    histories = [event.history[:t] for event in events]
+    pad_mask = np.arange(t) >= np.array([len(h) for h in histories])[:, None]
+    item_ids = [item for h in histories for item, _ in h]
+    ages = [event.timestamp - ts for event, h in zip(events, histories) for _, ts in h]
     buckets = np.full((len(events), t), -1, dtype=np.intp)
-    for i, event in enumerate(events):
-        for j, (item, ts) in enumerate(event.history[:t]):
-            item_ids.append(item)
-            buckets[i, j] = ts_bucket(event.timestamp - ts, cfg.n_ts_buckets)
-    pad_mask = buckets < 0
+    buckets[~pad_mask] = ts_bucket(int64_array(ages, "history ages", ConfigurationError), cfg.n_ts_buckets)
     item_rows = np.full((len(events), t, model.history_lookup.output_count), -1, dtype=np.intp)
     item_rows[~pad_mask] = model.history_lookup.rows_batch(item_ids)
     p = model.params

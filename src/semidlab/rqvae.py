@@ -1,7 +1,7 @@
 """Residual-quantized autoencoder over content embeddings.
 
-An MLP encoder maps a content embedding to a latent vector, a stack of
-codebooks greedily quantizes the latent level by level (each level
+An MLP encoder maps content embeddings to latent vectors, a stack of
+codebooks greedily quantizes the latents level by level (each level
 approximating the residual the previous levels left behind), and an MLP
 decoder reconstructs the input from the summed codewords. Both MLPs are
 ``mlp.mlp`` stacks named ``enc`` and ``dec``: graph-building on a
@@ -9,6 +9,11 @@ decoder reconstructs the input from the summed codewords. Both MLPs are
 training the model is frozen and every item receives its code sequence,
 which downstream modules treat as the item's hierarchical semantic
 identifier.
+
+The API is batch-only: ``encode`` and ``loss`` take an (N, input_dim)
+array (one item is a (1, input_dim) batch) and ``quantize_batch`` an
+(N, latent_dim) one. A 1-D input to ``encode`` or ``loss`` raises
+``tensor.DimensionError``.
 
 Loss routing follows the usual stop-gradient scheme: the commitment
 term (weighted by ``commitment_weight``) pulls the encoder toward the
@@ -62,6 +67,9 @@ class RqVaeConfig(Config):
     seed: int = 0
 
     def __post_init__(self):
+        self.check_finite(RqVaeConfigError)
+        if not isinstance(self.optimizer, str) or self.optimizer not in T.OPTIMIZERS:
+            raise RqVaeConfigError(f"unknown optimizer {self.optimizer!r}; known: {sorted(T.OPTIMIZERS)}")
         if self.levels < 1:
             raise RqVaeConfigError("levels must be at least 1")
         if self.codebook_size < 2:
@@ -72,8 +80,8 @@ class RqVaeConfig(Config):
             raise RqVaeConfigError("input_dim, latent_dim and batch_size must be positive")
         if min(self.epochs, self.kmeans_iters) < 0:
             raise RqVaeConfigError("epochs and kmeans_iters must not be negative")
-        if not (math.isfinite(self.learning_rate) and math.copysign(1.0, self.learning_rate) > 0):
-            raise RqVaeConfigError("learning_rate must be finite and not negative (-0.0 included)")
+        if math.copysign(1.0, self.learning_rate) < 0:
+            raise RqVaeConfigError("learning_rate must not be negative (-0.0 included)")
         if self.hidden_sizes is None:
             self.hidden_sizes = (2 * self.latent_dim,)
         else:
@@ -107,23 +115,11 @@ class RqVaeModel:
 
 
 def encode(model: RqVaeModel, x) -> np.ndarray:
-    """Deterministic encoder forward pass; accepts a vector or a batch."""
+    """Deterministic encoder forward pass over an (N, input_dim) batch."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.shape[1] != model.config.input_dim:
-        raise T.DimensionError(
-            f"expected embeddings of dim {model.config.input_dim}, got {batch.shape[1]}"
-        )
-    z = mlp(model.params, "enc", batch)
-    return z[0] if single else z
-
-
-@dataclass
-class QuantizeResult:
-    codes: tuple  # (c_1, ..., c_L)
-    residuals: list  # L+1 vectors: r_1 = z through the final residual
-    quantized: np.ndarray  # z minus the final residual (telescoped sum of codewords)
+    if x.ndim != 2 or x.shape[1] != model.config.input_dim:
+        raise T.DimensionError(f"expected an (N, {model.config.input_dim}) batch, got shape {x.shape}")
+    return mlp(model.params, "enc", x)
 
 
 # rows per block of the nearest-codeword search: a (block, K) distance
@@ -177,28 +173,15 @@ def quantize_batch(model: RqVaeModel, z: np.ndarray):
     return codes, residuals, z - residuals[-1]
 
 
-def quantize(model: RqVaeModel, z) -> QuantizeResult:
-    """Quantize one latent vector."""
-    z = np.asarray(z, dtype=np.float64)
-    codes, residuals, quantized = quantize_batch(model, z[None, :])
-    return QuantizeResult(
-        codes=tuple(int(c) for c in codes[0]),
-        residuals=[r[0] for r in residuals],
-        quantized=quantized[0],
-    )
-
-
 @dataclass
 class LossParts:
     total: T.Tensor  # graph scalar, mean over the batch
-    reconstruction: float
-    commitment: float  # sum over levels of the codeword-residual distance
     codes: np.ndarray  # N x L codes the quantizer picked for the batch
     residuals: list  # L+1 arrays, as returned by quantize_batch
 
 
 def loss(model: RqVaeModel, x) -> LossParts:
-    """Training loss for a batch (or single embedding) with stop-gradients.
+    """Training loss for an (N, input_dim) batch with stop-gradients.
 
     ``total = reconstruction + (1 + commitment_weight) * commitment``
     numerically; gradient-wise the weighted half reaches only the
@@ -206,9 +189,8 @@ def loss(model: RqVaeModel, x) -> LossParts:
     """
     if model.frozen:
         raise FrozenModelError("loss() produces gradients; model is frozen")
+    # a 1-D input raises DimensionError in the encoder's first matmul
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
     n = x.shape[0]
     beta = model.config.commitment_weight
 
@@ -231,20 +213,12 @@ def loss(model: RqVaeModel, x) -> LossParts:
     # straight-through: decode the quantized latent, pass gradient to z
     z_st = T.add(z_t, T.constant(quantized - z))
     x_hat = mlp(model.params, "dec", z_st)
-    recon = T.sum_sq(T.sub(T.constant(x), x_hat))
-
-    total = recon
+    total = T.sum_sq(T.sub(T.constant(x), x_hat))
     for term in terms:
         total = T.add(total, term)
     total = T.scale(total, 1.0 / n)
 
-    return LossParts(
-        total=total,
-        reconstruction=float(recon.value) / n,
-        commitment=_commitment(residuals),
-        codes=codes,
-        residuals=residuals,
-    )
+    return LossParts(total=total, codes=codes, residuals=residuals)
 
 
 def _commitment(residuals: list) -> float:

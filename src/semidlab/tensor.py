@@ -640,9 +640,11 @@ class Adam:
         zero_grads(self.params)
 
 
+# every optimizer name a config may give
+OPTIMIZERS = {"sgd": SGD, "adam": Adam}
+
+
 def make_optimizer(kind: str, params, lr):
-    if kind == "sgd":
-        return SGD(params, lr)
-    if kind == "adam":
-        return Adam(params, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")
+    if kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {kind!r}")
+    return OPTIMIZERS[kind](params, lr)

@@ -66,6 +66,17 @@ class TestConfigValidation:
             small_config(n_items=0)
 
 
+@pytest.mark.parametrize("fields", [
+    {"temperature": float("nan")}, {"temperature": 0.0}, {"temperature": -1.0}, {"embedding_dim": 0},
+    {"level_scales": (1.0, 0.5)}, {"level_scales": (1.0, 0.5, float("inf"), 0.1)},
+    {"median_lifetime_days": float("nan")}, {"train_days": float("nan")}, {"ctr_bias": float("-inf")},
+    {"zipf_exponent": float("nan")},
+])
+def test_config_rejects_values_that_fail_late_or_silently(fields):
+    with pytest.raises(CorpusConfigError):
+        small_config(**fields)
+
+
 class TestItemGeneration:
     def test_initial_cohort_survival_at_median(self):
         # half the starting corpus should be gone by the median lifetime

@@ -25,7 +25,7 @@ from semidlab.ranker import (
     train_one_epoch,
     ts_bucket,
 )
-from semidlab.tokenization import RandomHash, SemanticIdLookup, TokenParameterization
+from semidlab.tokenization import ConfigurationError, RandomHash, SemanticIdLookup, TokenParameterization
 
 from fdcheck import assert_grads_close, fd_grad
 from reference_ranker import sparse_embed
@@ -431,7 +431,8 @@ class TestPersistence:
 @pytest.mark.parametrize("fields", [
     {"batch_size": 0}, {"aggregation": "pma", "d_s": 0}, {"n_ts_buckets": 0}, {"top_mlp": (8, 0)},
     {"top_mlp": (-1,)}, {"learning_rate": -0.01}, {"learning_rate": float("nan")},
-    {"learning_rate": float("inf")}, {"learning_rate": -0.0},
+    {"learning_rate": float("inf")}, {"learning_rate": -0.0}, {"optimizer": "Adam"}, {"optimizer": "adamw"},
+    {"optimizer": ["adam"]},
 ])
 def test_config_rejects_empty_or_negative_sizes(fields):
     with pytest.raises(RankerConfigError):
@@ -453,7 +454,7 @@ def integer_bucket(age: int, n_buckets: int) -> int:
     return min(n_buckets - 1, sum(t <= max(age, 0) for t in AGE_THRESHOLDS))
 
 
-@pytest.mark.parametrize("n_buckets", [1, 2, 8, 32])
+@pytest.mark.parametrize("n_buckets", [1, 2, 8, 32, 64, 200])
 def test_ts_bucket_matches_integer_thresholds_at_every_edge(n_buckets):
     ages = {0, 1, HORIZON_S, -1, -59, -60, -61, -HORIZON_S, -(10**12)}
     ages.update(t + step for t in AGE_THRESHOLDS for step in (-1, 0, 1))
@@ -461,3 +462,28 @@ def test_ts_bucket_matches_integer_thresholds_at_every_edge(n_buckets):
                   if ts_bucket(a, n_buckets) != integer_bucket(a, n_buckets)]
     assert mismatches == []
     assert len(AGE_THRESHOLDS) == 12  # 60 s .. 68.3 h, all inside the horizon
+
+
+# every bucket start below 2^63: b = 1 .. 57
+INT64_THRESHOLDS = [60 * (2**b - 1) for b in range(1, 64) if 60 * (2**b - 1) < 2**63]
+
+
+@pytest.mark.parametrize("n_buckets", [1, 32, 57, 58, 64, 200])
+def test_ts_bucket_on_int64_array_matches_scalars_up_to_int64_max(n_buckets):
+    ages = {-(2**63), -1, 0, 2**63 - 1}
+    ages.update(t + step for t in INT64_THRESHOLDS for step in (-1, 0, 1))
+    ages = sorted(ages)
+    buckets = ts_bucket(np.array(ages, dtype=np.int64), n_buckets)
+    assert buckets.tolist() == [ts_bucket(a, n_buckets) for a in ages]
+    # Python-int thresholds cannot wrap, so any wrapped int64 threshold shows here
+    assert buckets.tolist() == [min(n_buckets - 1, sum(t <= a for t in INT64_THRESHOLDS)) for a in ages]
+    assert (np.diff(buckets) >= 0).all()
+    assert buckets[-1] == min(n_buckets - 1, 57)
+    assert len(INT64_THRESHOLDS) == 57
+
+
+@pytest.mark.parametrize("history", [((1.9, 9000),), ((True, 9000),), ((2**63, 9000),), ((3, 900.5),)])
+def test_non_integer_history_raises_configuration_error(history):
+    model = make_model()
+    with pytest.raises(ConfigurationError):
+        forward_batch(model, [event(history=history)])

@@ -18,8 +18,8 @@ from semidlab.rqvae import (
     encode,
     load_rqvae,
     load_semid_table,
+    evaluate_loss,
     loss,
-    quantize,
     quantize_batch,
     save_rqvae,
     save_semid_table,
@@ -54,45 +54,51 @@ class TestEncode:
         model = RqVaeModel.initialize(cfg)
         model.params["enc.0.w"].value[:] = 0.0
         model.params["enc.0.b"].value[:] = [1.5, -2.0]
-        np.testing.assert_array_equal(encode(model, [9.0, 9.0, 9.0]), [1.5, -2.0])
+        np.testing.assert_array_equal(encode(model, [[9.0, 9.0, 9.0]]), [[1.5, -2.0]])
 
     def test_identity_configuration_passes_input_through(self):
         model = scalar_identity_model([[-1.0, 1.0]])
-        assert encode(model, [0.8])[0] == 0.8
+        assert encode(model, [[0.8]])[0, 0] == 0.8
 
     def test_frozen_encode_is_deterministic(self):
         cfg = RqVaeConfig(levels=2, codebook_size=4, input_dim=5, latent_dim=3, seed=2)
         model = RqVaeModel.initialize(cfg)
         model.frozen = True
-        x = np.random.default_rng(0).normal(size=5)
+        x = np.random.default_rng(0).normal(size=(1, 5))
         assert np.array_equal(encode(model, x), encode(model, x))
+
+    @pytest.mark.parametrize("call", [encode, loss])
+    def test_single_vector_rejected(self, call):
+        cfg = RqVaeConfig(levels=1, codebook_size=2, input_dim=3, latent_dim=2)
+        with pytest.raises(T.DimensionError):
+            call(RqVaeModel.initialize(cfg), [1.0, 2.0, 3.0])
 
     def test_dimension_mismatch(self):
         cfg = RqVaeConfig(levels=1, codebook_size=2, input_dim=4, latent_dim=2)
         with pytest.raises(T.DimensionError):
-            encode(RqVaeModel.initialize(cfg), [1.0, 2.0])
+            encode(RqVaeModel.initialize(cfg), [[1.0, 2.0]])
 
 
 class TestQuantize:
     def test_two_level_hand_case(self):
         model = scalar_identity_model([[-1.0, 1.0], [-0.25, 0.25]])
-        q = quantize(model, [0.8])
-        assert q.codes == (1, 0)
-        assert q.quantized[0] == 0.75
-        assert q.residuals[0][0] == 0.8
+        codes, residuals, quantized = quantize_batch(model, [[0.8]])
+        assert codes.tolist() == [[1, 0]]
+        assert quantized[0, 0] == 0.75
+        assert residuals[0][0, 0] == 0.8
 
     def test_exact_codeword_with_zero_deeper_level(self):
         model = scalar_identity_model([[-1.0, 1.0], [0.0, 0.5]])
-        q = quantize(model, [1.0])
-        assert q.codes[0] == 1
-        assert q.residuals[1][0] == 0.0
-        assert q.codes[1] == 0  # the zero codeword absorbs a zero residual
-        assert q.residuals[2][0] == 0.0
+        codes, residuals, _ = quantize_batch(model, [[1.0]])
+        assert codes[0, 0] == 1
+        assert residuals[1][0, 0] == 0.0
+        assert codes[0, 1] == 0  # the zero codeword absorbs a zero residual
+        assert residuals[2][0, 0] == 0.0
 
     def test_tie_breaks_to_smallest_index(self):
         model = scalar_identity_model([[1.0, -1.0]])
-        q = quantize(model, [0.0])
-        assert q.codes == (0,)
+        codes, _, _ = quantize_batch(model, [[0.0]])
+        assert codes.tolist() == [[0]]
 
     def test_greedy_matches_exhaustive_per_level_search(self):
         rng = np.random.default_rng(7)
@@ -103,12 +109,12 @@ class TestQuantize:
             for cb in model.codebooks:
                 cb.value[:] = rng.normal(size=cb.value.shape)
             for _ in range(20):
-                z = rng.normal(size=dim)
-                q = quantize(model, z)
-                r = list(z)
+                z = rng.normal(size=(1, dim))
+                codes, _, _ = quantize_batch(model, z)
+                r = list(z[0])
                 for level, cb in enumerate(model.codebooks):
                     expect = nearest_index_bruteforce(cb.value.tolist(), r)
-                    assert q.codes[level] == expect
+                    assert codes[0, level] == expect
                     r = [a - b for a, b in zip(r, cb.value[expect])]
 
     def test_telescoping_identity(self):
@@ -127,36 +133,35 @@ class TestQuantize:
         model = RqVaeModel.initialize(cfg)
         rng = np.random.default_rng(6)
         for _ in range(40):
-            z = rng.normal(size=3)
-            q = quantize(model, z)
+            codes, residuals, _ = quantize_batch(model, rng.normal(size=(1, 3)))
             for level, cb in enumerate(model.codebooks):
-                chosen = np.linalg.norm(cb.value[q.codes[level]] - q.residuals[level])
-                dists = np.linalg.norm(cb.value - q.residuals[level], axis=1)
+                chosen = np.linalg.norm(cb.value[codes[0, level]] - residuals[level][0])
+                dists = np.linalg.norm(cb.value - residuals[level][0], axis=1)
                 assert chosen <= dists.min() + 1e-15
 
     def test_codes_ignore_decoder_parameters(self):
         cfg = RqVaeConfig(levels=2, codebook_size=4, input_dim=3, latent_dim=2, seed=8)
         model = RqVaeModel.initialize(cfg)
-        x = np.random.default_rng(9).normal(size=3)
-        before = quantize(model, encode(model, x)).codes
+        x = np.random.default_rng(9).normal(size=(1, 3))
+        before, _, _ = quantize_batch(model, encode(model, x))
         for name, p in model.params.items():
             if name.startswith("dec."):
                 p.value[:] = 123.0
-        after = quantize(model, encode(model, x)).codes
-        assert before == after
+        after, _, _ = quantize_batch(model, encode(model, x))
+        np.testing.assert_array_equal(before, after)
 
 
 class TestLoss:
     def test_hand_case_arithmetic(self):
         model = scalar_identity_model([[-1.0, 1.0], [-0.25, 0.25]])
-        parts = loss(model, [0.8])
-        assert parts.reconstruction == pytest.approx(0.0025, abs=1e-15)
-        assert parts.commitment == pytest.approx(0.0425, abs=1e-15)
-        assert float(parts.total.value) == pytest.approx(0.06625, abs=1e-15)
+        parts = evaluate_loss(model, [[0.8]])
+        assert parts["reconstruction"] == pytest.approx(0.0025, abs=1e-15)
+        assert parts["commitment"] == pytest.approx(0.0425, abs=1e-15)
+        assert float(loss(model, [[0.8]]).total.value) == pytest.approx(0.06625, abs=1e-15)
 
     def test_perfectly_representable_input_has_zero_loss(self):
         model = scalar_identity_model([[-1.0, 1.0], [0.0, 0.5]])
-        parts = loss(model, [1.0])
+        parts = loss(model, [[1.0]])
         assert float(parts.total.value) == 0.0
 
     def test_codeword_gradient_is_two_times_error(self):
@@ -237,7 +242,7 @@ class TestLoss:
         model = scalar_identity_model([[-1.0, 1.0]])
         model.frozen = True
         with pytest.raises(FrozenModelError):
-            loss(model, [0.5])
+            loss(model, [[0.5]])
 
 
 class TestTrain:
@@ -484,7 +489,8 @@ def test_semid_table_round_trips(tmp_path_factory, data, levels):
 @pytest.mark.parametrize("field,value", [
     ("batch_size", 0), ("epochs", -1), ("latent_dim", 0), ("input_dim", 0), ("hidden_sizes", (0,)),
     ("hidden_sizes", (4, -2)), ("kmeans_iters", -1), ("learning_rate", -1e-3), ("learning_rate", float("nan")),
-    ("learning_rate", float("inf")), ("learning_rate", -0.0),
+    ("learning_rate", float("inf")), ("learning_rate", -0.0), ("commitment_weight", float("nan")),
+    ("commitment_weight", float("inf")), ("optimizer", "adamw"), ("optimizer", "Adam"), ("optimizer", ["adam"]),
 ])
 def test_config_rejects_empty_or_negative_sizes(field, value):
     with pytest.raises(RqVaeConfigError):
