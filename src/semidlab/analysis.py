@@ -3,6 +3,11 @@
 Everything here is a pure function of its inputs (dumps, tables,
 frozen models), so re-running an analysis without retraining is
 bit-identical.
+
+``attention_metrics`` works array-at-a-time: it stacks the records of
+each shape and reduces along axes, arranged so that every record's sums
+add the same entries in the same order as a loop over the records
+would, and its numbers equal that loop's (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ranker
-from .checkpoint import semid_table_arrays
+from .checkpoint import semid_table_arrays, sorted_distinct
 from .corpus import DAY, ground_truth_ctr
 from .metrics import SingleClassError, normalized_entropy
 
@@ -211,6 +216,12 @@ def cluster_geometry(item_embeddings: dict, partition: dict, small_sizes=(4, 10)
 # attention statistics
 
 
+def _row_means(x: np.ndarray) -> np.ndarray:
+    """Mean along the last axis, each row summed as ``ndarray.mean`` sums
+    that row on its own (a contiguous reduction along the last axis)."""
+    return np.add.reduce(np.ascontiguousarray(x), axis=-1) / x.shape[-1]
+
+
 def attention_metrics(attention_records) -> dict:
     """Mean first-token, padding, entropy, and self-attention statistics.
 
@@ -218,28 +229,50 @@ def attention_metrics(attention_records) -> dict:
     over source positions. Self-attention needs square matrices and is
     reported as None otherwise (pooled attention has no self position).
     0 * log2(0) counts as 0 in the entropy.
+
+    Each statistic is a per-record value averaged over records in input
+    order. Records of one shape are stacked and reduced together, each
+    record's sums running over the same entries in the same order as
+    they would for that record alone, so the numbers do not depend on
+    how the records group.
     """
-    firsts, pads, entropies, selfs = [], [], [], []
+    records = [(np.asarray(a, dtype=np.float64), np.asarray(m, dtype=bool)) for a, m in attention_records]
+    if not records:
+        raise ValueError("no attention records")
+    n = len(records)
+    firsts, pads, entropies, selfs = np.empty(n), np.zeros(n), np.empty(n), np.empty(n)
     square = True
-    for a, pad_mask in attention_records:
-        a = np.asarray(a, dtype=np.float64)
-        pad_mask = np.asarray(pad_mask, dtype=bool)
-        firsts.append(a[:, 0].mean())
-        pads.append(a[:, pad_mask].sum(axis=1).mean() if pad_mask.any() else 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(a > 0.0, np.log2(np.where(a > 0.0, a, 1.0)), 0.0)
-        entropies.append(-(a * logs).sum(axis=1).mean())
-        if a.shape[0] == a.shape[1]:
-            selfs.append(np.trace(a) / a.shape[0])
+    by_shape: dict = {}
+    for i, (a, _) in enumerate(records):
+        by_shape.setdefault(a.shape, []).append(i)
+    for shape, members in by_shape.items():
+        members = np.array(members)
+        a = np.stack([records[i][0] for i in members])
+        pad_mask = np.stack([records[i][1] for i in members])
+        firsts[members] = _row_means(a[:, :, 0])
+        # records with as many pads at a time; a record's pad columns, in
+        # order, are summed one after the other into each row's total, as
+        # numpy sums the column-major ``a[:, pad_mask]`` of one record
+        counts = pad_mask.sum(axis=1)
+        columns_first = np.swapaxes(a, 1, 2)
+        for count in sorted_distinct(counts[counts > 0]).tolist():
+            group = np.flatnonzero(counts == count)
+            columns = np.nonzero(pad_mask[group])[1].reshape(group.size, count, 1)
+            pad_columns = np.take_along_axis(columns_first[group], columns, axis=1)
+            pads[members[group]] = _row_means(np.add.reduce(pad_columns, axis=1))
+        # an entry that is not positive takes log2(1.0) = 0.0, so it
+        # adds 0 * 0.0 (and a NaN stays NaN)
+        plogp = a * np.log2(np.where(a > 0.0, a, 1.0))
+        entropies[members] = -_row_means(np.add.reduce(plogp, axis=-1))
+        if shape[0] == shape[1]:
+            selfs[members] = _row_means(np.diagonal(a, axis1=1, axis2=2))
         else:
             square = False
-    if not firsts:
-        raise ValueError("no attention records")
     return {
         "first": float(np.mean(firsts)),
         "pad": float(np.mean(pads)),
         "entropy": float(np.mean(entropies)),
-        "self": float(np.mean(selfs)) if square and selfs else None,
+        "self": float(np.mean(selfs)) if square else None,
     }
 
 
@@ -292,12 +325,14 @@ def click_loss_analog(
     counted.
     """
     rng = np.random.default_rng([seed, 23])
-    # (N, L) codes in item order; position -1 picks the zero row appended
-    # for items the table lacks
-    _, table_codes = semid_table_arrays(semid_table, ValueError)
-    position = dict(zip(semid_table, range(len(semid_table))))
-    at = np.array([position.get(raw, -1) for raw in items.raw_ids.tolist()], dtype=np.intp)
+    # each item's row of the table, found among the sorted table IDs; an
+    # item the table lacks reads a neighbour's row, or past the last ID
+    # the zero row appended below, and in_table keeps it out of every swap
+    table_ids, table_codes = semid_table_arrays(semid_table, ValueError)
+    order = np.argsort(table_ids)
+    at = np.append(order, -1)[np.searchsorted(table_ids, items.raw_ids, sorter=order)]
     in_table = at >= 0
+    in_table[in_table] = table_ids[at[in_table]] == items.raw_ids[in_table]
     codes = np.vstack([table_codes, np.zeros(table_codes.shape[1], dtype=np.int64)])[at]
 
     out = {k: {"rates": [], "skipped": 0} for k in depths}

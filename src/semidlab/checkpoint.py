@@ -46,14 +46,22 @@ class CheckpointError(ValueError):
     """The file is not a valid container, or not the arrays its reader expects."""
 
 
+_BOOL_TYPES = (bool, np.bool_)
+
+
 def int64_array(values, what: str, error) -> np.ndarray:
     """``values`` as an int64 array, uncopied if it is one; raises ``error``
     unless every value is an integer inside int64. For any other value numpy
-    infers float64, object, uint64, a string or a bool dtype."""
+    infers float64, object, uint64, a string or a bool dtype, except for a
+    bool among the ints of a flat list or tuple, which it reads as 0 or 1:
+    the entries that read 0 or 1 are checked for one."""
     array = np.asarray(values)
     kind = array.dtype.kind
     if array.size and not (kind == "i" or kind == "u" and array.max() < 2**63):
         raise error(f"{what} must be integers inside int64, got {array.dtype} values")
+    if kind == "i" and array.ndim == 1 and isinstance(values, (list, tuple)):
+        if any(type(values[i]) in _BOOL_TYPES for i in np.flatnonzero(array >> 1 == 0).tolist()):
+            raise error(f"{what} must be integers inside int64, got a bool")
     return array.astype(np.int64, copy=False)
 
 
@@ -172,22 +180,30 @@ def check_arrays(path, saved: dict, expected: dict) -> None:
             raise CheckpointError(f"{path}: {name!r} has shape {value.shape}, expected {shape}")
 
 
-def assign_checkpoint_params(params: dict, saved: dict, path) -> None:
-    """Copy saved arrays into a model's parameter tensors, in place.
-
-    The saved names must be exactly the model's, and every entry must be
-    float64 with the model's shape; anything else raises CheckpointError
-    before any copy, so a mismatched file never broadcasts into a table
-    or half-loads.
-    """
-    check_arrays(path, saved, {name: ("<f8", p.value.shape) for name, p in params.items()})
-    for name, value in saved.items():
-        params[name].value[:] = value
-
-
 class Config:
-    """Base of the dataclass configs; ``to_dict`` writes tuples as lists and
-    ``check_finite``, which every ``__post_init__`` calls, refuses NaN and infinite floats."""
+    """Base of the dataclass configs; ``to_dict`` writes tuples as lists.
+
+    Every ``__post_init__`` calls ``check_integers``, which refuses a bool
+    or a non-integer in an integer field, and ``check_finite``, which
+    refuses NaN and infinite floats.
+    """
+
+    def check_integers(self, error) -> None:
+        """Raise ``error`` unless every field annotated ``int``, and every
+        entry of one annotated ``tuple[int, ...]``, is an int or a numpy
+        integer and not a bool; store them as Python ints, a tuple as a tuple.
+
+        Annotations are read as written (the config modules postpone their
+        evaluation), and an integer tuple may be None when its annotation allows it.
+        """
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                setattr(self, f.name, _integer(value, f.name, error))
+            elif f.type.startswith("tuple[int") and not (value is None and f.type.endswith("| None")):
+                if not isinstance(value, (tuple, list)):
+                    raise error(f"{f.name} must be a tuple of integers, got {value!r}")
+                setattr(self, f.name, tuple(_integer(v, f.name, error) for v in value))
 
     def check_finite(self, error) -> None:
         """Raise ``error`` unless every float field, tuple entries included, is finite."""
@@ -198,6 +214,13 @@ class Config:
 
     def to_dict(self) -> dict:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in dataclasses.asdict(self).items()}
+
+
+def _integer(value, name: str, error) -> int:
+    # bool is a subclass of int; numpy integers are not
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} takes integers only, got {value!r}")
+    return int(value)
 
 
 def config_from_meta(path, meta: dict, key: str, config_cls):

@@ -74,7 +74,7 @@ class CorpusConfig(Config):
     seed: int = 0
 
     def __post_init__(self):
-        self.branching = tuple(int(b) for b in self.branching)
+        self.check_integers(CorpusConfigError)
         self.level_scales = tuple(float(s) for s in self.level_scales)
         self.check_finite(CorpusConfigError)
         if min(self.n_items, self.n_users, self.n_train_events, self.n_eval_events) <= 0:

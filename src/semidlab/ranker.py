@@ -25,6 +25,11 @@ Transformer block's position-wise MLP are ``mlp.mlp`` stacks named
 score through this one path; frozen-model scoring (``score``) runs in
 minibatches of ``batch_size``, so one graph of at most that many events
 is alive at a time.
+
+``param_layout`` writes the model's parameters down once (name, shape,
+init rule, in creation order). ``RankerModel.initialize`` draws them from
+it; ``load_ranker`` checks a checkpoint's arrays against it and wraps
+them as they are, without drawing a model first.
 """
 
 from __future__ import annotations
@@ -37,14 +42,13 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import (
     Config,
-    assign_checkpoint_params,
     config_from_meta,
     int64_array,
     load_checkpoint,
     save_checkpoint,
 )
 from .metrics import PREDICTION_CLIP, normalized_entropy
-from .mlp import init_mlp, mlp
+from .mlp import ParamSpec, init_params, load_params, mlp, mlp_layout
 from .runfiles import ArtifactMismatchError, field_error, read_table, write_table
 from .tokenization import (
     ConfigurationError,
@@ -68,13 +72,14 @@ class RankerConfig(Config):
     d_s: int = 32  # number of learnable seed queries for pooled attention
     history_length: int = 8
     n_ts_buckets: int = 32
-    top_mlp: tuple = (64, 32)
+    top_mlp: tuple[int, ...] = (64, 32)
     learning_rate: float = 1e-2
     batch_size: int = 32
     optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self):
+        self.check_integers(RankerConfigError)
         self.check_finite(RankerConfigError)
         if self.aggregation not in AGGREGATIONS:
             raise RankerConfigError(f"unknown aggregation {self.aggregation!r}")
@@ -86,7 +91,6 @@ class RankerConfig(Config):
             raise RankerConfigError("pooled attention needs at least one seed query (d_s)")
         if math.copysign(1.0, self.learning_rate) < 0:
             raise RankerConfigError("learning_rate must not be negative (-0.0 included)")
-        self.top_mlp = tuple(int(w) for w in self.top_mlp)
         if any(w < 1 for w in self.top_mlp):
             raise RankerConfigError(f"top_mlp widths must be positive, got {self.top_mlp}")
 
@@ -105,45 +109,43 @@ class RankerModel:
 
     @classmethod
     def initialize(cls, config: RankerConfig, target_lookup, history_lookup) -> "RankerModel":
-        rng = np.random.default_rng([config.seed, 0])
-        p: dict[str, T.Tensor] = {}
-        d = config.d_m
+        layout = param_layout(config, target_lookup, history_lookup)
+        params = init_params(layout, np.random.default_rng([config.seed, 0]))
+        return cls(config=config, target_lookup=target_lookup, history_lookup=history_lookup, params=params)
 
-        def table(name, rows, cols, scale=0.05):
-            p[name] = T.parameter(rng.normal(0.0, scale, size=(rows, cols)), name=name)
 
-        table("target_table", target_lookup.table_size, d)
-        table("history_table", history_lookup.table_size, d)
-        table("ts_table", config.n_ts_buckets, d)
-        table("pad_embed", 1, d)
+def param_layout(config: RankerConfig, target_lookup, history_lookup) -> list[ParamSpec]:
+    """Every parameter of the model the config and lookups describe, in
+    creation order, which is also the order ``initialize`` draws them in."""
+    d = config.d_m
+    t = config.history_length
 
-        t = config.history_length
-        if config.aggregation == "bypass":
-            p["agg.w"] = T.parameter(rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)), name="agg.w")
-            m = t + 1
+    def matrix(name, rows, std=0.05):  # rows by d_m
+        return ParamSpec(name, (rows, d), std=std)
+
+    layout = [
+        matrix("target_table", target_lookup.table_size),
+        matrix("history_table", history_lookup.table_size),
+        matrix("ts_table", config.n_ts_buckets),
+        matrix("pad_embed", 1),
+    ]
+    if config.aggregation == "bypass":
+        layout.append(matrix("agg.w", d, std=1.0 / math.sqrt(d)))
+        m = t + 1
+    else:
+        layout.append(matrix("pos_embed", t))
+        projections = ("wk", "wv") if config.aggregation == "pma" else ("wq", "wk", "wv")
+        layout += [matrix(f"agg.{name}", d, std=1.0 / math.sqrt(d)) for name in projections]
+        for ln in ("ln1", "ln2"):
+            layout += [ParamSpec(f"agg.{ln}.g", (d,), fill=1.0), ParamSpec(f"agg.{ln}.b", (d,))]
+        layout += mlp_layout("agg.mlp", [d, _BLOCK_MLP_RATIO * d, d])
+        if config.aggregation == "pma":
+            layout.append(matrix("agg.seeds", config.d_s, std=1.0 / math.sqrt(d)))
+            m = config.d_s + 1
         else:
-            table("pos_embed", t, d)
-            for name in ("wq", "wk", "wv"):
-                if config.aggregation == "pma" and name == "wq":
-                    continue
-                p[f"agg.{name}"] = T.parameter(
-                    rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, d)), name=f"agg.{name}"
-                )
-            for ln in ("ln1", "ln2"):
-                p[f"agg.{ln}.g"] = T.parameter(np.ones(d), name=f"agg.{ln}.g")
-                p[f"agg.{ln}.b"] = T.parameter(np.zeros(d), name=f"agg.{ln}.b")
-            init_mlp(p, rng, "agg.mlp", [d, _BLOCK_MLP_RATIO * d, d])
-            if config.aggregation == "pma":
-                p["agg.seeds"] = T.parameter(
-                    rng.normal(0.0, 1.0 / math.sqrt(d), size=(config.d_s, d)),
-                    name="agg.seeds",
-                )
-                m = config.d_s + 1
-            else:
-                m = t + 1
-        interaction_dim = m * (m - 1) // 2 + m * d
-        init_mlp(p, rng, "top", [interaction_dim, *config.top_mlp, 1])
-        return cls(config=config, target_lookup=target_lookup, history_lookup=history_lookup, params=p)
+            m = t + 1
+    interaction_dim = m * (m - 1) // 2 + m * d
+    return layout + mlp_layout("top", [interaction_dim, *config.top_mlp, 1])
 
 
 # where bucket b >= 1 starts; 60 * (2^58 - 1) s is past the largest int64
@@ -406,11 +408,10 @@ def load_ranker(path, target_lookup, history_lookup) -> tuple[RankerModel, dict]
     ``ranker_config``, or when the saved parameter names or shapes do not
     match the model the config and lookups describe.
     """
-    params, meta = load_checkpoint(path)
+    saved, meta = load_checkpoint(path)
     config = config_from_meta(path, meta, "ranker_config", RankerConfig)
-    model = RankerModel.initialize(config, target_lookup, history_lookup)
-    assign_checkpoint_params(model.params, params, path)
-    model.frozen = True
+    params = load_params(path, saved, param_layout(config, target_lookup, history_lookup))
+    model = RankerModel(config, target_lookup, history_lookup, params=params, frozen=True)
     return model, meta
 
 

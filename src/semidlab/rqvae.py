@@ -33,14 +33,13 @@ from . import tensor as T
 from .checkpoint import (
     CheckpointError,
     Config,
-    assign_checkpoint_params,
     check_arrays,
     config_from_meta,
     load_checkpoint,
     save_checkpoint,
     semid_table_arrays,
 )
-from .mlp import init_mlp, mlp
+from .mlp import ParamSpec, init_params, load_params, mlp, mlp_layout
 
 
 class RqVaeConfigError(ValueError):
@@ -58,7 +57,7 @@ class RqVaeConfig(Config):
     input_dim: int = 16
     latent_dim: int = 8
     commitment_weight: float = 0.5
-    hidden_sizes: tuple | None = None  # None -> one hidden layer of 2 * latent_dim
+    hidden_sizes: tuple[int, ...] | None = None  # None -> one hidden layer of 2 * latent_dim
     learning_rate: float = 2e-3
     epochs: int = 20
     batch_size: int = 256
@@ -67,6 +66,7 @@ class RqVaeConfig(Config):
     seed: int = 0
 
     def __post_init__(self):
+        self.check_integers(RqVaeConfigError)
         self.check_finite(RqVaeConfigError)
         if not isinstance(self.optimizer, str) or self.optimizer not in T.OPTIMIZERS:
             raise RqVaeConfigError(f"unknown optimizer {self.optimizer!r}; known: {sorted(T.OPTIMIZERS)}")
@@ -84,8 +84,6 @@ class RqVaeConfig(Config):
             raise RqVaeConfigError("learning_rate must not be negative (-0.0 included)")
         if self.hidden_sizes is None:
             self.hidden_sizes = (2 * self.latent_dim,)
-        else:
-            self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
         if any(h < 1 for h in self.hidden_sizes):
             raise RqVaeConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
 
@@ -98,20 +96,22 @@ class RqVaeModel:
 
     @classmethod
     def initialize(cls, config: RqVaeConfig) -> "RqVaeModel":
-        rng = np.random.default_rng([config.seed, 0])
-        params: dict[str, T.Tensor] = {}
-        init_mlp(params, rng, "enc", [config.input_dim, *config.hidden_sizes, config.latent_dim])
-        init_mlp(params, rng, "dec", [config.latent_dim, *reversed(config.hidden_sizes), config.input_dim])
-        for level in range(config.levels):
-            name = f"codebook.{level}"
-            params[name] = T.parameter(
-                rng.normal(0.0, 0.1, size=(config.codebook_size, config.latent_dim)), name=name
-            )
+        params = init_params(param_layout(config), np.random.default_rng([config.seed, 0]))
         return cls(config=config, params=params)
 
     @property
     def codebooks(self) -> list:
         return [self.params[f"codebook.{l}"] for l in range(self.config.levels)]
+
+
+def param_layout(config: RqVaeConfig) -> list[ParamSpec]:
+    """Every parameter of the model, in the order ``initialize`` draws them."""
+    return [
+        *mlp_layout("enc", [config.input_dim, *config.hidden_sizes, config.latent_dim]),
+        *mlp_layout("dec", [config.latent_dim, *reversed(config.hidden_sizes), config.input_dim]),
+        *(ParamSpec(f"codebook.{level}", (config.codebook_size, config.latent_dim), std=0.1)
+          for level in range(config.levels)),
+    ]
 
 
 def encode(model: RqVaeModel, x) -> np.ndarray:
@@ -400,12 +400,10 @@ def save_rqvae(path, model: RqVaeModel, meta: dict | None = None) -> None:
 
 
 def load_rqvae(path) -> tuple[RqVaeModel, dict]:
-    params, meta = load_checkpoint(path)
+    saved, meta = load_checkpoint(path)
     config = config_from_meta(path, meta, "rqvae_config", RqVaeConfig)
-    model = RqVaeModel.initialize(config)
-    assign_checkpoint_params(model.params, params, path)
-    model.frozen = bool(meta.get("frozen", False))
-    return model, meta
+    params = load_params(path, saved, param_layout(config))
+    return RqVaeModel(config, params=params, frozen=bool(meta.get("frozen", False))), meta
 
 
 def save_semid_table(path, assignments: dict, meta: dict) -> None:

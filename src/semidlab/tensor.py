@@ -23,10 +23,18 @@ scatter, so a minibatch that touches a few hundred rows of a large
 embedding table never builds a table-sized gradient. Every gradient,
 and every parameter the optimizers update from it, is bit-identical to
 the dense path. ``Tensor.grad`` always reads and assigns a dense array.
+
+Node construction is cheap, since a forward pass builds one node per
+op: ``Tensor`` keeps a C-contiguous float64 ndarray as it is (every op
+hands it a fresh one) and converts anything else once. Per-shape
+constants such as ``pairwise_dot_upper``'s index pairs are built once
+per shape and kept read-only, and a row gather in which every index
+names a row skips the pad mask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,6 +51,9 @@ class GraphError(ValueError):
     """The computation graph is used outside its contract."""
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class Tensor:
     """A node in the computation graph.
 
@@ -54,12 +65,18 @@ class Tensor:
     __slots__ = ("value", "_grad", "requires_grad", "parents", "_backward", "name")
 
     def __init__(self, value, requires_grad=False, parents=(), backward=None, name=""):
-        arr = np.asarray(value, dtype=np.float64)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.value = arr
+        # an op's fresh float64 result passes this check as it is
+        if not (type(value) is np.ndarray and value.dtype is _FLOAT64 and value.flags.c_contiguous):
+            value = np.asarray(value, dtype=np.float64, order="C")
+        self.value = value
         self._grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
+        requires_grad = bool(requires_grad)
+        if not requires_grad:
+            for p in parents:
+                if p.requires_grad:
+                    requires_grad = True
+                    break
+        self.requires_grad = requires_grad
         self.parents = tuple(parents)
         self._backward = backward
         self.name = name
@@ -270,9 +287,10 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     d = av.shape[-1]
     if gain.value.shape != (d,) or bias.value.shape != (d,):
         raise DimensionError("layernorm gain/bias must be vectors of the row width")
-    mu = av.mean(axis=-1, keepdims=True)
+    # np.add.reduce(...) / d is what ndarray.mean computes, without its wrapper
+    mu = np.add.reduce(av, axis=-1, keepdims=True) / d
     centered = av - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = centered * inv
     out = xhat * gain.value + bias.value
@@ -281,8 +299,8 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gx = g * gain.value
         # d/dx of (x - mu(x)) * inv(x): the two mean reductions fold into
         # the usual three-term layernorm gradient.
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(gx, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d
         da = inv * (gx - m1 - xhat * m2)
         dgain = _rows(g * xhat).sum(axis=0)
         dbias = _rows(g).sum(axis=0)
@@ -308,19 +326,30 @@ def gather_groups(table: Tensor, index) -> Tensor:
     if idx.ndim < 2:
         raise DimensionError(f"gather_groups expects an (..., G) index array, got shape {idx.shape}")
     h = tv.shape[0]
-    if idx.size and (idx.min() < -1 or idx.max() >= h):
+    lowest = idx.min() if idx.size else -1
+    if lowest < -1 or idx.size and idx.max() >= h:
         raise IndexError(f"gather_groups: row index out of range [0, {h})")
-    valid = idx >= 0
-    picked = tv[np.where(valid, idx, 0)]
-    picked[~valid] = 0.0
-    out = np.zeros(idx.shape[:-1] + (tv.shape[1],))
-    for g in range(idx.shape[-1]):
+    if lowest >= 0:  # every entry names a row: no pad mask
+        valid = None
+        picked = tv[idx]
+        rows = idx.flatten()
+    else:
+        valid = idx >= 0
+        picked = tv[np.where(valid, idx, 0)]
+        picked[~valid] = 0.0
+        rows = idx[valid]
+    # the sum starts from +0.0, so a group of -0.0 rows gives +0.0
+    if idx.shape[-1]:
+        out = picked[..., 0, :] + 0.0
+    else:
+        out = np.zeros(idx.shape[:-1] + (tv.shape[1],))
+    for g in range(1, idx.shape[-1]):
         out += picked[..., g, :]
-    rows = idx[valid]
     read_shape = picked.shape
 
     def back(g):
-        values = np.broadcast_to(g[..., None, :], read_shape)[valid]
+        values = np.broadcast_to(g[..., None, :], read_shape)
+        values = values.reshape(-1, read_shape[-1]) if valid is None else values[valid]
         if rows.size >= h:
             gt = np.zeros_like(tv)
             np.add.at(gt, rows, values)
@@ -489,6 +518,16 @@ def concat_flat(tensors) -> Tensor:
     return Tensor(np.concatenate(flat, axis=1), parents=tuple(tensors), backward=back)
 
 
+@functools.lru_cache(maxsize=32)  # one m per model shape in use
+def _upper_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(m, k=1)``, built once per ``m`` and read-only, as
+    every caller shares it."""
+    pairs = np.triu_indices(m, k=1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def pairwise_dot_upper(x: Tensor) -> Tensor:
     """All m(m-1)/2 pairwise dot products of the rows of an m-by-d matrix.
 
@@ -499,7 +538,7 @@ def pairwise_dot_upper(x: Tensor) -> Tensor:
     if xv.ndim < 2:
         raise DimensionError(f"pairwise_dot_upper expects a matrix, got shape {xv.shape}")
     m = xv.shape[-2]
-    iu, ju = np.triu_indices(m, k=1)
+    iu, ju = _upper_pairs(m)
     gram = xv @ np.swapaxes(xv, -1, -2)
     out = gram[..., iu, ju]
 

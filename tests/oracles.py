@@ -90,6 +90,33 @@ def fit_to_table(indices, table_size: int, output_count: int) -> list[int]:
     return [g * block + (int(ix) % block) for g, ix in enumerate(indices)]
 
 
+def attention_metrics(attention_records) -> dict:
+    """``analysis.attention_metrics`` one record at a time: each record's
+    statistics from its own matrix, then their mean over records."""
+    firsts, pads, entropies, selfs = [], [], [], []
+    square = True
+    for a, pad_mask in attention_records:
+        a = np.asarray(a, dtype=np.float64)
+        pad_mask = np.asarray(pad_mask, dtype=bool)
+        firsts.append(a[:, 0].mean())
+        pads.append(a[:, pad_mask].sum(axis=1).mean() if pad_mask.any() else 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.where(a > 0.0, np.log2(np.where(a > 0.0, a, 1.0)), 0.0)
+        entropies.append(-(a * logs).sum(axis=1).mean())
+        if a.shape[0] == a.shape[1]:
+            selfs.append(np.trace(a) / a.shape[0])
+        else:
+            square = False
+    if not firsts:
+        raise ValueError("no attention records")
+    return {
+        "first": float(np.mean(firsts)),
+        "pad": float(np.mean(pads)),
+        "entropy": float(np.mean(entropies)),
+        "self": float(np.mean(selfs)) if square and selfs else None,
+    }
+
+
 def click_loss_analog(
     model, items, users, semid_table, context_events, depths, *, temperature, bias, set_size=5, pool_size=200, seed=0
 ):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from semidlab.analysis import (
@@ -249,6 +251,58 @@ class TestAttentionMetrics:
         assert out["self"] is None
 
 
+@st.composite
+def attention_records(draw):
+    """(matrix, pad mask) records over one to three shapes, square ones
+    among them, with zero entries, and pads anywhere or as a suffix."""
+    shapes = draw(st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 20)).map(lambda s: s if s[0] % 3 else (s[1], s[1])),
+        min_size=1, max_size=3,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_share, pad_share = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 1.0))
+    records = []
+    for _ in range(draw(st.integers(1, 40))):
+        rows, cols = shapes[int(rng.integers(len(shapes)))]
+        a = rng.random((rows, cols)) ** 3
+        a[rng.random((rows, cols)) < zero_share] = 0.0
+        a /= np.maximum(a.sum(axis=1, keepdims=True), 1e-300)
+        if rng.random() < 0.5:
+            pad = rng.random(cols) < pad_share
+        else:
+            pad = np.arange(cols) >= rng.integers(0, cols + 1)
+        records.append((a, pad))
+    return records
+
+
+class TestAttentionMetricsAgainstTheLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(records=attention_records())
+    def test_equals_the_per_record_loop(self, records):
+        assert attention_metrics(records) == oracles.attention_metrics(records)
+
+    def test_mixed_shapes_average_per_record_values_in_input_order(self):
+        rng = np.random.default_rng(3)
+        records = []
+        for shape in [(4, 8), (8, 8), (4, 8), (3, 9), (8, 8)] * 7:
+            a = rng.random(shape)
+            records.append((a / a.sum(axis=1, keepdims=True), rng.random(shape[1]) < 0.4))
+        got = attention_metrics(records)
+        assert got == oracles.attention_metrics(records)
+        assert got["self"] is None
+        square = [r for r in records if r[0].shape == (8, 8)]
+        assert attention_metrics(square) == oracles.attention_metrics(square)
+        assert attention_metrics(square)["self"] is not None
+
+    def test_lists_and_int_masks_read_as_arrays(self):
+        records = [([[0.5, 0.5], [1.0, 0.0]], [0, 1]), (np.eye(2), np.array([False, False]))]
+        assert attention_metrics(records) == oracles.attention_metrics(records)
+
+    def test_no_records_raises(self):
+        with pytest.raises(ValueError, match="no attention records"):
+            attention_metrics(iter([]))
+
+
 class TestAar:
     def test_equal_predictions_zero(self):
         assert aar(0.4, 0.4) == 0.0
@@ -321,6 +375,22 @@ class TestClickLoss:
         contexts = stream.eval[-20:]
         assert all((items.death <= e.timestamp).sum() > 100 for e in contexts)
         args = (model, items, users, semid, contexts, (1, 3, 4))
+        kwargs = dict(temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60, seed=seed)
+        report = click_loss_analog(*args, **kwargs)
+        assert report == oracles.click_loss_analog(*args, **kwargs)
+        assert report[1]["n_swaps"] > 0
+
+    @pytest.mark.parametrize("seed", [7, 8])
+    def test_matches_the_oracle_with_table_keys_out_of_item_order(self, seed):
+        cfg, items, users, stream, semid, model = self._setup(seed)
+        rng = np.random.default_rng(seed)
+        # some items missing, the rest in shuffled order, and IDs of no item
+        keys = [raw for raw in semid if rng.random() < 0.7]
+        rng.shuffle(keys)
+        table = {raw: semid[raw] for raw in keys}
+        stray = int(items.raw_ids.max()) + 1
+        table.update({stray: (0, 0, 0), -stray: semid[keys[0]]})
+        args = (model, items, users, table, stream.eval[-20:], (1, 2, 3))
         kwargs = dict(temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60, seed=seed)
         report = click_loss_analog(*args, **kwargs)
         assert report == oracles.click_loss_analog(*args, **kwargs)

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from semidlab import tensor as T
-from semidlab.mlp import init_mlp, mlp
+from semidlab.mlp import init_params, mlp, mlp_layout
 
 from fdcheck import assert_grads_close, fd_grad, weighted_sum
 
 
 def stack(sizes, seed=0):
-    params = {}
-    init_mlp(params, np.random.default_rng(seed), "net", sizes)
-    return params
+    return init_params(mlp_layout("net", sizes), np.random.default_rng(seed))
 
 
 def test_init_names_shapes_and_zero_biases():

@@ -397,6 +397,49 @@ class TestPersistence:
         with pytest.raises(CheckpointError, match="ranker_config"):
             load_ranker(tmp_path / "bad.ckpt", model.target_lookup, model.history_lookup)
 
+    @pytest.mark.parametrize("aggregation", ["bypass", "transformer", "pma"])
+    def test_load_wraps_the_saved_arrays_without_drawing(self, tmp_path, monkeypatch, aggregation):
+        model = make_model(aggregation, seed=19)
+        events = toy_events(12, seed=20)
+        events[0].label, events[1].label = 0, 1
+        train_one_epoch(model, events)
+        save_ranker(tmp_path / "r.ckpt", model)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("loading drew from a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded, _ = load_ranker(tmp_path / "r.ckpt", model.target_lookup, model.history_lookup)
+        monkeypatch.undo()
+        assert loaded.frozen and list(loaded.params) == list(model.params)
+        for name, p in loaded.params.items():
+            assert p.name == name and p.requires_grad
+            assert p.value.dtype == np.float64 and p.value.flags.c_contiguous
+            assert p.value.tobytes() == model.params[name].value.tobytes()
+        assert [r.prediction for r in evaluate(loaded, events).records] == [
+            r.prediction for r in evaluate(model, events).records
+        ]
+
+    @pytest.mark.parametrize("change", ["shape", "missing", "unexpected"])
+    def test_load_mismatch_raises_before_any_parameter_exists(self, tmp_path, monkeypatch, change):
+        model = make_model("pma", seed=15)
+        save_ranker(tmp_path / "r.ckpt", model)
+        params, meta = load_checkpoint(tmp_path / "r.ckpt")
+        if change == "shape":
+            params["agg.seeds"] = params["agg.seeds"][:-1]
+        elif change == "missing":
+            del params["top.0.b"]
+        else:
+            params["agg.wq"] = np.zeros((4, 4))  # a Transformer projection PMA does not have
+        save_checkpoint(tmp_path / "bad.ckpt", params, meta=meta)
+
+        def no_parameters(*args, **kwargs):
+            raise AssertionError("a parameter was built before the check")
+
+        monkeypatch.setattr(T, "parameter", no_parameters)
+        with pytest.raises(CheckpointError):
+            load_ranker(tmp_path / "bad.ckpt", model.target_lookup, model.history_lookup)
+
     def test_prediction_dump_round_trip(self, tmp_path):
         model = make_model(seed=17)
         events = toy_events(20, seed=18)

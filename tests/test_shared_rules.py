@@ -2,9 +2,11 @@
 
 * ``checkpoint.int64_array``: every writer and array lookup entry point
   refuses a value that is not an integer inside int64, with its own
-  module's error, before a file is opened.
-* ``checkpoint.Config``: one ``to_dict`` for the three configs, and
-  ``config_from_meta`` rebuilds them through the constructor.
+  module's error, before a file is opened; a bool among the ints of a
+  list or tuple is refused too.
+* ``checkpoint.Config``: one ``to_dict`` for the three configs, one rule
+  for their integer fields, and ``config_from_meta`` rebuilds them
+  through the constructor.
 * ``corpus.inject_aa_pairs`` copies every ``ItemTable`` field.
 """
 
@@ -26,13 +28,14 @@ from semidlab.corpus import (
     save_events,
     save_items,
 )
-from semidlab.ranker import RankerConfig
+from semidlab.ranker import RankerConfig, RankerConfigError
 from semidlab.rqvae import RqVaeConfig, RqVaeConfigError, save_semid_table
 from semidlab.runfiles import config_hash
 from semidlab.tokenization import (
     ConfigurationError,
     IndividualEmbedding,
     RandomHash,
+    SemanticIdLookup,
     TokenParameterization,
     parameterize_batch,
 )
@@ -147,6 +150,79 @@ class OwnError(ValueError):
 def test_int64_array_raises_the_callers_error(values):
     with pytest.raises(OwnError, match="^ids must be integers inside int64"):
         int64_array(values, "ids", OwnError)
+
+
+# a bool among the ints of a list or tuple, which numpy reads as 0 or 1
+PREFIX_NGRAM = TokenParameterization("prefix_ngram", 4, prefix_depth=3)
+BOOL_CALLERS = {
+    "RandomHash.rows_batch": lambda: RandomHash(100, seed=1).rows_batch([2, True]),
+    "RandomHash.rows_batch.tuple": lambda: RandomHash(100, seed=1).rows_batch((np.False_, 5)),
+    "SemanticIdLookup.rows_batch": lambda: SemanticIdLookup({1: (1, 2, 3), 2: (3, 2, 1)}, PREFIX_NGRAM, 64)
+    .rows_batch([2, True]),
+    "SemanticIdLookup.key": lambda: SemanticIdLookup({True: (1, 2, 3), 2: (3, 2, 1)}, PREFIX_NGRAM, 64),
+    "SemanticIdLookup.code": lambda: SemanticIdLookup({1: (1, True, 3), 2: (3, 2, 1)}, PREFIX_NGRAM, 64),
+    "IndividualEmbedding": lambda: IndividualEmbedding([True, 2]),
+    "IndividualEmbedding.rows_batch": lambda: IndividualEmbedding([1, 2]).rows_batch([2, True]),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(BOOL_CALLERS))
+def test_every_lookup_refuses_a_bool_among_ints(caller):
+    with pytest.raises(ConfigurationError, match="integers inside int64, got a bool"):
+        BOOL_CALLERS[caller]()
+
+
+def test_ints_that_read_0_or_1_are_not_bools():
+    assert int64_array([0, 1, 2**62, 1], "ids", OwnError).tolist() == [0, 1, 2**62, 1]
+    assert int64_array((np.int64(1), 0), "ids", OwnError).tolist() == [1, 0]
+    lookup = SemanticIdLookup({0: (1, 0, 3), 1: (3, 1, 0)}, PREFIX_NGRAM, 64)
+    assert lookup.rows_batch([1, 0]).tolist() == [lookup.rows(1), lookup.rows(0)]
+
+
+def test_array_input_keeps_its_dtype_rule():
+    with pytest.raises(OwnError, match="got bool values"):
+        int64_array(np.array([True, False]), "ids", OwnError)
+    ids = np.array([1, 0, 2])
+    assert int64_array(ids, "ids", OwnError) is ids
+
+
+# ---------------------------------------------------------------------------
+# integer config fields
+
+NOT_INTEGERS = [
+    (CorpusConfig, CorpusConfigError, "n_items", 300.5),
+    (CorpusConfig, CorpusConfigError, "seed", 2.0),
+    (CorpusConfig, CorpusConfigError, "branching", (4, 4.5, 4)),
+    (CorpusConfig, CorpusConfigError, "branching", None),
+    (RankerConfig, RankerConfigError, "d_m", 4.5),
+    (RankerConfig, RankerConfigError, "batch_size", True),
+    (RankerConfig, RankerConfigError, "history_length", np.True_),
+    (RankerConfig, RankerConfigError, "top_mlp", (64, True)),
+    (RankerConfig, RankerConfigError, "top_mlp", 64),
+    (RqVaeConfig, RqVaeConfigError, "codebook_size", 4.5),
+    (RqVaeConfig, RqVaeConfigError, "levels", "3"),
+    (RqVaeConfig, RqVaeConfigError, "hidden_sizes", (12.0,)),
+]
+
+
+@pytest.mark.parametrize("config_cls, error, name, value", NOT_INTEGERS)
+def test_configs_refuse_a_bool_or_non_integer_in_an_integer_field(config_cls, error, name, value):
+    with pytest.raises(error, match=name):
+        config_cls(**{name: value})
+
+
+@pytest.mark.parametrize("config_cls, fields", [
+    (CorpusConfig, {"n_items": np.int64(20_000), "branching": [np.int32(4), 4, np.uint8(4)]}),
+    (RankerConfig, {"d_m": np.int64(16), "top_mlp": (np.int16(64), 32)}),
+    (RqVaeConfig, {"codebook_size": np.int64(64), "hidden_sizes": None}),
+])
+def test_numpy_integers_pass_as_python_ints_and_keep_the_hash(config_cls, fields):
+    config = config_cls(**fields)
+    assert config == config_cls()
+    assert config_hash(config.to_dict()) == config_hash(config_cls().to_dict())
+    for name in fields:
+        value = getattr(config, name)
+        assert all(type(v) is int for v in value) if isinstance(value, tuple) else type(value) is int
 
 
 # ---------------------------------------------------------------------------

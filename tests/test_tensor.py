@@ -441,3 +441,61 @@ class TestCheckpoint:
         save_checkpoint(path, {"w": p})
         loaded, _ = load_checkpoint(path)
         assert np.array_equal(loaded["w"], np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# node construction and the read path's shortcuts
+
+
+def test_tensor_keeps_a_contiguous_float64_array_and_converts_anything_else():
+    a = np.arange(6.0).reshape(2, 3)
+    assert T.constant(a).value is a
+    for value in (a.T, a.astype(np.float32), a.astype(np.int64), a.tolist(), 3.0, np.float64(2.5)):
+        v = T.constant(value).value
+        assert type(v) is np.ndarray and v.dtype == np.float64 and v.flags.c_contiguous
+        assert v.shape == np.shape(value) and np.array_equal(v, np.asarray(value))
+
+
+def test_node_requires_grad_when_any_parent_does():
+    c, p = T.constant(np.ones(2)), T.parameter(np.ones(2))
+    assert T.Tensor(np.ones(2), parents=(c, p)).requires_grad
+    assert not T.Tensor(np.ones(2), parents=[c, c]).requires_grad
+    assert T.Tensor(np.ones(2), requires_grad=1, parents=(c,)).requires_grad is True
+
+
+@pytest.mark.parametrize("index_shape", [(5, 3), (2, 4, 2)])
+@pytest.mark.parametrize("rows", [50, 3])  # a RowGrad; the dense scatter once entries reach the rows
+def test_gather_groups_without_pads_matches_the_masked_path_bytewise(index_shape, rows):
+    rng = np.random.default_rng(rows)
+    table = rng.normal(size=(rows, 4))
+    table[1] = -0.0
+    table[2, :2] = -0.0
+    index = rng.integers(0, rows, size=index_shape)
+    index[..., 0, :] = 1  # a group of -0.0 rows sums to +0.0
+    index.reshape(-1)[-1] = 2  # a partly -0.0 row
+    # one more group of pads sends the same entries through the masked path
+    pads = np.full(index_shape[:-2] + (1, index_shape[-1]), -1)
+    fast = T.gather_groups(T.parameter(table), index)
+    masked = T.gather_groups(T.parameter(table), np.concatenate([index, pads], axis=-2))
+    assert fast.value.tobytes() == masked.value[..., :-1, :].tobytes()
+    assert not np.signbit(fast.value[..., 0, :]).any()
+    g = rng.normal(size=fast.value.shape)
+    (got,) = fast._backward(g)
+    (want,) = masked._backward(np.concatenate([g, rng.normal(size=pads.shape[:-1] + (4,))], axis=-2))
+    assert type(got) is type(want)
+    if isinstance(got, T.RowGrad):
+        assert got.shape == want.shape
+        assert got.rows.tobytes() == want.rows.tobytes() and got.sums.tobytes() == want.sums.tobytes()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pairwise_dot_upper_caches_read_only_index_pairs():
+    iu, ju = T._upper_pairs(6)
+    want_i, want_j = np.triu_indices(6, k=1)
+    assert np.array_equal(iu, want_i) and np.array_equal(ju, want_j)
+    assert T._upper_pairs(6)[0] is iu
+    for a in (iu, ju):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
