@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ranker
-from .checkpoint import semid_table_arrays, sorted_distinct
+from .checkpoint import int64_array, integer, semid_table_arrays, sorted_distinct
 from .corpus import DAY, ground_truth_ctr
 from .metrics import SingleClassError, normalized_entropy
 
@@ -52,9 +52,10 @@ def build_segments(train_counts: dict, universe, eval_item_ids) -> SegmentSpec:
 
     ``train_counts`` maps item id -> training impressions (missing = 0);
     ``universe`` is every item id; items seen only in evaluation form the
-    new-items set.
+    new-items set. An item ID that is not an integer inside int64 raises
+    ValueError.
     """
-    universe = sorted(int(x) for x in universe)
+    universe = np.sort(int64_array(list(universe), "item ids", ValueError)).tolist()
     counts = np.array([train_counts.get(x, 0) for x in universe], dtype=np.float64)
     order = np.lexsort((universe, -counts))  # impressions desc, id asc for ties
     total = counts.sum()
@@ -71,7 +72,7 @@ def build_segments(train_counts: dict, universe, eval_item_ids) -> SegmentSpec:
             tail.add(item)
         cum += c
     train_seen = {x for x in universe if train_counts.get(x, 0) > 0}
-    new_items = {int(x) for x in eval_item_ids} - train_seen
+    new_items = set(int64_array(list(eval_item_ids), "eval item ids", ValueError).tolist()) - train_seen
     return SegmentSpec(head=head, torso=torso, tail=tail, new_items=new_items, train_seen=train_seen)
 
 
@@ -322,7 +323,8 @@ def click_loss_analog(
     keeps the top ``set_size`` as the recommendation set; the swap is
     evaluated with the label oracle, isolating semantic continuity from
     model noise. Swaps with no same-prefix alternative are skipped and
-    counted.
+    counted. A depth that is not an integer in 1..L, for codes of L
+    levels, raises ValueError before anything is scored.
     """
     rng = np.random.default_rng([seed, 23])
     # each item's row of the table, found among the sorted table IDs; an
@@ -334,6 +336,9 @@ def click_loss_analog(
     in_table = at >= 0
     in_table[in_table] = table_ids[at[in_table]] == items.raw_ids[in_table]
     codes = np.vstack([table_codes, np.zeros(table_codes.shape[1], dtype=np.int64)])[at]
+    for k in depths:
+        if not 1 <= integer(k, "depth", ValueError) <= codes.shape[1]:
+            raise ValueError(f"depth {k} outside 1..{codes.shape[1]}, the code levels")
 
     out = {k: {"rates": [], "skipped": 0} for k in depths}
     for event in context_events:

@@ -18,8 +18,9 @@ bit-exactly because the payload is the raw bytes.
 Model parameters, item tables, user tables, Semantic ID tables and
 event streams live in this container.
 
-``int64_array`` is every module's one check for an integer array: a
-value that is not an integer inside int64 raises the caller's own error.
+``int64_array`` is every module's one check for an integer array, and
+``integer`` the one check for a single integer: a value that is not an
+integer (inside int64, for an array) raises the caller's own error.
 ``semid_table_arrays`` is every reader's one Semantic ID table check, and
 ``sorted_distinct`` the one dedupe (``np.unique`` imports numpy.ma, 1.7 MB).
 ``Config`` gives the configs kept in checkpoint meta one ``to_dict``
@@ -154,7 +155,8 @@ def load_checkpoint(path):
         end = offset + 8 * count
         if end > len(raw):
             raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")
-        params[name] = np.frombuffer(raw[offset:end], dtype=dtype).astype(DTYPES[dtype]).reshape(shape)
+        # one copy per array, out of the file's bytes into a writable native array
+        params[name] = np.frombuffer(raw, dtype, count, offset).astype(DTYPES[dtype]).reshape(shape)
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after payload")
@@ -199,11 +201,11 @@ class Config:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
-                setattr(self, f.name, _integer(value, f.name, error))
+                setattr(self, f.name, integer(value, f.name, error))
             elif f.type.startswith("tuple[int") and not (value is None and f.type.endswith("| None")):
                 if not isinstance(value, (tuple, list)):
                     raise error(f"{f.name} must be a tuple of integers, got {value!r}")
-                setattr(self, f.name, tuple(_integer(v, f.name, error) for v in value))
+                setattr(self, f.name, tuple(integer(v, f.name, error) for v in value))
 
     def check_finite(self, error) -> None:
         """Raise ``error`` unless every float field, tuple entries included, is finite."""
@@ -216,7 +218,8 @@ class Config:
         return {name: list(v) if isinstance(v, tuple) else v for name, v in dataclasses.asdict(self).items()}
 
 
-def _integer(value, name: str, error) -> int:
+def integer(value, name: str, error) -> int:
+    """``value`` as an int; raises ``error`` for a bool or a non-integer."""
     # bool is a subclass of int; numpy integers are not
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise error(f"{name} takes integers only, got {value!r}")

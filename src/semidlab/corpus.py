@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .checkpoint import CheckpointError, Config, check_arrays, int64_array, load_checkpoint, save_checkpoint
+from .metrics import logistic
 
 DAY = 86_400
 
@@ -268,12 +269,7 @@ def ground_truth_ctr(preferences, embeddings, temperature: float, bias):
     row. Probabilities are clipped to [1e-12, 1 - 1e-12].
     """
     logits = np.einsum("...j,...j->...", preferences, embeddings) / float(temperature) + np.asarray(bias)
-    out = np.empty_like(logits)
-    pos = logits >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
-    ex = np.exp(logits[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, _CTR_CLIP, 1.0 - _CTR_CLIP)
+    return np.clip(logistic(logits), _CTR_CLIP, 1.0 - _CTR_CLIP)
 
 
 def sample_items_at(rng: np.random.Generator, items: ItemTable, timestamps: np.ndarray) -> np.ndarray:

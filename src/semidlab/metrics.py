@@ -1,5 +1,7 @@
 """Normalized entropy, the quality metric shared by the ranker's
-evaluator and the analyses."""
+evaluator and the analyses, and ``logistic``, the one overflow-free
+logistic that the engine's ``tensor.sigmoid`` and ``tensor.bce_with_logits``
+and the simulator's label oracle ``corpus.ground_truth_ctr`` all call."""
 
 from __future__ import annotations
 
@@ -11,6 +13,18 @@ import numpy as np
 # predictions are clipped to [PREDICTION_CLIP, 1 - PREDICTION_CLIP], so
 # the log loss stays finite on a saturated prediction
 PREDICTION_CLIP = 1e-7
+
+
+def logistic(x) -> np.ndarray:
+    """1 / (1 + e^-x) elementwise, branching on sign so exp never
+    overflows; |x| > 30 saturates cleanly."""
+    x = np.asarray(x)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 class SingleClassError(ValueError):

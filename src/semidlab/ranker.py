@@ -235,9 +235,10 @@ def forward_batch(model: RankerModel, events) -> BatchResult:
     agg, attn = _aggregate(model, x)
     target_rows = model.target_lookup.rows_batch([e.item_id for e in events])
     target = T.gather_groups(model.params["target_table"], target_rows[:, None, :])
-    vectors = T.concat_rows([target, agg])
+    vectors = T.concat_along([target, agg], axis=-2)
     interactions = T.pairwise_dot_upper(vectors)
-    h = mlp(model.params, "top", T.concat_flat([interactions, vectors]))
+    b, r, d = vectors.shape
+    h = mlp(model.params, "top", T.concat_along([interactions, T.reshape(vectors, (b, r * d))], axis=1))
     return BatchResult(
         probabilities=T.sigmoid(h).value[:, 0],
         logits=h,
@@ -370,7 +371,8 @@ def build_lookup(spec: dict, *, vocabulary=None, semid_table=None):
 
     ``spec`` keys: kind (individual | random_hash | semantic_id), plus
     table_size and hash_seed for hashing, or variant / prefix_depth /
-    codebook_size and table_size for Semantic ID.
+    codebook_size and table_size for Semantic ID. The integer fields reach
+    the lookups as given, which refuse a bool or a non-integer.
     """
     kind = spec["kind"]
     if kind == "individual":
@@ -378,16 +380,14 @@ def build_lookup(spec: dict, *, vocabulary=None, semid_table=None):
             raise ConfigurationError("individual embeddings need the training vocabulary")
         return IndividualEmbedding(vocabulary)
     if kind == "random_hash":
-        return RandomHash(int(spec["table_size"]), seed=int(spec.get("hash_seed", 0)))
+        return RandomHash(spec["table_size"], seed=spec.get("hash_seed", 0))
     if kind == "semantic_id":
         if semid_table is None:
             raise ConfigurationError("semantic_id lookup needs the Semantic ID table")
         p = TokenParameterization(
-            variant=spec.get("variant", "prefix_ngram"),
-            codebook_size=int(spec["codebook_size"]),
-            prefix_depth=int(spec.get("prefix_depth", 0)),
+            spec.get("variant", "prefix_ngram"), spec["codebook_size"], spec.get("prefix_depth", 0)
         )
-        return SemanticIdLookup(semid_table, p, int(spec["table_size"]))
+        return SemanticIdLookup(semid_table, p, spec["table_size"])
     raise ConfigurationError(f"unknown lookup kind {kind!r}")
 
 

@@ -15,7 +15,11 @@ broadcasting is ``add_rowvec``, whose second operand lacks some leading
 axes of the first (a bias vector, a position table, or the
 pooled-attention seeds); ``bmm`` also shares a plain matrix across
 the batch. Row gathers take integer index arrays in which -1 marks
-"no row".
+"no row". ``concat_along`` is the one concatenation: it stacks a
+target row on the history rows (axis -2) and joins the interaction
+vector with the ``reshape``-flattened rows (axis 1). ``sigmoid`` and
+``bce_with_logits``' gradient call ``metrics.logistic``, the logistic the
+label oracle ``corpus.ground_truth_ctr`` shares.
 
 A row gather that reads fewer entries than its table has rows returns
 from backward a row-sparse ``RowGrad`` instead of a table-sized dense
@@ -35,12 +39,14 @@ names a row skips the pad mask.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import sorted_distinct
+from .metrics import logistic
 
 
 class DimensionError(ValueError):
@@ -396,18 +402,8 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.maximum(av, 0.0), parents=(a,), backward=back)
 
 
-def _sigmoid_stable(x: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never overflows; |x| > 30 saturates cleanly.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_stable(a.value)
+    s = logistic(a.value)
 
     def back(g):
         return (g * s * (1.0 - s),)
@@ -435,25 +431,24 @@ def transpose(a: Tensor) -> Tensor:
     return Tensor(np.swapaxes(a.value, -1, -2), parents=(a,), backward=back)
 
 
-def concat_rows(tensors) -> Tensor:
-    """Stack the rows of equal-width matrices (per batch entry when the
-    inputs share leading batch axes)."""
+def concat_along(tensors, axis: int) -> Tensor:
+    """Join tensors of one rank along ``axis``; every other axis must match.
+
+    ``axis=-2`` stacks the rows of equal-width matrices per batch entry,
+    and ``axis=1`` joins (B, n) rows, after ``reshape`` has flattened
+    each entry of a (B, ...) tensor.
+    """
     tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("concat_rows needs at least one tensor")
-    lead = tensors[0].value.shape[:-2]
-    width = tensors[0].value.shape[-1]
-    for t in tensors:
-        sh = t.value.shape
-        if len(sh) < 2 or sh[:-2] != lead or sh[-1] != width:
-            raise DimensionError("concat_rows: all inputs must be matrices of equal width")
-    sizes = [t.value.shape[-2] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    rest = [list(t.value.shape) for t in tensors]
+    sizes = [r.pop(axis) for r in rest]
+    if not rest or any(r != rest[0] for r in rest):
+        raise DimensionError(f"concat_along: shapes {[t.value.shape for t in tensors]} differ off axis {axis}")
+    splits = list(itertools.accumulate(sizes))[:-1]
 
     def back(g):
-        return tuple(np.split(g, splits, axis=-2))
+        return tuple(np.split(g, splits, axis=axis))
 
-    return Tensor(np.concatenate([t.value for t in tensors], axis=-2), parents=tuple(tensors), backward=back)
+    return Tensor(np.concatenate([t.value for t in tensors], axis=axis), parents=tuple(tensors), backward=back)
 
 
 def sum_sq(a: Tensor) -> Tensor:
@@ -486,7 +481,7 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
-    if int(np.prod(shape)) != a.value.size:
+    if math.prod(shape) != a.value.size:
         raise DimensionError(f"reshape: cannot view {a.value.shape} as {shape}")
     old = a.value.shape
 
@@ -494,28 +489,6 @@ def reshape(a: Tensor, shape) -> Tensor:
         return (g.reshape(old),)
 
     return Tensor(a.value.reshape(shape), parents=(a,), backward=back)
-
-
-def concat_flat(tensors) -> Tensor:
-    """Flatten each entry of the shared leading axis and concatenate.
-
-    Inputs of shapes (B, ...) give a (B, total) array whose row b holds
-    the row-major values of every input's entry b in turn.
-    """
-    tensors = list(tensors)
-    n = tensors[0].value.shape[0]
-    for t in tensors:
-        if t.value.ndim < 2 or t.value.shape[0] != n:
-            raise DimensionError("concat_flat: inputs must share their leading axis")
-    shapes = [t.value.shape for t in tensors]
-    flat = [t.value.reshape(n, -1) for t in tensors]
-    splits = np.cumsum([f.shape[1] for f in flat])[:-1]
-
-    def back(g):
-        parts = np.split(g, splits, axis=1)
-        return tuple(p.reshape(s) for p, s in zip(parts, shapes))
-
-    return Tensor(np.concatenate(flat, axis=1), parents=tuple(tensors), backward=back)
 
 
 @functools.lru_cache(maxsize=32)  # one m per model shape in use
@@ -565,7 +538,7 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
     out = np.array((softplus - y * z).mean())
 
     def back(g):
-        return ((_sigmoid_stable(z) - y) * (g.item() / n),)
+        return ((logistic(z) - y) * (g.item() / n),)
 
     return Tensor(out, parents=(logits,), backward=back)
 

@@ -5,6 +5,15 @@ hashing (seeded integer mix modulo the table size), and Semantic ID
 lookups that expand an item's hierarchical codes into one or more rows
 via a token parameterization.
 
+Every token parameterization follows one window rule. An index reads a
+window of an item's codes (first code, code count) as a base-K number by
+Horner's rule and adds the window's block offset:
+
+* trigram and fourgram: one window, (0, 3, 0) or (0, 4, 0);
+* all-bigrams: (t, 2, t*K^2) for t = 0..L-2;
+* prefix-ngram: (0, d, (K^d - K)/(K - 1)) for d = 1..D, so each depth
+  owns the K^d indices past the shallower depths.
+
 Every lookup maps one ID to a list of rows with ``rows`` and a sequence
 of N IDs to an N-by-G integer array with ``rows_batch``, where G is the
 lookup's ``output_count``; both give the same rows for the same ID.
@@ -14,12 +23,14 @@ Raw IDs and codes are int64 values, and pre-hash indices stay below
 every path: a value that is not an integer inside int64 (1.9, True,
 np.float64(1.0), "7", 2^63) in ``rows``, ``rows_batch`` or a table or
 vocabulary key raises ConfigurationError rather than taking another
-ID's rows, as does an index space K^(L+1) that reaches 2^62. Each
-mapping has one array implementation; ``RandomHash.rows`` and
-``SemanticIdLookup.rows`` keep a per-ID path (a scalar hash, a dict
-lookup, numpy only for an ID that is not an exact ``int``) because one
-ID through numpy costs several times more, and callers that map one ID
-at a time, such as the corpus tokenizer benchmark, would pay it per ID.
+ID's rows, as does an index space K^(L+1) that reaches 2^62. A codebook
+size, prefix depth, table size or hash seed that is a bool or not an
+integer raises it too (``checkpoint.integer``). Each mapping has one
+array implementation; ``RandomHash.rows`` and ``SemanticIdLookup.rows``
+keep a per-ID path (a scalar hash, a dict lookup, numpy only for an ID
+that is not an exact ``int``) because one ID through numpy costs several
+times more, and callers that map one ID at a time, such as the corpus
+tokenizer benchmark, would pay it per ID.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import int64_array, semid_table_arrays, sorted_distinct
+from .checkpoint import int64_array, integer, semid_table_arrays, sorted_distinct
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +56,8 @@ class TokenParameterization:
     """Rule turning a code sequence into pre-hash table indices.
 
     ``codebook_size`` is the number of distinct values per code position;
-    ``prefix_depth`` only applies to the prefix-ngram variant.
+    ``prefix_depth`` only applies to the prefix-ngram variant. Both are
+    stored as ints; a bool or a non-integer raises ConfigurationError.
     """
 
     variant: str
@@ -55,30 +67,32 @@ class TokenParameterization:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigurationError(f"unknown parameterization variant {self.variant!r}")
+        for name in ("codebook_size", "prefix_depth"):
+            object.__setattr__(self, name, integer(getattr(self, name), name, ConfigurationError))
         if self.codebook_size < 2:
             raise ConfigurationError("codebook_size must be at least 2")
         if self.variant == "prefix_ngram" and self.prefix_depth < 1:
             raise ConfigurationError("prefix_ngram needs prefix_depth >= 1")
 
+    def _windows(self, levels: int) -> list[tuple[int, int, int]]:
+        """(first code, code count, offset) of each index for a length-``levels`` code."""
+        k = self.codebook_size
+        if self.variant == "prefix_ngram":
+            if self.prefix_depth > levels:
+                raise ConfigurationError(
+                    f"prefix_ngram depth {self.prefix_depth} exceeds code length {levels}"
+                )
+            return [(0, d, (k**d - k) // (k - 1)) for d in range(1, self.prefix_depth + 1)]
+        width = {"trigram": 3, "fourgram": 4, "all_bigrams": 2}[self.variant]
+        if levels < width:
+            raise ConfigurationError(f"{self.variant} needs at least {width} code levels, got {levels}")
+        if self.variant == "all_bigrams":
+            return [(t, 2, t * k * k) for t in range(levels - 1)]
+        return [(0, width, 0)]
+
     def output_count(self, levels: int) -> int:
         """Number of indices emitted for a length-``levels`` code."""
-        if self.variant == "trigram":
-            if levels < 3:
-                raise ConfigurationError(f"trigram needs at least 3 code levels, got {levels}")
-            return 1
-        if self.variant == "fourgram":
-            if levels < 4:
-                raise ConfigurationError(f"fourgram needs at least 4 code levels, got {levels}")
-            return 1
-        if self.variant == "all_bigrams":
-            if levels < 2:
-                raise ConfigurationError(f"all_bigrams needs at least 2 code levels, got {levels}")
-            return levels - 1
-        if self.prefix_depth > levels:
-            raise ConfigurationError(
-                f"prefix_ngram depth {self.prefix_depth} exceeds code length {levels}"
-            )
-        return self.prefix_depth
+        return len(self._windows(levels))
 
 
 def _raw_id(raw_id) -> int:
@@ -89,22 +103,17 @@ def _raw_id(raw_id) -> int:
 
 
 def parameterize(codes, p: TokenParameterization) -> list[int]:
-    """Expand one code sequence into pre-hash indices.
-
-    Prefix-ngram emits one index per prefix depth 1..n; each depth-i
-    index enumerates all K^i possible prefixes of that depth, offset past
-    the shallower depths, so deeper prefixes never collide with shallower
-    ones before table fitting.
-    """
+    """Expand one code sequence into pre-hash indices, one per window."""
     return parameterize_batch([codes], p)[0].tolist()
 
 
 def parameterize_batch(codes, p: TokenParameterization) -> np.ndarray:
     """``parameterize`` over each row of an N-by-L code matrix.
 
-    Returns an N-by-G int64 array. Every pre-hash index lies below
-    K^(L+1); an index space that reaches 2^62 raises ConfigurationError,
-    which keeps the indices and their partial sums inside int64.
+    Returns an N-by-G int64 array whose column g reads window g. Every
+    pre-hash index lies below K^(L+1); an index space that reaches 2^62
+    raises ConfigurationError, which keeps the indices and their partial
+    sums inside int64.
     """
     codes = int64_array(codes, "codes", ConfigurationError)
     if codes.ndim != 2:
@@ -112,24 +121,17 @@ def parameterize_batch(codes, p: TokenParameterization) -> np.ndarray:
     k = p.codebook_size
     if codes.size and (codes.min() < 0 or codes.max() >= k):
         raise ConfigurationError(f"code outside [0, {k})")
-    g = p.output_count(codes.shape[1])
+    windows = p._windows(codes.shape[1])
     if k ** (codes.shape[1] + 1) >= 2**62:
         raise ConfigurationError(
             f"index space {k}^{codes.shape[1] + 1} reaches 2^62; pre-hash indices must stay inside int64"
         )
-    if p.variant == "trigram":
-        return (k * k * codes[:, 0] + k * codes[:, 1] + codes[:, 2])[:, None]
-    if p.variant == "fourgram":
-        return (k**3 * codes[:, 0] + k * k * codes[:, 1] + k * codes[:, 2] + codes[:, 3])[:, None]
-    if p.variant == "all_bigrams":
-        pos = np.arange(g, dtype=np.int64)
-        return k * k * pos + k * codes[:, :-1] + codes[:, 1:]
-    out = np.empty((codes.shape[0], g), dtype=np.int64)
-    acc = np.zeros(codes.shape[0], dtype=np.int64)
-    for depth in range(g):
-        # sum_t k^(depth-t) * (codes[t] + 1) by Horner's rule
-        acc = acc * k + codes[:, depth] + 1
-        out[:, depth] = acc - 1
+    out = np.empty((codes.shape[0], len(windows)), dtype=np.int64)
+    for g, (first, count, offset) in enumerate(windows):
+        acc = codes[:, first]
+        for t in range(first + 1, first + count):
+            acc = acc * k + codes[:, t]  # Horner's rule
+        out[:, g] = acc + offset
     return out
 
 
@@ -178,10 +180,10 @@ class RandomHash:
     kind = "random_hash"
 
     def __init__(self, table_size: int, seed: int = 0):
-        if table_size < 1:
+        self.table_size = integer(table_size, "table size", ConfigurationError)
+        if self.table_size < 1:
             raise ConfigurationError("table size must be positive")
-        self.table_size = int(table_size)
-        self.seed_mix = _splitmix64(int(seed) & _MASK64)
+        self.seed_mix = _splitmix64(integer(seed, "hash seed", ConfigurationError) & _MASK64)
         self.output_count = 1
 
     def rows(self, raw_id: int) -> list[int]:
@@ -246,7 +248,7 @@ class SemanticIdLookup:
         self.levels = codes.shape[1]
         self.parameterization = parameterization
         self.output_count = parameterization.output_count(self.levels)
-        self.table_size = int(table_size)
+        self.table_size = integer(table_size, "table size", ConfigurationError)
         self._position = dict(zip(id_table, range(len(id_table))))
         self._fallback = len(id_table)
         pre = parameterize_batch(np.vstack([codes, np.zeros(self.levels, dtype=np.int64)]), parameterization)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from semidlab import ranker
-from semidlab.corpus import ground_truth_ctr
+from semidlab.corpus import DAY, ground_truth_ctr
 from semidlab.tokenization import ConfigurationError
 
 
@@ -177,3 +177,45 @@ def click_loss_analog(
             "skipped": out[k]["skipped"],
         }
     return report
+
+
+def distribution_exports(items, train_events, semid_table) -> dict:
+    """``analysis.distribution_exports`` by plain loops, with every series
+    as a list and each Gini coefficient as the mean absolute difference
+    over all ordered pairs, sum |x_i - x_j| / (2 n sum x)."""
+    counts = {int(x): 0 for x in items.raw_ids}
+    raw_clicks, code_clicks = {}, {}
+    for e in train_events:
+        if e.item_id in counts:
+            counts[e.item_id] += 1
+        if e.label == 1:
+            raw_clicks[e.item_id] = raw_clicks.get(e.item_id, 0) + 1
+            codes = semid_table.get(e.item_id)
+            if codes is not None:
+                code_clicks[codes] = code_clicks.get(codes, 0) + 1
+    running, cumulative = 0, []
+    for c in sorted(counts.values(), reverse=True):
+        running += c
+        cumulative.append(running)
+    n = len(cumulative)
+    total = running or 1
+    cohort = [int(d) for b, d in zip(items.birth, items.death) if b == 0]
+    last_day = -(-int(max(items.death)) // DAY)
+    survival = [sum(1 for d in cohort if d > day * DAY) / len(cohort) for day in range(last_day + 1)]
+
+    def gini(values):
+        if not values or not sum(values):
+            return 0.0
+        pairs = sum(abs(a - b) for a in values for b in values)
+        return pairs / (2 * len(values) * sum(values))
+
+    raw = sorted(raw_clicks.values(), reverse=True)
+    semid = sorted(code_clicks.values(), reverse=True)
+    return {
+        "impression_curve": ([i / n for i in range(1, n + 1)], [c / total for c in cumulative]),
+        "survival_curve": (list(range(last_day + 1)), survival),
+        "raw_click_counts": raw,
+        "semid_click_counts": semid,
+        "gini_raw": gini(raw),
+        "gini_semid": gini(semid),
+    }

@@ -89,9 +89,10 @@ def forward(model, event) -> ForwardResult:
     x, pad_mask = history_matrix(model, event)
     agg, attn = aggregate(model, x)
     target = T.gather_groups(model.params["target_table"], groups_index([model.target_lookup.rows(event.item_id)]))
-    vectors = T.concat_rows([target, agg])
+    vectors = T.concat_along([target, agg], axis=-2)
     pairs = T.pairwise_dot_upper(vectors)
-    h = T.concat_flat([T.reshape(pairs, (1, pairs.value.size)), T.reshape(vectors, (1, *vectors.value.shape))])
+    flat = [T.reshape(pairs, (1, pairs.value.size)), T.reshape(vectors, (1, vectors.value.size))]
+    h = T.concat_along(flat, axis=1)
     n_layers = len(model.config.top_mlp) + 1
     for i in range(n_layers):
         h = T.add_rowvec(T.matmul(h, model.params[f"top.{i}.w"]), model.params[f"top.{i}.b"])

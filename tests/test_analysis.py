@@ -73,6 +73,24 @@ class TestSegments:
         # both the unseen-in-universe item and the eval-only id are new
         assert seg.new_items == {5, 6}
 
+    @pytest.mark.parametrize("universe, eval_ids", [
+        ([1, 1.9], [1]),  # 1.9 became item 1
+        ([1, 2], [1.9]),
+        (np.array([1.0, 2.0]), [1]),
+        ([1, 2], [True]),
+        ([1, 2**63], [1]),
+    ])
+    def test_non_integer_item_ids_are_refused_not_truncated(self, universe, eval_ids):
+        with pytest.raises(ValueError, match="integers inside int64"):
+            build_segments({1: 3}, universe=universe, eval_item_ids=eval_ids)
+
+    def test_numpy_item_ids_give_the_segments_of_python_ints(self):
+        counts = {1: 5, 2: 3, 3: 1}
+        want = build_segments(counts, universe=[3, 1, 2], eval_item_ids=[2, 4])
+        got = build_segments(counts, universe=np.array([3, 1, 2]), eval_item_ids=np.array([2, 4], dtype=np.int32))
+        assert got == want
+        assert all(type(x) is int for x in got.head | got.torso | got.tail | got.new_items)
+
     def test_new_items_disjoint_from_train_seen(self):
         counts = {1: 5}
         seg = build_segments(counts, universe=[1, 2], eval_item_ids=[1, 2])
@@ -374,11 +392,21 @@ class TestClickLoss:
         # the latest contexts, where many same-prefix items have died
         contexts = stream.eval[-20:]
         assert all((items.death <= e.timestamp).sum() > 100 for e in contexts)
-        args = (model, items, users, semid, contexts, (1, 3, 4))
+        args = (model, items, users, semid, contexts, (1, 2, 3))
         kwargs = dict(temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60, seed=seed)
         report = click_loss_analog(*args, **kwargs)
         assert report == oracles.click_loss_analog(*args, **kwargs)
         assert report[1]["n_swaps"] > 0
+
+    @pytest.mark.parametrize("depths", [(0,), (1, 4), (-1,), (1.5,), (True,), (2.0,)])
+    def test_refuses_a_depth_outside_the_code_levels_before_scoring(self, depths):
+        cfg, items, users, stream, semid, _ = self._setup()
+        # no model: scoring anything would fail with another error
+        with pytest.raises(ValueError, match="depth"):
+            click_loss_analog(
+                None, items, users, semid, stream.eval[:3], depths,
+                temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60,
+            )
 
     @pytest.mark.parametrize("seed", [7, 8])
     def test_matches_the_oracle_with_table_keys_out_of_item_order(self, seed):
@@ -433,6 +461,32 @@ class TestDistributionExports:
     def test_semid_click_space_less_skewed(self):
         out = self._exports()
         assert out["gini_semid"] < out["gini_raw"]
+
+    @pytest.mark.parametrize("seed", [8, 9])
+    @pytest.mark.parametrize("table", ["full", "partial"])
+    def test_matches_the_loop_oracle_exactly(self, seed, table):
+        cfg = CorpusConfig(n_items=1500, embedding_dim=8, n_users=80, n_train_events=8000,
+                           n_eval_events=500, history_capacity=4, seed=seed)
+        items = generate_items(cfg)
+        stream = generate_stream(items, generate_users(cfg), cfg)
+        semid = {int(x): (int(items.top[i]), int(items.mid[i]), int(items.leaf[i]))
+                 for i, x in enumerate(items.raw_ids)}
+        if table == "partial":
+            # clicks on items the table lacks count in raw-ID space only
+            kept = np.random.default_rng(seed).random(len(semid)) < 0.7
+            semid = {raw: codes for (raw, codes), keep in zip(semid.items(), kept) if keep}
+        got = distribution_exports(items, stream.train, semid)
+        want = oracles.distribution_exports(items, stream.train, semid)
+        assert sorted(got) == sorted(want)
+        for name in ("impression_curve", "survival_curve"):
+            for g, w in zip(got[name], want[name]):
+                assert np.asarray(g).tolist() == w, name
+        for name in ("raw_click_counts", "semid_click_counts"):
+            assert got[name].dtype == np.float64
+            assert got[name].tolist() == want[name], name
+        assert got["gini_raw"] == want["gini_raw"]
+        assert got["gini_semid"] == want["gini_semid"]
+        assert got["gini_raw"] > 0.0 and got["gini_semid"] > 0.0
 
     def test_gini_hand_values(self):
         assert gini([5, 5, 5, 5]) == 0.0

@@ -136,3 +136,27 @@ def test_meta_that_is_not_an_object_raises(tmp_path, meta):
         load_rqvae(rq_path)
     with pytest.raises(CheckpointError, match="header meta"):
         load_ranker(ranker_path, lookup, lookup)
+
+
+def test_loaded_arrays_are_writable_copies_equal_to_the_saved_ones(tmp_path):
+    rng = np.random.default_rng(3)
+    saved = {
+        "w": rng.normal(size=(5, 3)),
+        "ids": np.array([-(2**63), 0, 2**62 + 1], dtype=np.int64),
+        "empty": np.zeros((0, 4)),
+        "scalar": np.array(2.5),
+    }
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, saved)
+    loaded, _ = load_checkpoint(path)
+    assert list(loaded) == list(saved)
+    for name, want in saved.items():
+        got = loaded[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        assert got.flags.writeable and got.flags.c_contiguous and got.dtype.isnative, name
+    loaded["w"][0, 0] = 7.0
+    loaded["ids"][1] = 5
+    again, _ = load_checkpoint(path)
+    assert again["w"].tobytes() == saved["w"].tobytes()
+    assert again["ids"].tobytes() == saved["ids"].tobytes()

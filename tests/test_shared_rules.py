@@ -7,7 +7,17 @@
 * ``checkpoint.Config``: one ``to_dict`` for the three configs, one rule
   for their integer fields, and ``config_from_meta`` rebuilds them
   through the constructor.
+* ``checkpoint.integer``: the configs' rule for one integer also holds
+  at the lookups' constructors (``TokenParameterization``'s codebook size
+  and prefix depth, ``RandomHash``'s and ``SemanticIdLookup``'s table
+  size, the hash seed) and so at ``ranker.build_lookup``'s spec: a bool
+  or a non-integer raises ConfigurationError instead of being truncated.
 * ``corpus.inject_aa_pairs`` copies every ``ItemTable`` field.
+* ``metrics.logistic``: the one overflow-free logistic, behind
+  ``tensor.sigmoid``, ``tensor.bce_with_logits``' gradient and the label
+  oracle ``corpus.ground_truth_ctr``.
+* ``TokenParameterization``'s window rule: every variant's indices are
+  windows of the codes read as base-K numbers, each at its block offset.
 """
 
 import dataclasses
@@ -16,6 +26,7 @@ import json
 import numpy as np
 import pytest
 
+from semidlab import tensor as T
 from semidlab.checkpoint import config_from_meta, int64_array
 from semidlab.corpus import (
     DAY,
@@ -24,11 +35,13 @@ from semidlab.corpus import (
     ImpressionEvent,
     ItemTable,
     generate_items,
+    ground_truth_ctr,
     inject_aa_pairs,
     save_events,
     save_items,
 )
-from semidlab.ranker import RankerConfig, RankerConfigError
+from semidlab.metrics import logistic
+from semidlab.ranker import RankerConfig, RankerConfigError, build_lookup
 from semidlab.rqvae import RqVaeConfig, RqVaeConfigError, save_semid_table
 from semidlab.runfiles import config_hash
 from semidlab.tokenization import (
@@ -307,3 +320,125 @@ def test_aa_copies_share_every_field_but_their_fresh_raw_ids():
     fresh = extended.raw_ids[n:]
     assert len(set(extended.raw_ids.tolist())) == len(extended)
     assert not set(fresh.tolist()) & set(items.raw_ids.tolist())
+
+
+# ---------------------------------------------------------------------------
+# checkpoint.integer at the entry points that take one integer
+
+SEMID = {1: (0, 1, 2), 2: (3, 2, 1)}
+SINGLE_INTEGERS = {
+    "TokenParameterization.codebook_size": lambda v: TokenParameterization("prefix_ngram", v, 1),
+    "TokenParameterization.prefix_depth": lambda v: TokenParameterization("prefix_ngram", 4, v),
+    "RandomHash.table_size": lambda v: RandomHash(v),
+    "RandomHash.seed": lambda v: RandomHash(100, seed=v),
+    "SemanticIdLookup.table_size": lambda v: SemanticIdLookup(SEMID, TokenParameterization("trigram", 4), v),
+    "build_lookup.random_hash.table_size": lambda v: build_lookup({"kind": "random_hash", "table_size": v}),
+    "build_lookup.hash_seed": lambda v: build_lookup({"kind": "random_hash", "table_size": 100, "hash_seed": v}),
+    **{
+        f"build_lookup.semantic_id.{name}": (
+            lambda v, name=name: build_lookup(
+                {"kind": "semantic_id", "codebook_size": 4, "prefix_depth": 2, "table_size": 64, name: v},
+                semid_table=SEMID,
+            )
+        )
+        for name in ("codebook_size", "prefix_depth", "table_size")
+    },
+}
+
+
+@pytest.mark.parametrize("value", [4.5, 64.0, True, np.float64(3.0), "4", None])
+@pytest.mark.parametrize("caller", sorted(SINGLE_INTEGERS))
+def test_single_integer_entry_points_refuse_a_bool_or_non_integer(caller, value):
+    with pytest.raises(ConfigurationError, match="integers only"):
+        SINGLE_INTEGERS[caller](value)
+
+
+def test_fractional_lookup_sizes_and_seeds_are_refused_not_truncated():
+    # K = 4.5 gave prefix indices [1, 11] where K = 4 gives [1, 10], and
+    # RandomHash(100.9, seed=1.5) mapped exactly like RandomHash(100, seed=1)
+    with pytest.raises(ConfigurationError):
+        TokenParameterization("prefix_ngram", 4.5, 2)
+    with pytest.raises(ConfigurationError):
+        RandomHash(100.9, seed=1)
+    with pytest.raises(ConfigurationError):
+        RandomHash(100, seed=1.5)
+
+
+def test_numpy_integer_sizes_pass_as_python_ints():
+    p = TokenParameterization("prefix_ngram", np.int64(4), np.int32(2))
+    assert p == TokenParameterization("prefix_ngram", 4, 2)
+    assert type(p.codebook_size) is int and type(p.prefix_depth) is int
+    ids = np.arange(-50, 50, dtype=np.int64)
+    np.testing.assert_array_equal(
+        RandomHash(np.int64(100), seed=np.uint8(3)).rows_batch(ids), RandomHash(100, seed=3).rows_batch(ids)
+    )
+    lookup = SemanticIdLookup(SEMID, p, np.int64(64))
+    assert type(lookup.table_size) is int
+    np.testing.assert_array_equal(lookup.rows_batch([1, 2]), SemanticIdLookup(SEMID, p, 64).rows_batch([1, 2]))
+
+
+def test_a_numpy_codebook_size_cannot_wrap_past_the_index_space_guard():
+    # as an int64, (2^16)^4 wraps to 0 and would pass the K^(L+1) < 2^62 guard
+    p = TokenParameterization("trigram", np.int64(2**16))
+    with pytest.raises(ConfigurationError, match="reaches 2"):
+        parameterize_batch([[0, 0, 0]], p)
+
+
+# ---------------------------------------------------------------------------
+# one logistic
+
+
+def test_one_logistic_behind_the_engine_and_the_label_oracle():
+    x = np.array([-800.0, -30.5, -1.0, -0.0, 0.0, 1e-300, 2.5, 30.5, 800.0])
+    s = logistic(x)
+    assert s.tobytes() == T.sigmoid(T.constant(x)).value.tobytes()
+    assert s[0] == 0.0 and s[-1] == 1.0 and s[3] == s[4] == 0.5
+    logits = T.parameter(x)
+    T.backward(T.bce_with_logits(logits, np.zeros_like(x)))
+    assert logits.grad.tobytes() == (s * (1.0 / x.size)).tobytes()
+    pref = np.array([[1.0, 0.0]] * x.size)
+    emb = np.stack([x, np.zeros_like(x)], axis=1)
+    ctr = ground_truth_ctr(pref, emb, 1.0, 0.0)
+    assert ctr.tobytes() == np.clip(s, 1e-12, 1 - 1e-12).tobytes()
+    assert ground_truth_ctr(pref[0], emb[6], 1.0, 0.0).shape == ()
+
+
+# ---------------------------------------------------------------------------
+# one window rule for every token parameterization
+
+# (variant, K, L, prefix depth) -> (first code, code count, offset) per index
+WINDOWS = {
+    ("trigram", 5, 4, 0): [(0, 3, 0)],
+    ("fourgram", 3, 5, 0): [(0, 4, 0)],
+    ("all_bigrams", 4, 4, 0): [(0, 2, 0), (1, 2, 16), (2, 2, 32)],
+    ("prefix_ngram", 4, 3, 3): [(0, 1, 0), (0, 2, 4), (0, 3, 20)],
+    ("prefix_ngram", 7, 4, 2): [(0, 1, 0), (0, 2, 7)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WINDOWS), ids=lambda c: "-".join(map(str, c)))
+def test_each_index_reads_a_code_window_as_a_base_k_number_at_its_offset(case):
+    variant, k, levels, depth = case
+    codes = np.random.default_rng(k * levels).integers(0, k, size=(40, levels))
+    want = [
+        [offset + sum(int(row[first + i]) * k ** (count - 1 - i) for i in range(count))
+         for first, count, offset in WINDOWS[case]]
+        for row in codes
+    ]
+    p = TokenParameterization(variant, k, depth)
+    assert p.output_count(levels) == len(WINDOWS[case])
+    assert parameterize_batch(codes, p).tolist() == want
+
+
+@pytest.mark.parametrize("variant, depth, levels, message", [
+    ("trigram", 0, 2, "trigram needs at least 3 code levels, got 2"),
+    ("fourgram", 0, 3, "fourgram needs at least 4 code levels, got 3"),
+    ("all_bigrams", 0, 1, "all_bigrams needs at least 2 code levels, got 1"),
+    ("prefix_ngram", 4, 3, "prefix_ngram depth 4 exceeds code length 3"),
+])
+def test_a_code_too_short_for_its_windows_raises_the_variant_message(variant, depth, levels, message):
+    p = TokenParameterization(variant, 4, depth)
+    for call in (lambda: p.output_count(levels), lambda: parameterize_batch(np.zeros((2, levels), dtype=np.int64), p)):
+        with pytest.raises(ConfigurationError) as info:
+            call()
+        assert str(info.value) == message

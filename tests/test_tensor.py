@@ -129,13 +129,25 @@ class TestForwardValues:
         with pytest.raises(T.DimensionError):
             T.add(T.constant(np.zeros((3, 4))), T.constant(np.ones(4)))
 
-    def test_concat_flat_flattens_each_leading_entry(self):
+    def test_concat_along_joins_flattened_entries(self):
         a = np.arange(6.0).reshape(2, 3)
         b = np.arange(8.0).reshape(2, 2, 2) + 10
-        out = T.concat_flat([T.constant(a), T.constant(b)]).value
+        out = T.concat_along([T.constant(a), T.reshape(T.constant(b), (2, 4))], axis=1).value
         np.testing.assert_array_equal(out, [[0, 1, 2, 10, 11, 12, 13], [3, 4, 5, 14, 15, 16, 17]])
+
+    @pytest.mark.parametrize(
+        "shapes, axis",
+        [
+            ([(2, 3), (3, 2)], 1),  # leading axes differ
+            ([(2, 3), (2, 3, 1)], -1),  # ranks differ
+            ([(1, 2, 4), (2, 3, 4)], -2),  # batch axes differ
+            ([(2, 3), (2, 4)], 0),  # widths differ when stacking rows
+            ([], 0),
+        ],
+    )
+    def test_concat_along_refuses_shapes_that_differ_off_the_axis(self, shapes, axis):
         with pytest.raises(T.DimensionError):
-            T.concat_flat([T.constant(a), T.constant(np.ones((3, 2)))])
+            T.concat_along([T.constant(np.ones(s)) for s in shapes], axis=axis)
 
     def test_sigmoid_zero(self):
         assert T.sigmoid(T.constant([0.0])).value[0] == 0.5
@@ -159,10 +171,10 @@ class TestForwardValues:
         T.backward(weighted_sum(out))
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 1.0])
 
-    def test_concat_rows_and_transpose(self):
+    def test_concat_along_rows_and_transpose(self):
         a = T.constant([[1.0, 2.0]])
         b = T.constant([[3.0, 4.0], [5.0, 6.0]])
-        out = T.concat_rows([a, b])
+        out = T.concat_along([a, b], axis=-2)
         np.testing.assert_array_equal(out.value, [[1, 2], [3, 4], [5, 6]])
         np.testing.assert_array_equal(T.transpose(out).value, out.value.T)
 
@@ -254,11 +266,11 @@ OP_CASES = {
     "sigmoid": lambda rng, p: T.sigmoid(p),
     "scale": lambda rng, p: T.scale(p, -2.5),
     "transpose": lambda rng, p: T.transpose(p),
-    "concat_rows": lambda rng, p: T.concat_rows([p, T.constant(_rand(rng, 2, 4))]),
+    "concat_along_rows": lambda rng, p: T.concat_along([p, T.constant(_rand(rng, 2, 4))], axis=0),
     "sum_sq": lambda rng, p: T.sum_sq(p),
     "add_rowvec_m": lambda rng, p: T.add_rowvec(p, T.constant(_rand(rng, 4))),
     "reshape": lambda rng, p: T.reshape(p, (4, 3)),
-    "concat_flat": lambda rng, p: T.concat_flat([p, T.constant(_rand(rng, 3, 5))]),
+    "concat_along_columns": lambda rng, p: T.concat_along([p, T.constant(_rand(rng, 3, 5))], axis=1),
     "pairwise_dot_upper": lambda rng, p: T.pairwise_dot_upper(p),
     "bce_with_logits": lambda rng, p: T.bce_with_logits(
         p, (rng.random(size=(3, 4)) > 0.5).astype(float)
@@ -283,8 +295,10 @@ OP_CASES = {
         T.constant(_rand(rng, 2, 3, 4)), T.constant(_rand(rng, 4)), p
     ),
     "transpose_3d": lambda rng, p: T.transpose(p),
-    "concat_rows_3d": lambda rng, p: T.concat_rows([T.constant(_rand(rng, 2, 1, 4)), p]),
-    "concat_flat_3d": lambda rng, p: T.concat_flat([T.constant(_rand(rng, 2, 5)), p]),
+    "concat_along_rows_3d": lambda rng, p: T.concat_along([T.constant(_rand(rng, 2, 1, 4)), p], axis=-2),
+    "concat_along_flat_3d": lambda rng, p: T.concat_along(
+        [T.constant(_rand(rng, 2, 5)), T.reshape(p, (2, 12))], axis=1
+    ),
     "pairwise_dot_upper_3d": lambda rng, p: T.pairwise_dot_upper(p),
     "gather_groups_3d": lambda rng, p: T.gather_groups(p, [[[0, -1], [2, 2]], [[-1, -1], [1, 0]]]),
 }
@@ -301,7 +315,7 @@ PARAM_SHAPES = {
     "gather_groups_3d": (3, 4),
     **{name: (2, 3, 4) for name in (
         "matmul_a_3d", "bmm_a", "bmm_b", "softmax_rows_3d", "layernorm_x_3d", "transpose_3d",
-        "concat_rows_3d", "concat_flat_3d", "pairwise_dot_upper_3d",
+        "concat_along_rows_3d", "concat_along_flat_3d", "pairwise_dot_upper_3d",
     )},
 }
 
