@@ -18,6 +18,8 @@ bit-exactly because the payload is the raw bytes.
 Model parameters, item tables, user tables, Semantic ID tables and
 event streams live in this container.
 
+``check_arrays`` is every loader's one check of the arrays a file must
+hold, lengths that several arrays share included.
 ``int64_array`` is every module's one check for an integer array, and
 ``integer`` the one check for a single integer: a value that is not an
 integer (inside int64, for an array) raises the caller's own error.
@@ -34,6 +36,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -87,14 +90,20 @@ def sorted_distinct(values) -> np.ndarray:
 
 
 def save_checkpoint(path, params, meta=None) -> None:
-    """Write named arrays (or tensors with a ``value`` attribute)."""
+    """Write named arrays (or tensors with a ``value`` attribute).
+
+    Each array is written from its own buffer, without a byte copy; one
+    that is not already a C-contiguous int64 or float64 array is
+    converted first.
+    """
     entries = []
-    blobs = []
+    values = []
     for name, arr in params.items():
         value = np.asarray(getattr(arr, "value", arr))
         dtype = "<i8" if value.dtype.kind == "i" else "<f8"
         entries.append({"name": str(name), "shape": list(value.shape), "dtype": dtype})
-        blobs.append(np.asarray(value, dtype=dtype).tobytes())
+        # unlike np.ascontiguousarray, this keeps a 0-d array 0-d
+        values.append(np.asarray(value, dtype=dtype, order="C"))
     header = json.dumps(
         {"version": VERSION, "meta": meta or {}, "params": entries},
         sort_keys=True,
@@ -104,82 +113,102 @@ def save_checkpoint(path, params, meta=None) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for value in values:
+            fh.write(value)
 
 
 def load_checkpoint(path):
     """Read a container; returns (dict name -> float64 or int64 array, meta dict).
 
-    Raises CheckpointError on a foreign, truncated or inconsistent file.
+    The preamble and header are read first, and every entry's dtype and
+    shape, and the payload size against the file's, are checked before
+    any array is allocated; each array is then read straight from the
+    file into its own writable native array. Raises CheckpointError on a
+    foreign, truncated or inconsistent file.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:8] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a semidlab checkpoint")
-    if len(raw) < 12:
-        raise CheckpointError(f"{path}: truncated header length")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    if 12 + hlen > len(raw):
-        raise CheckpointError(f"{path}: truncated header ({len(raw) - 12} of {hlen} bytes)")
-    try:
-        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
-        version = header.get("version")
-        if version == VERSION:
-            entries = [
-                (str(e["name"]), tuple(e["shape"]), e.get("dtype", "<f8"))
-                for e in header["params"]
-            ]
-            meta = header["meta"]
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    if not isinstance(meta, dict):
-        raise CheckpointError(f"{path}: header meta is {type(meta).__name__}, expected an object")
-    params = {}
-    offset = 12 + hlen
-    for name, shape, dtype in entries:
-        if dtype not in DTYPES:
-            raise CheckpointError(f"{path}: unsupported dtype {dtype!r} of {name!r}")
-        # bool is a subclass of int; JSON true must not read as a length of 1
-        if any(type(n) is not int for n in shape):
-            raise CheckpointError(f"{path}: non-integer dimension in shape {list(shape)} of {name!r}")
-        if any(n < 0 for n in shape):
-            raise CheckpointError(f"{path}: negative dimension in shape {shape} of {name!r}")
-        # Python ints do not wrap; numpy refuses a shape whose nonzero
-        # dimensions span more bytes than an intp holds, even when empty
-        if 8 * math.prod(n or 1 for n in shape) > np.iinfo(np.intp).max:
-            raise CheckpointError(f"{path}: shape {shape} of {name!r} is too large")
-        count = math.prod(shape)
-        end = offset + 8 * count
-        if end > len(raw):
-            raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")
-        # one copy per array, out of the file's bytes into a writable native array
-        params[name] = np.frombuffer(raw, dtype, count, offset).astype(DTYPES[dtype]).reshape(shape)
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: trailing bytes after payload")
+        preamble = fh.read(12)
+        if preamble[:8] != MAGIC:
+            raise CheckpointError(f"{path}: bad magic, not a semidlab checkpoint")
+        if len(preamble) < 12:
+            raise CheckpointError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<I", preamble[8:])
+        raw_header = fh.read(hlen)
+        if len(raw_header) < hlen:
+            raise CheckpointError(f"{path}: truncated header ({len(raw_header)} of {hlen} bytes)")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+            version = header.get("version")
+            if version == VERSION:
+                entries = [
+                    (str(e["name"]), tuple(e["shape"]), e.get("dtype", "<f8"))
+                    for e in header["params"]
+                ]
+                meta = header["meta"]
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: header meta is {type(meta).__name__}, expected an object")
+        size = os.fstat(fh.fileno()).st_size
+        end = 12 + hlen
+        for name, shape, dtype in entries:
+            if dtype not in DTYPES:
+                raise CheckpointError(f"{path}: unsupported dtype {dtype!r} of {name!r}")
+            # bool is a subclass of int; JSON true must not read as a length of 1
+            if any(type(n) is not int for n in shape):
+                raise CheckpointError(f"{path}: non-integer dimension in shape {list(shape)} of {name!r}")
+            if any(n < 0 for n in shape):
+                raise CheckpointError(f"{path}: negative dimension in shape {shape} of {name!r}")
+            # Python ints do not wrap; numpy refuses a shape whose nonzero
+            # dimensions span more bytes than an intp holds, even when empty
+            if 8 * math.prod(n or 1 for n in shape) > np.iinfo(np.intp).max:
+                raise CheckpointError(f"{path}: shape {shape} of {name!r} is too large")
+            end += 8 * math.prod(shape)
+            if end > size:
+                raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")
+        if end != size:
+            raise CheckpointError(f"{path}: trailing bytes after payload")
+        params = {}
+        for name, shape, dtype in entries:
+            count = math.prod(shape)
+            # a file cut short since the size check reads fewer values
+            value = np.fromfile(fh, dtype, count)
+            if value.size != count:
+                raise CheckpointError(f"{path}: truncated payload at parameter {name!r}")
+            # a no-op on a little-endian machine
+            params[name] = value.astype(DTYPES[dtype], copy=False).reshape(shape)
     return params, meta
 
 
 def check_arrays(path, saved: dict, expected: dict) -> None:
     """Check saved arrays against ``{name: (dtype, shape)}``.
 
-    A ``None`` dimension in an expected shape matches any length. The
-    names must be exactly the expected ones; anything else raises
-    CheckpointError.
+    In an expected shape, an int dimension must match exactly, ``None``
+    matches any length, and a string names a length: every array that
+    uses the name must have the same length there (``"N"`` for the rows
+    of an item table, say). The names must be exactly the expected ones;
+    anything else raises CheckpointError, a named length naming both
+    arrays and both lengths.
     """
     missing = sorted(set(expected) - set(saved))
     unexpected = sorted(set(saved) - set(expected))
     if missing or unexpected:
         raise CheckpointError(f"{path}: array names differ (missing {missing}, unexpected {unexpected})")
+    lengths = {}  # length name -> (first array that uses it, its length there)
     for name, (dtype, shape) in expected.items():
         value = saved[name]
         if value.dtype != DTYPES[dtype]:
             raise CheckpointError(f"{path}: {name!r} is {value.dtype}, expected {np.dtype(DTYPES[dtype])}")
-        if len(value.shape) != len(shape) or any(e is not None and e != n for n, e in zip(value.shape, shape)):
+        fixed = [(n, e) for n, e in zip(value.shape, shape) if not isinstance(e, str)]
+        if len(value.shape) != len(shape) or any(e not in (None, n) for n, e in fixed):
             raise CheckpointError(f"{path}: {name!r} has shape {value.shape}, expected {shape}")
+        for n, e in zip(value.shape, shape):
+            if isinstance(e, str):
+                first, length = lengths.setdefault(e, (name, n))
+                if n != length:
+                    raise CheckpointError(f"{path}: length {e} is {length} in {first!r} but {n} in {name!r}")
 
 
 class Config:

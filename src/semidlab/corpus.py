@@ -363,17 +363,18 @@ def inject_aa_pairs(items: ItemTable, count: int, window: tuple[int, int], seed:
 # persistence (see the module docstring)
 
 
-# array name -> (container dtype, shape); None matches any length
+# array name -> (container dtype, shape), as ``check_arrays`` reads it:
+# None matches any length, and every "N" is the table's row count
 _ITEM_ARRAYS = {
-    "raw_ids": ("<i8", (None,)),
-    "embeddings": ("<f8", (None, None)),
-    "top": ("<i8", (None,)),
-    "mid": ("<i8", (None,)),
-    "leaf": ("<i8", (None,)),
-    "birth": ("<i8", (None,)),
-    "death": ("<i8", (None,)),
-    "weight": ("<f8", (None,)),
-    "bias": ("<f8", (None,)),
+    "raw_ids": ("<i8", ("N",)),
+    "embeddings": ("<f8", ("N", None)),
+    "top": ("<i8", ("N",)),
+    "mid": ("<i8", ("N",)),
+    "leaf": ("<i8", ("N",)),
+    "birth": ("<i8", ("N",)),
+    "death": ("<i8", ("N",)),
+    "weight": ("<f8", ("N",)),
+    "bias": ("<f8", ("N",)),
 }
 _USER_ARRAYS = {"preferences": ("<f8", (None, None))}
 
@@ -390,9 +391,6 @@ def load_items(path):
     """Read an item table; CheckpointError on wrong names, types, shapes or lengths."""
     arrays, meta = load_checkpoint(path)
     check_arrays(path, arrays, _ITEM_ARRAYS)
-    lengths = {name: a.shape[0] for name, a in arrays.items()}
-    if len(set(lengths.values())) > 1:
-        raise CheckpointError(f"{path}: item arrays differ in length: {lengths}")
     return ItemTable(**arrays), meta
 
 
@@ -411,7 +409,7 @@ def load_users(path):
 # entries back to back, and event i owns the history_length[i] rows after
 # those of the events before it, most recent first
 _EVENT_COLUMNS = ("event_id", "timestamp", "user_id", "item_id", "label", "history_length")
-_EVENT_ARRAYS = {name: ("<i8", (None,)) for name in _EVENT_COLUMNS} | {"history": ("<i8", (None, 2))}
+_EVENT_ARRAYS = {name: ("<i8", ("N",)) for name in _EVENT_COLUMNS} | {"history": ("<i8", (None, 2))}
 
 
 def save_events(path, events, meta: dict) -> None:
@@ -432,9 +430,6 @@ def load_events(path):
     lengths that are negative or do not sum to E, or a label not 0 or 1."""
     arrays, meta = load_checkpoint(path)
     check_arrays(path, arrays, _EVENT_ARRAYS)
-    lengths = {name: len(arrays[name]) for name in _EVENT_COLUMNS}
-    if len(set(lengths.values())) > 1:
-        raise CheckpointError(f"{path}: event arrays differ in length: {lengths}")
     counts, history, labels = arrays["history_length"], arrays["history"], arrays["label"]
     if np.any(counts < 0):
         raise CheckpointError(f"{path}: negative history length {counts.min()}")

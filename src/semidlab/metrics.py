@@ -1,7 +1,8 @@
 """Normalized entropy, the quality metric shared by the ranker's
 evaluator and the analyses, and ``logistic``, the one overflow-free
-logistic that the engine's ``tensor.sigmoid`` and ``tensor.bce_with_logits``
-and the simulator's label oracle ``corpus.ground_truth_ctr`` all call."""
+logistic that the engine's ``tensor.bce_with_logits``, the ranker's
+probabilities and the simulator's label oracle ``corpus.ground_truth_ctr``
+all call."""
 
 from __future__ import annotations
 

@@ -5,7 +5,7 @@ history items (sum-pooled over each lookup's rows), an aggregation
 module over the history sequence (Bypass linear map, a pre-norm
 single-head Transformer layer, or pooled attention with learnable seed
 queries), and an interaction layer taking all pairwise dot products of
-the collected vectors followed by an MLP and a sigmoid.
+the collected vectors followed by an MLP and a logistic.
 
 History sequences are most-recent-first. Positions beyond the real
 history hold a learned pad embedding; attention is deliberately not
@@ -47,7 +47,7 @@ from .checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from .metrics import PREDICTION_CLIP, normalized_entropy
+from .metrics import PREDICTION_CLIP, logistic, normalized_entropy
 from .mlp import ParamSpec, init_params, load_params, mlp, mlp_layout
 from .runfiles import ArtifactMismatchError, field_error, read_table, write_table
 from .tokenization import (
@@ -83,14 +83,11 @@ class RankerConfig(Config):
         self.check_finite(RankerConfigError)
         if self.aggregation not in AGGREGATIONS:
             raise RankerConfigError(f"unknown aggregation {self.aggregation!r}")
-        if not isinstance(self.optimizer, str) or self.optimizer not in T.OPTIMIZERS:
-            raise RankerConfigError(f"unknown optimizer {self.optimizer!r}; known: {sorted(T.OPTIMIZERS)}")
+        T.check_optimizer(self.optimizer, self.learning_rate, RankerConfigError)
         if min(self.history_length, self.d_m, self.n_ts_buckets, self.batch_size) < 1:
             raise RankerConfigError("history_length, d_m, n_ts_buckets and batch_size must be positive")
         if self.aggregation == "pma" and self.d_s < 1:
             raise RankerConfigError("pooled attention needs at least one seed query (d_s)")
-        if math.copysign(1.0, self.learning_rate) < 0:
-            raise RankerConfigError("learning_rate must not be negative (-0.0 included)")
         if any(w < 1 for w in self.top_mlp):
             raise RankerConfigError(f"top_mlp widths must be positive, got {self.top_mlp}")
 
@@ -240,7 +237,7 @@ def forward_batch(model: RankerModel, events) -> BatchResult:
     b, r, d = vectors.shape
     h = mlp(model.params, "top", T.concat_along([interactions, T.reshape(vectors, (b, r * d))], axis=1))
     return BatchResult(
-        probabilities=T.sigmoid(h).value[:, 0],
+        probabilities=logistic(h.value)[:, 0],
         logits=h,
         attention=None if attn is None else attn.value,
         pad_positions=pad_mask,
@@ -327,19 +324,19 @@ def score(model: RankerModel, events, keep_attention: bool = False) -> tuple[np.
 
     Only one minibatch graph is alive at a time. With ``keep_attention``
     the (attention matrix, pad mask) pair of every event comes back too
-    (none for bypass).
+    (none for bypass). No events give no probabilities and no pairs.
     """
     events = list(events)
-    probabilities = []
+    probabilities = np.empty(len(events))
     attentions = []
     size = model.config.batch_size
     for start in range(0, len(events), size):
         out = forward_batch(model, events[start : start + size])
-        probabilities.append(out.probabilities)
+        probabilities[start : start + size] = out.probabilities
         if keep_attention and out.attention is not None:
             attentions.extend(zip(out.attention, out.pad_positions))
         del out  # drop this chunk's graph before the next one is built
-    return np.concatenate(probabilities), attentions
+    return probabilities, attentions
 
 
 def evaluate(model: RankerModel, events, keep_attention: bool = False) -> EvalResult:

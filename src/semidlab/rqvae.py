@@ -24,7 +24,6 @@ through a straight-through estimator on the quantized latent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +67,7 @@ class RqVaeConfig(Config):
     def __post_init__(self):
         self.check_integers(RqVaeConfigError)
         self.check_finite(RqVaeConfigError)
-        if not isinstance(self.optimizer, str) or self.optimizer not in T.OPTIMIZERS:
-            raise RqVaeConfigError(f"unknown optimizer {self.optimizer!r}; known: {sorted(T.OPTIMIZERS)}")
+        T.check_optimizer(self.optimizer, self.learning_rate, RqVaeConfigError)
         if self.levels < 1:
             raise RqVaeConfigError("levels must be at least 1")
         if self.codebook_size < 2:
@@ -80,8 +78,6 @@ class RqVaeConfig(Config):
             raise RqVaeConfigError("input_dim, latent_dim and batch_size must be positive")
         if min(self.epochs, self.kmeans_iters) < 0:
             raise RqVaeConfigError("epochs and kmeans_iters must not be negative")
-        if math.copysign(1.0, self.learning_rate) < 0:
-            raise RqVaeConfigError("learning_rate must not be negative (-0.0 included)")
         if self.hidden_sizes is None:
             self.hidden_sizes = (2 * self.latent_dim,)
         if any(h < 1 for h in self.hidden_sizes):
@@ -427,10 +423,8 @@ def load_semid_table(path):
     ``codes`` (N, L) array.
     """
     arrays, meta = load_checkpoint(path)
-    check_arrays(path, arrays, {"raw_ids": ("<i8", (None,)), "codes": ("<i8", (None, None))})
+    check_arrays(path, arrays, {"raw_ids": ("<i8", ("N",)), "codes": ("<i8", ("N", None))})
     raw_ids, codes = arrays["raw_ids"], arrays["codes"]
-    if len(raw_ids) != len(codes):
-        raise CheckpointError(f"{path}: {len(raw_ids)} raw IDs but {len(codes)} code rows")
     if np.any(raw_ids[1:] <= raw_ids[:-1]):
         raise CheckpointError(f"{path}: raw IDs are not strictly ascending")
     return dict(zip(raw_ids.tolist(), map(tuple, codes.tolist()))), meta

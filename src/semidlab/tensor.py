@@ -17,9 +17,9 @@ pooled-attention seeds); ``bmm`` also shares a plain matrix across
 the batch. Row gathers take integer index arrays in which -1 marks
 "no row". ``concat_along`` is the one concatenation: it stacks a
 target row on the history rows (axis -2) and joins the interaction
-vector with the ``reshape``-flattened rows (axis 1). ``sigmoid`` and
-``bce_with_logits``' gradient call ``metrics.logistic``, the logistic the
-label oracle ``corpus.ground_truth_ctr`` shares.
+vector with the ``reshape``-flattened rows (axis 1). ``bce_with_logits``'
+gradient calls ``metrics.logistic``, the logistic that the ranker's
+probabilities and the label oracle ``corpus.ground_truth_ctr`` share.
 
 A row gather that reads fewer entries than its table has rows returns
 from backward a row-sparse ``RowGrad`` instead of a table-sized dense
@@ -402,15 +402,6 @@ def relu(a: Tensor) -> Tensor:
     return Tensor(np.maximum(av, 0.0), parents=(a,), backward=back)
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    s = logistic(a.value)
-
-    def back(g):
-        return (g * s * (1.0 - s),)
-
-    return Tensor(s, parents=(a,), backward=back)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
 
@@ -547,14 +538,18 @@ def bce_with_logits(logits: Tensor, labels) -> Tensor:
 # parameter updates
 
 
-def _checked_lr(lr) -> float:
-    """``lr`` as a float; one that is negative (-0.0 included) or not
-    finite raises ValueError. For any other ``lr``, ``lr * 0.0`` is
-    +0.0, which the row-sparse steps below rely on."""
-    lr = float(lr)
-    if not (math.isfinite(lr) and math.copysign(1.0, lr) > 0):
-        raise ValueError(f"learning rate must be finite and not negative (-0.0 included), got {lr}")
-    return lr
+def check_optimizer(kind, lr, error) -> float:
+    """``lr`` as a float; raises ``error`` unless ``kind`` is a str in
+    ``OPTIMIZERS`` and ``lr`` is a finite number, not negative (-0.0
+    included). For any such ``lr``, ``lr * 0.0`` is +0.0, which the
+    row-sparse steps below rely on. The configs and the optimizers share
+    this one rule."""
+    if not isinstance(kind, str) or kind not in OPTIMIZERS:
+        raise error(f"unknown optimizer {kind!r}; known: {sorted(OPTIMIZERS)}")
+    real = isinstance(lr, (int, float, np.integer, np.floating))
+    if not (real and math.isfinite(lr) and math.copysign(1.0, lr) > 0):
+        raise error(f"learning rate must be finite and not negative (-0.0 included), got {lr!r}")
+    return float(lr)
 
 
 class SGD:
@@ -567,7 +562,7 @@ class SGD:
 
     def __init__(self, params, lr):
         self.params = list(params)
-        self.lr = _checked_lr(lr)
+        self.lr = check_optimizer("sgd", lr, ValueError)
 
     def step(self):
         for p in self.params:
@@ -608,7 +603,7 @@ class Adam:
 
     def __init__(self, params, lr):
         self.params = list(params)
-        self.lr = _checked_lr(lr)
+        self.lr = check_optimizer("adam", lr, ValueError)
         self.t = 0
         self._m = [np.zeros(p.value.shape) for p in self.params]
         self._v = [np.zeros(p.value.shape) for p in self.params]
@@ -657,6 +652,5 @@ OPTIMIZERS = {"sgd": SGD, "adam": Adam}
 
 
 def make_optimizer(kind: str, params, lr):
-    if kind not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {kind!r}")
+    check_optimizer(kind, lr, ValueError)
     return OPTIMIZERS[kind](params, lr)

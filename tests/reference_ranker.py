@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from semidlab import tensor as T
-from semidlab.metrics import PREDICTION_CLIP, normalized_entropy
+from semidlab.metrics import PREDICTION_CLIP, logistic, normalized_entropy
 from semidlab.ranker import (
     EvalResult,
     ForwardResult,
@@ -99,7 +99,7 @@ def forward(model, event) -> ForwardResult:
         if i < n_layers - 1:
             h = T.relu(h)
     return ForwardResult(
-        probability=float(T.sigmoid(h).value[0, 0]),
+        probability=float(logistic(h.value)[0, 0]),
         logit=h,
         attention=None if attn is None else attn.value.copy(),
         pad_positions=pad_mask,

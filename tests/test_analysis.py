@@ -458,9 +458,27 @@ class TestDistributionExports:
         assert survival[0] == 1.0
         assert np.all(np.diff(survival) <= 1e-15)
 
-    def test_semid_click_space_less_skewed(self):
-        out = self._exports()
-        assert out["gini_semid"] < out["gini_raw"]
+    def test_semid_click_counts_regroup_the_raw_click_counts(self):
+        cfg = CorpusConfig(n_items=1500, embedding_dim=8, n_users=80, n_train_events=8000,
+                           n_eval_events=500, history_capacity=4, seed=8)
+        items = generate_items(cfg)
+        stream = generate_stream(items, generate_users(cfg), cfg)
+        ids = items.raw_ids.tolist()
+        clicks = {}
+        for e in stream.train:
+            clicks[e.item_id] = clicks.get(e.item_id, 0) + e.label
+        # full codes: every click on a tabled item counts once
+        tabled = {raw: (raw % 7, raw % 3) for raw in ids[::2]}
+        out = distribution_exports(items, stream.train, tabled)
+        assert out["semid_click_counts"].sum() == sum(clicks.get(raw, 0) for raw in tabled)
+        # one code for every item: a single cell, no skew
+        out = distribution_exports(items, stream.train, dict.fromkeys(ids, (0, 0, 0)))
+        assert out["semid_click_counts"].tolist() == [out["raw_click_counts"].sum()]
+        assert out["gini_semid"] == 0.0
+        # one code per item: the raw-ID counts again
+        out = distribution_exports(items, stream.train, {raw: (raw,) for raw in ids})
+        assert out["semid_click_counts"].tolist() == out["raw_click_counts"].tolist()
+        assert out["gini_semid"] == out["gini_raw"] > 0.0
 
     @pytest.mark.parametrize("seed", [8, 9])
     @pytest.mark.parametrize("table", ["full", "partial"])

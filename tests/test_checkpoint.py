@@ -1,13 +1,15 @@
 """Container entries with a dtype: int64 and float64 arrays, files
-without the field, and the checks on what a model may load."""
+without the field, the checks on what a model may load, named lengths,
+and the memory that reading and writing in place takes."""
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semidlab.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from semidlab.checkpoint import MAGIC, CheckpointError, check_arrays, load_checkpoint, save_checkpoint
 from semidlab.ranker import RankerConfig, RankerModel, load_ranker, save_ranker
 from semidlab.rqvae import RqVaeConfig, RqVaeModel, assign, load_rqvae, save_rqvae
 from semidlab.tokenization import RandomHash
@@ -160,3 +162,74 @@ def test_loaded_arrays_are_writable_copies_equal_to_the_saved_ones(tmp_path):
     again, _ = load_checkpoint(path)
     assert again["w"].tobytes() == saved["w"].tobytes()
     assert again["ids"].tobytes() == saved["ids"].tobytes()
+
+
+EXPECTED = {"ids": ("<i8", ("N",)), "rows": ("<f8", ("N", 3)), "pairs": ("<i8", (None, "N"))}
+
+
+def test_named_lengths_hold_across_arrays():
+    arrays = {"ids": np.zeros(4, dtype=np.int64), "rows": np.zeros((4, 3)), "pairs": np.zeros((7, 4), dtype=np.int64)}
+    check_arrays("f", arrays, EXPECTED)
+    check_arrays("f", {n: a[..., :0] if n == "pairs" else a[:0] for n, a in arrays.items()}, EXPECTED)
+
+
+@pytest.mark.parametrize("name, value, match", [
+    ("rows", np.zeros((5, 3)), "f: length N is 4 in 'ids' but 5 in 'rows'"),
+    ("pairs", np.zeros((4, 3), dtype=np.int64), "f: length N is 4 in 'ids' but 3 in 'pairs'"),
+    ("rows", np.zeros((4, 2)), r"f: 'rows' has shape \(4, 2\), expected \('N', 3\)"),
+    ("pairs", np.zeros(4, dtype=np.int64), "'pairs' has shape"),
+], ids=["named-rows", "named-columns", "fixed-width", "rank"])
+def test_arrays_that_disagree_on_a_named_length_raise(name, value, match):
+    arrays = {"ids": np.zeros(4, dtype=np.int64), "rows": np.zeros((4, 3)), "pairs": np.zeros((7, 4), dtype=np.int64)}
+    arrays[name] = value
+    with pytest.raises(CheckpointError, match=match):
+        check_arrays("f", arrays, EXPECTED)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``fn()`` allocates while it runs, numpy buffers included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def big_arrays() -> dict:
+    rng = np.random.default_rng(4)
+    return {"table": rng.normal(size=(20_000, 16)), "ids": np.arange(200_000, dtype=np.int64), "scalar": np.array(1.5)}
+
+
+def test_save_writes_each_array_from_its_own_buffer(tmp_path):
+    arrays = big_arrays()
+    payload = sum(a.nbytes for a in arrays.values())
+    assert payload >= 4e6
+    path = tmp_path / "big.ckpt"
+    assert traced_peak(lambda: save_checkpoint(path, arrays, meta={"seed": 1})) <= 0.1 * payload
+    assert path.stat().st_size > payload
+
+
+def test_load_reads_each_array_into_its_own_buffer(tmp_path):
+    arrays = big_arrays()
+    payload = sum(a.nbytes for a in arrays.values())
+    path = tmp_path / "big.ckpt"
+    save_checkpoint(path, arrays, meta={"seed": 1})
+    loaded = []
+    assert traced_peak(lambda: loaded.append(load_checkpoint(path))) <= 1.1 * payload
+    params, meta = loaded[0]
+    assert meta == {"seed": 1} and params["scalar"].shape == ()
+    assert all(params[n].tobytes() == a.tobytes() for n, a in arrays.items())
+
+
+def test_a_payload_the_file_lacks_raises_before_any_allocation(tmp_path):
+    # the header declares 8 TiB; the file holds 64 bytes of payload
+    header = json.dumps({"version": 1, "meta": {}, "params": [{"name": "w", "shape": [2**40], "dtype": "<f8"}]})
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header.encode("utf-8") + bytes(64))
+
+    def load():
+        with pytest.raises(CheckpointError, match="truncated payload at parameter 'w'"):
+            load_checkpoint(path)
+
+    assert traced_peak(load) < 1e6

@@ -501,6 +501,15 @@ class TestTableFiles:
         with pytest.raises(CheckpointError, match=field):
             load_items(tmp_path / "items.bin")
 
+    @pytest.mark.parametrize("field", ["embeddings", "death", "bias"])
+    def test_arrays_that_disagree_on_the_row_count_name_both(self, tmp_path, field):
+        items = self._items()
+        arrays = {f.name: getattr(items, f.name) for f in dataclasses.fields(ItemTable)}
+        arrays[field] = arrays[field][:-1]
+        save_checkpoint(tmp_path / "items.bin", arrays, meta={"seed": 1})
+        with pytest.raises(CheckpointError, match=f"length N is 50 in 'raw_ids' but 49 in '{field}'"):
+            load_items(tmp_path / "items.bin")
+
     def test_user_table_must_be_a_matrix(self, tmp_path):
         save_checkpoint(tmp_path / "users.bin", {"preferences": np.zeros(3)})
         with pytest.raises(CheckpointError, match="preferences"):

@@ -22,6 +22,7 @@ from semidlab.ranker import (
     load_ranker,
     save_predictions,
     save_ranker,
+    score,
     train_one_epoch,
     ts_bucket,
 )
@@ -323,6 +324,15 @@ class TestEvaluate:
         events = [event(label=1, eid=i) for i in range(5)]
         with pytest.raises(SingleClassError):
             evaluate(model, events)
+
+    @pytest.mark.parametrize("aggregation", ["bypass", "pma"])
+    def test_no_events_score_empty_but_do_not_evaluate(self, aggregation):
+        model = make_model(aggregation, T_len=3, d_s=4)
+        probabilities, attentions = score(model, [], keep_attention=True)
+        assert probabilities.dtype == np.float64 and probabilities.shape == (0,) and attentions == []
+        assert train_one_epoch(model, []).ne_curve == []
+        with pytest.raises(ValueError, match="empty evaluation stream"):
+            evaluate(model, [])
 
     def test_ne_invariant_to_order(self):
         model = make_model(seed=12)

@@ -429,8 +429,8 @@ class TestSemanticIdTableFile:
     @pytest.mark.parametrize("arrays,match", [
         ({"raw_ids": IDS, "codes": CODES.astype(np.float64)}, "'codes' is float64"),
         ({"raw_ids": IDS.astype(np.float64), "codes": CODES}, "'raw_ids' is float64"),
-        ({"raw_ids": IDS[:2], "codes": CODES}, "2 raw IDs but 3 code rows"),
-        ({"raw_ids": IDS, "codes": CODES[:2]}, "3 raw IDs but 2 code rows"),
+        ({"raw_ids": IDS[:2], "codes": CODES}, "length N is 2 in 'raw_ids' but 3 in 'codes'"),
+        ({"raw_ids": IDS, "codes": CODES[:2]}, "length N is 3 in 'raw_ids' but 2 in 'codes'"),
         ({"raw_ids": IDS}, r"missing \['codes'\]"),
         ({"codes": CODES}, r"missing \['raw_ids'\]"),
         ({"raw_ids": IDS, "codes": CODES, "levels": IDS}, r"unexpected \['levels'\]"),

@@ -57,7 +57,7 @@ OLD_TEXT_EVENTS = (
     (lambda p: p.write_bytes(p.read_bytes() + bytes(8)), "trailing bytes"),
     (lambda p: change_events(p, lambda a: a.pop("history")), r"missing \['history'\]"),
     (lambda p: change_events(p, lambda a: a.update(label=a["label"].astype(float))), "'label' is float64"),
-    (lambda p: change_events(p, lambda a: a.update(user_id=a["user_id"][:1])), "event arrays differ in length"),
+    (lambda p: change_events(p, lambda a: a.update(user_id=a["user_id"][:1])), "length N is 2 in 'event_id' but 1 in 'user_id'"),
     (lambda p: change_events(p, set_entry("history_length", slice(None), [-1, 2])), "negative history length -1"),
     (lambda p: change_events(p, set_entry("history_length", 1, 0)), "history lengths sum to 0, not 1"),
     (lambda p: change_events(p, set_entry("history_length", 0, 1)), "history lengths sum to 2, not 1"),

@@ -14,14 +14,18 @@
   or a non-integer raises ConfigurationError instead of being truncated.
 * ``corpus.inject_aa_pairs`` copies every ``ItemTable`` field.
 * ``metrics.logistic``: the one overflow-free logistic, behind
-  ``tensor.sigmoid``, ``tensor.bce_with_logits``' gradient and the label
-  oracle ``corpus.ground_truth_ctr``.
+  ``tensor.bce_with_logits``' gradient, ``ranker.forward_batch``'s
+  probabilities and the label oracle ``corpus.ground_truth_ctr``.
+* ``tensor.check_optimizer``: the configs and the optimizers refuse an
+  unknown optimizer name and a learning rate that is not a finite
+  number at least +0.0, each with its own error and the same message.
 * ``TokenParameterization``'s window rule: every variant's indices are
   windows of the codes read as base-K numbers, each at its block offset.
 """
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -41,7 +45,7 @@ from semidlab.corpus import (
     save_items,
 )
 from semidlab.metrics import logistic
-from semidlab.ranker import RankerConfig, RankerConfigError, build_lookup
+from semidlab.ranker import RankerConfig, RankerConfigError, RankerModel, build_lookup, forward_batch
 from semidlab.rqvae import RqVaeConfig, RqVaeConfigError, save_semid_table
 from semidlab.runfiles import config_hash
 from semidlab.tokenization import (
@@ -391,7 +395,6 @@ def test_a_numpy_codebook_size_cannot_wrap_past_the_index_space_guard():
 def test_one_logistic_behind_the_engine_and_the_label_oracle():
     x = np.array([-800.0, -30.5, -1.0, -0.0, 0.0, 1e-300, 2.5, 30.5, 800.0])
     s = logistic(x)
-    assert s.tobytes() == T.sigmoid(T.constant(x)).value.tobytes()
     assert s[0] == 0.0 and s[-1] == 1.0 and s[3] == s[4] == 0.5
     logits = T.parameter(x)
     T.backward(T.bce_with_logits(logits, np.zeros_like(x)))
@@ -401,6 +404,11 @@ def test_one_logistic_behind_the_engine_and_the_label_oracle():
     ctr = ground_truth_ctr(pref, emb, 1.0, 0.0)
     assert ctr.tobytes() == np.clip(s, 1e-12, 1 - 1e-12).tobytes()
     assert ground_truth_ctr(pref[0], emb[6], 1.0, 0.0).shape == ()
+    cfg = RankerConfig(d_m=4, aggregation="transformer", history_length=3, top_mlp=(4,))
+    model = RankerModel.initialize(cfg, RandomHash(16, seed=1), RandomHash(16, seed=2))
+    events = [ImpressionEvent(i, 100 + i, 0, 10 + i, i % 2, ((3, 50), (4, 20))[: i % 3]) for i in range(5)]
+    out = forward_batch(model, events)
+    assert out.probabilities.tobytes() == logistic(out.logits.value)[:, 0].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -442,3 +450,31 @@ def test_a_code_too_short_for_its_windows_raises_the_variant_message(variant, de
         with pytest.raises(ConfigurationError) as info:
             call()
         assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# one optimizer-settings rule
+
+def optimizer_entry_points(kind, lr):
+    """(build, error) for each place an optimizer name and rate come in."""
+    return [
+        (lambda: RankerConfig(optimizer=kind, learning_rate=lr), RankerConfigError),
+        (lambda: RqVaeConfig(optimizer=kind, learning_rate=lr), RqVaeConfigError),
+        (lambda: T.make_optimizer(kind, [], lr), ValueError),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+@pytest.mark.parametrize("lr", ["0.01", -0.0, -1e-3])
+def test_every_entry_point_refuses_the_same_learning_rates(kind, lr):
+    entries = optimizer_entry_points(kind, lr) + [(lambda: T.OPTIMIZERS[kind]([], lr), ValueError)]
+    for build, error in entries:
+        with pytest.raises(error, match=r"learning rate must be finite and not negative \(-0.0 included\)"):
+            build()
+
+
+@pytest.mark.parametrize("kind", ["adamw", "Adam", ["adam"], None])
+def test_every_entry_point_refuses_the_same_optimizer_names(kind):
+    for build, error in optimizer_entry_points(kind, 0.01):
+        with pytest.raises(error, match=re.escape(f"unknown optimizer {kind!r}; known: ['adam', 'sgd']")):
+            build()

@@ -149,13 +149,6 @@ class TestForwardValues:
         with pytest.raises(T.DimensionError):
             T.concat_along([T.constant(np.ones(s)) for s in shapes], axis=axis)
 
-    def test_sigmoid_zero(self):
-        assert T.sigmoid(T.constant([0.0])).value[0] == 0.5
-
-    def test_sigmoid_saturates_without_overflow(self):
-        assert T.sigmoid(T.constant([1000.0])).value[0] == 1.0
-        assert T.sigmoid(T.constant([-1000.0])).value[0] == 0.0
-
     def test_relu_negative_has_zero_gradient(self):
         x = T.parameter([-3.0])
         out = T.relu(x)
@@ -235,8 +228,9 @@ class TestBackward:
             rng = np.random.default_rng(3)
             w = T.parameter(rng.normal(size=(3, 3)))
             x = T.constant(rng.normal(size=(3, 2)))
-            out = T.sigmoid(T.matmul(w, x))
-            loss = weighted_sum(out, np.full(out.value.size, 1.0 / out.value.size))
+            out = T.softmax_rows(T.matmul(w, x))
+            # softmax rows sum to 1, so equal weights would give a zero gradient
+            loss = weighted_sum(out, rng.normal(size=out.value.size))
             T.backward(loss)
             return loss.value.copy(), w.grad.copy()
 
@@ -263,7 +257,6 @@ OP_CASES = {
     "add": lambda rng, p: T.add(p, T.constant(_rand(rng, 3, 4))),
     "sub": lambda rng, p: T.sub(T.constant(_rand(rng, 3, 4)), p),
     "relu": lambda rng, p: T.relu(p),
-    "sigmoid": lambda rng, p: T.sigmoid(p),
     "scale": lambda rng, p: T.scale(p, -2.5),
     "transpose": lambda rng, p: T.transpose(p),
     "concat_along_rows": lambda rng, p: T.concat_along([p, T.constant(_rand(rng, 2, 4))], axis=0),
