@@ -319,13 +319,22 @@ def click_loss_analog(
     """Ground-truth CTR change from swapping one recommended item for a
     random alive item sharing its depth-k code prefix.
 
-    For each context event the model scores a seeded candidate pool and
-    keeps the top ``set_size`` as the recommendation set; the swap is
-    evaluated with the label oracle, isolating semantic continuity from
-    model noise. Swaps with no same-prefix alternative are skipped and
-    counted. A depth that is not an integer in 1..L, for codes of L
-    levels, raises ValueError before anything is scored.
+    For each context event the model scores a seeded candidate pool of
+    ``pool_size`` alive items (all of them when fewer are alive) through
+    ``ranker.score_candidates``, so the history module runs once per
+    context, and keeps the top ``set_size`` as the recommendation set; the
+    swap is evaluated with the label oracle, isolating semantic continuity
+    from model noise. Contexts with at most ``set_size`` alive items are
+    passed over. Swaps with no same-prefix alternative are skipped and
+    counted. Before anything is scored, ValueError is raised for a
+    ``set_size`` or ``pool_size`` that is not an integer, a ``set_size``
+    below 1, a ``pool_size`` below ``set_size``, or a depth that is not an
+    integer in 1..L, for codes of L levels.
     """
+    if integer(set_size, "set_size", ValueError) < 1:
+        raise ValueError(f"set_size {set_size} is below 1")
+    if integer(pool_size, "pool_size", ValueError) < set_size:
+        raise ValueError(f"pool_size {pool_size} is below set_size {set_size}")
     rng = np.random.default_rng([seed, 23])
     # each item's row of the table, found among the sorted table IDs; an
     # item the table lacks reads a neighbour's row, or past the last ID
@@ -348,11 +357,7 @@ def click_loss_analog(
         if alive.size < set_size + 1:
             continue
         pool = rng.choice(alive, size=min(pool_size, alive.size), replace=False)
-        pool_events = [
-            type(event)(event.event_id, t, event.user_id, int(items.raw_ids[idx]), 0, event.history)
-            for idx in pool
-        ]
-        scores, _ = ranker.score(model, pool_events)
+        scores = ranker.score_candidates(model, event, items.raw_ids[pool])
         top = pool[np.argsort(-scores, kind="stable")[:set_size]]
         pref = users.preferences[event.user_id]
         base_ctrs = ground_truth_ctr(pref, items.embeddings[top], temperature, bias)

@@ -14,17 +14,22 @@ history entry adds the row of its age bucket: bucket b holds integer
 ages of at least 60 * (2^b - 1) s, capped at b = 57, the last bucket an
 int64 age reaches. One ``np.searchsorted`` buckets a minibatch's ages.
 
-A minibatch of B events is scored as one graph (``forward_batch``).
-Each lookup turns the batch's IDs into an integer row array, with -1
-where a position has no row, and one ``gather_groups`` per table builds
-the B-by-T-by-d history block and the B-by-1-by-d targets. The
-aggregation module and the interaction run on the batch axis, and the
-top MLP maps the B interaction rows to B logits. The top MLP and the
-Transformer block's position-wise MLP are ``mlp.mlp`` stacks named
-``top`` and ``agg.mlp``. Training, evaluation and the analyses all
-score through this one path; frozen-model scoring (``score``) runs in
-minibatches of ``batch_size``, so one graph of at most that many events
-is alive at a time.
+A minibatch of B events is scored as one graph (``forward_batch``)
+built from three pieces: the context half, ``_history_block`` and
+``_aggregate``, and the candidate half, ``_logits``. Each lookup turns
+the batch's IDs into an integer row array, with -1 where a position has
+no row, and one ``gather_groups`` per table builds the B-by-T-by-d
+history block and the B-by-1-by-d targets. The aggregation module and
+the interaction run on the batch axis, and the top MLP maps the B
+interaction rows to B logits. The top MLP and the Transformer block's
+position-wise MLP are ``mlp.mlp`` stacks named ``top`` and ``agg.mlp``.
+Training, evaluation and the analyses all score through these pieces;
+frozen-model scoring (``score``) runs in minibatches of ``batch_size``,
+so one graph of at most that many events is alive at a time. A
+candidate pool that shares one context (timestamp and history) is
+scored by ``score_candidates``: the history module runs once per
+context, and the candidate half runs on its output repeated per
+candidate, in the same minibatches.
 
 ``param_layout`` writes the model's parameters down once (name, shape,
 init rule, in creation order). ``RankerModel.initialize`` draws them from
@@ -223,6 +228,18 @@ def _aggregate(model: RankerModel, x: T.Tensor) -> tuple[T.Tensor, T.Tensor | No
     return x2, attn
 
 
+def _logits(model: RankerModel, agg: T.Tensor, item_ids) -> T.Tensor:
+    """B-by-1 logits of B target items, each against its row of the
+    B-by-rows-by-d history-module output: target gather, pairwise
+    interaction and top MLP."""
+    target_rows = model.target_lookup.rows_batch(item_ids)
+    target = T.gather_groups(model.params["target_table"], target_rows[:, None, :])
+    vectors = T.concat_along([target, agg], axis=-2)
+    interactions = T.pairwise_dot_upper(vectors)
+    b, r, d = vectors.shape
+    return mlp(model.params, "top", T.concat_along([interactions, T.reshape(vectors, (b, r * d))], axis=1))
+
+
 def forward_batch(model: RankerModel, events) -> BatchResult:
     """Score a minibatch of impressions as one graph."""
     events = list(events)
@@ -230,12 +247,7 @@ def forward_batch(model: RankerModel, events) -> BatchResult:
         raise ValueError("empty minibatch")
     x, pad_mask = _history_block(model, events)
     agg, attn = _aggregate(model, x)
-    target_rows = model.target_lookup.rows_batch([e.item_id for e in events])
-    target = T.gather_groups(model.params["target_table"], target_rows[:, None, :])
-    vectors = T.concat_along([target, agg], axis=-2)
-    interactions = T.pairwise_dot_upper(vectors)
-    b, r, d = vectors.shape
-    h = mlp(model.params, "top", T.concat_along([interactions, T.reshape(vectors, (b, r * d))], axis=1))
+    h = _logits(model, agg, [e.item_id for e in events])
     return BatchResult(
         probabilities=logistic(h.value)[:, 0],
         logits=h,
@@ -337,6 +349,32 @@ def score(model: RankerModel, events, keep_attention: bool = False) -> tuple[np.
             attentions.extend(zip(out.attention, out.pad_positions))
         del out  # drop this chunk's graph before the next one is built
     return probabilities, attentions
+
+
+def score_candidates(model: RankerModel, context, item_ids) -> np.ndarray:
+    """Frozen-model probabilities of ``context`` (an event: its timestamp
+    and history) with each of ``item_ids`` as the target item.
+
+    The history module runs once, on the context alone; the candidate
+    half runs on its output repeated per candidate, in the minibatches of
+    ``batch_size`` that ``score`` makes of the expanded events. The
+    result equals ``score`` over those events byte for byte when no
+    matrix product over the context has a single row (history_length
+    and, for pooled attention, d_s at least 2); a one-row product takes
+    BLAS's matrix-vector kernel, which rounds differently in the last
+    bits. No candidates give no probabilities.
+    """
+    probabilities = np.empty(len(item_ids))
+    if not len(item_ids):
+        return probabilities
+    x, _ = _history_block(model, [context])
+    agg, _ = _aggregate(model, x)
+    size = model.config.batch_size
+    for start in range(0, len(item_ids), size):
+        chunk = item_ids[start : start + size]
+        repeated = T.constant(np.repeat(agg.value, len(chunk), axis=0))
+        probabilities[start : start + size] = logistic(_logits(model, repeated, chunk).value)[:, 0]
+    return probabilities
 
 
 def evaluate(model: RankerModel, events, keep_attention: bool = False) -> EvalResult:

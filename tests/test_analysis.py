@@ -408,6 +408,28 @@ class TestClickLoss:
                 temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60,
             )
 
+    @pytest.mark.parametrize(
+        "set_size,pool_size,named",
+        [
+            (5, 3, "pool_size 3 "),
+            (0, 60, "set_size 0 "),
+            (-1, 60, "set_size -1 "),
+            (4, 0, "pool_size 0 "),
+            (4.0, 60, "set_size .* 4.0"),
+            (True, 60, "set_size .* True"),
+            (4, 60.0, "pool_size .* 60.0"),
+            (4, np.int64(2), "pool_size 2 "),
+        ],
+    )
+    def test_refuses_pool_and_set_sizes_it_cannot_fill_before_scoring(self, set_size, pool_size, named):
+        cfg, items, users, stream, semid, _ = self._setup()
+        # no model: scoring anything would fail with another error
+        with pytest.raises(ValueError, match=named):
+            click_loss_analog(
+                None, items, users, semid, stream.eval[:3], (1,),
+                temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=set_size, pool_size=pool_size,
+            )
+
     @pytest.mark.parametrize("seed", [7, 8])
     def test_matches_the_oracle_with_table_keys_out_of_item_order(self, seed):
         cfg, items, users, stream, semid, model = self._setup(seed)

@@ -7,7 +7,6 @@ partial last minibatch and NE windows that end inside a minibatch.
 """
 
 import logging
-import types
 
 import numpy as np
 import pytest
@@ -166,8 +165,14 @@ def test_click_loss_matches_per_event_scoring(monkeypatch):
 
     batched = run()
 
-    def per_event(model, batch):
-        return types.SimpleNamespace(probabilities=np.array([ref.forward(model, e).probability for e in batch]))
+    def per_event(model, context, item_ids):
+        # each candidate as its own event on the context, one graph each
+        return np.array([
+            ref.forward(model, ImpressionEvent(
+                context.event_id, context.timestamp, context.user_id, int(item), 0, context.history,
+            )).probability
+            for item in item_ids
+        ])
 
-    monkeypatch.setattr(ranker, "forward_batch", per_event)
+    monkeypatch.setattr(ranker, "score_candidates", per_event)
     assert run() == batched
