@@ -79,7 +79,7 @@ def mlp(params: dict, prefix: str, x):
     for i in range(n):
         w, b = params[f"{prefix}.{i}.w"], params[f"{prefix}.{i}.b"]
         if graph:
-            x = T.add_rowvec(T.matmul(x, w), b)
+            x = T.linear(x, w, b)
         else:
             x = x @ w.value + b.value
         if i < n - 1:

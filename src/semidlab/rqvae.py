@@ -36,6 +36,7 @@ from .checkpoint import (
     config_from_meta,
     load_checkpoint,
     save_checkpoint,
+    scatter_rows,
     semid_table_arrays,
 )
 from .mlp import ParamSpec, init_params, load_params, mlp, mlp_layout
@@ -131,7 +132,10 @@ def _nearest_codes(codebook: np.ndarray, residuals: np.ndarray) -> np.ndarray:
 
     Squared distances come from the expansion |r|^2 - 2 r.c + |c|^2, one
     block of rows at a time. A row's distances do not depend on its
-    block, so neither does its code.
+    block, so neither does its code. Each block's (block, K) matrix is
+    the one array its distances are computed in: the cross term, then
+    |r|^2 minus it and |c|^2 added in place, the same operations in
+    the same order as the expression written out.
     """
     n = residuals.shape[0]
     codes = np.empty(n, dtype=np.int64)
@@ -142,7 +146,9 @@ def _nearest_codes(codebook: np.ndarray, residuals: np.ndarray) -> np.ndarray:
         # product with its matrix-vector kernel, which rounds differently
         stop = n if n - start < 2 * NEAREST_BLOCK_ROWS else start + NEAREST_BLOCK_ROWS
         r = residuals[start:stop]
-        d2 = (r * r).sum(axis=1, keepdims=True) - 2.0 * r @ codebook.T + cb_sq
+        d2 = (2.0 * r) @ codebook.T
+        np.subtract((r * r).sum(axis=1, keepdims=True), d2, out=d2)
+        d2 += cb_sq
         codes[start:stop] = np.argmin(d2, axis=1)
         start = stop
     return codes
@@ -276,9 +282,7 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
     if points.shape[1] == 1:
         return np.array([points[assign == j].sum(axis=0) for j in range(k)])
     # numpy's sum also starts from +0.0: a cluster of -0.0 sums to +0.0
-    sums = np.zeros((k, points.shape[1]))
-    np.add.at(sums, assign, points)
-    return sums
+    return scatter_rows(assign, points, k)
 
 
 def _init_codebooks(model: RqVaeModel, sample: np.ndarray, rng: np.random.Generator) -> None:
@@ -402,29 +406,42 @@ def load_rqvae(path) -> tuple[RqVaeModel, dict]:
     return RqVaeModel(config, params=params, frozen=bool(meta.get("frozen", False))), meta
 
 
+# dtypes a Semantic ID table's codes may have on file: the unsigned ones
+# it is written in, and the int64 of files written before them
+SEMID_CODE_DTYPES = ("|u1", "<u2", "<u4", "<u8", "<i8")
+
+
 def save_semid_table(path, assignments: dict, meta: dict) -> None:
     """Write ``{raw_id: codes}`` to the ``checkpoint`` container.
 
     The file holds an int64 ``raw_ids`` (N,) array in ascending order and
-    an int64 ``codes`` (N, L) array whose row i is the code sequence of
-    ``raw_ids[i]``. A table that ``checkpoint.semid_table_arrays`` refuses
-    raises RqVaeConfigError before the file is opened.
+    a ``codes`` (N, L) array whose row i is the code sequence of
+    ``raw_ids[i]``, in the narrowest unsigned dtype that holds the
+    largest code (one byte per code below 256). A table that
+    ``checkpoint.semid_table_arrays`` refuses, or one with a negative
+    code, raises RqVaeConfigError before the file is opened.
     """
     raw_ids, codes = semid_table_arrays(assignments, RqVaeConfigError)
+    if codes.size and codes.min() < 0:
+        raise RqVaeConfigError(f"codes are codebook indices and must not be negative, got {codes.min()}")
     order = np.argsort(raw_ids)
-    save_checkpoint(path, {"raw_ids": raw_ids[order], "codes": codes[order]}, meta=meta)
+    dtype = np.min_scalar_type(codes.max() if codes.size else 0)
+    save_checkpoint(path, {"raw_ids": raw_ids[order], "codes": codes[order].astype(dtype)}, meta=meta)
 
 
 def load_semid_table(path):
     """Read a table written by ``save_semid_table``; returns (table, meta).
 
     Raises CheckpointError unless the file holds exactly an int64
-    ``raw_ids`` (N,) array in strictly ascending order and an int64
-    ``codes`` (N, L) array.
+    ``raw_ids`` (N,) array in strictly ascending order and a ``codes``
+    (N, L) array of a ``SEMID_CODE_DTYPES`` dtype whose values lie
+    inside int64. Codes come back as ints, whatever their width on file.
     """
     arrays, meta = load_checkpoint(path)
-    check_arrays(path, arrays, {"raw_ids": ("<i8", ("N",)), "codes": ("<i8", ("N", None))})
+    check_arrays(path, arrays, {"raw_ids": ("<i8", ("N",)), "codes": (SEMID_CODE_DTYPES, ("N", None))})
     raw_ids, codes = arrays["raw_ids"], arrays["codes"]
     if np.any(raw_ids[1:] <= raw_ids[:-1]):
         raise CheckpointError(f"{path}: raw IDs are not strictly ascending")
+    if codes.dtype == np.uint64 and codes.size and codes.max() >= 2**63:
+        raise CheckpointError(f"{path}: code {codes.max()} does not fit in int64")
     return dict(zip(raw_ids.tolist(), map(tuple, codes.tolist()))), meta

@@ -13,8 +13,9 @@ one target row per event, while the residual quantizer uses plain
 matrices, for which each op keeps its plain 2-D arithmetic. The only
 broadcasting is ``add_rowvec``, whose second operand lacks some leading
 axes of the first (a bias vector, a position table, or the
-pooled-attention seeds); ``bmm`` also shares a plain matrix across
-the batch. Row gathers take integer index arrays in which -1 marks
+pooled-attention seeds), and ``linear``, the dense layer that adds its
+bias into the product in place; ``bmm`` also shares a plain matrix
+across the batch. Row gathers take integer index arrays in which -1 marks
 "no row". ``concat_along`` is the one concatenation: it stacks a
 target row on the history rows (axis -2) and joins the interaction
 vector with the ``reshape``-flattened rows (axis 1). ``bce_with_logits``'
@@ -27,6 +28,12 @@ scatter, so a minibatch that touches a few hundred rows of a large
 embedding table never builds a table-sized gradient. Every gradient,
 and every parameter the optimizers update from it, is bit-identical to
 the dense path. ``Tensor.grad`` always reads and assigns a dense array.
+A node's first dense gradient is one fresh array, its contribution
+plus +0.0, which has the bits of adding it into zeros.
+
+``Adam`` steps the parameters whose gradients arrive dense (the MLPs,
+codebooks and small tables) with one moments step over their joined
+gradients, and each row-sparse table by its touched rows.
 
 Node construction is cheap, since a forward pass builds one node per
 op: ``Tensor`` keeps a C-contiguous float64 ndarray as it is (every op
@@ -45,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import sorted_distinct
+from .checkpoint import scatter_rows, sorted_distinct
 from .metrics import logistic
 
 
@@ -154,8 +161,11 @@ def _accumulate(t: Tensor, g) -> None:
             return
         g = g.dense()
     if t._grad is None:
-        t._grad = np.zeros_like(t.value)
-    elif isinstance(t._grad, RowGrad):
+        # one allocation with the bits of ``zeros_like`` then ``+= g``,
+        # broadcasting included: adding +0.0 turns -0.0 into +0.0
+        t._grad = np.add(g, 0.0, out=np.empty(t.value.shape))
+        return
+    if isinstance(t._grad, RowGrad):
         t._grad = t._grad.dense()
     t._grad += g
 
@@ -238,6 +248,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (_rows(g) @ bv.T).reshape(av.shape), _rows(av).T @ _rows(g)
 
     return Tensor(out, parents=(a, b), backward=back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``add_rowvec(matmul(x, w), b)`` as one node: a dense layer.
+
+    The bias is added in place into the product, so a layer keeps one
+    output array where the two ops keep two, with the same bits.
+    """
+    xv, wv, bv = x.value, w.value, b.value
+    if xv.ndim < 2 or wv.ndim != 2 or xv.shape[-1] != wv.shape[0] or bv.shape != wv.shape[1:]:
+        raise DimensionError(f"linear: incompatible shapes {xv.shape} x {wv.shape} + {bv.shape}")
+    out = _rows(xv) @ wv
+    out += bv
+
+    def back(g):
+        g2 = _rows(g)
+        return (g2 @ wv.T).reshape(xv.shape), _rows(xv).T @ g2, g2.sum(axis=0)
+
+    return Tensor(out.reshape(*xv.shape[:-1], wv.shape[1]), parents=(x, w, b), backward=back)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -357,12 +386,9 @@ def gather_groups(table: Tensor, index) -> Tensor:
         values = np.broadcast_to(g[..., None, :], read_shape)
         values = values.reshape(-1, read_shape[-1]) if valid is None else values[valid]
         if rows.size >= h:
-            gt = np.zeros_like(tv)
-            np.add.at(gt, rows, values)
-            return (gt,)
+            return (scatter_rows(rows, values, h),)
         distinct = sorted_distinct(rows)
-        sums = np.zeros((distinct.size, tv.shape[1]))
-        np.add.at(sums, np.searchsorted(distinct, rows), values)
+        sums = scatter_rows(np.searchsorted(distinct, rows), values, distinct.size)
         return (RowGrad(tv.shape, distinct, sums),)
 
     return Tensor(out, parents=(table,), backward=back)
@@ -552,8 +578,20 @@ def check_optimizer(kind, lr, error) -> float:
     return float(lr)
 
 
+def _distinct_params(params) -> list:
+    """``params`` as a list; raises ValueError for a parameter listed
+    twice, which every step would move twice."""
+    params = list(params)
+    seen = set()
+    for p in params:
+        if id(p) in seen:
+            raise ValueError(f"parameter {p!r} is listed twice")
+        seen.add(id(p))
+    return params
+
+
 class SGD:
-    """Plain gradient descent over a list of parameters.
+    """Plain gradient descent over a list of distinct parameters.
 
     A row-sparse gradient updates only its ``rows``, by its ``sums``.
     The dense step would subtract ``lr * 0.0``, +0.0, from every other
@@ -561,7 +599,7 @@ class SGD:
     """
 
     def __init__(self, params, lr):
-        self.params = list(params)
+        self.params = _distinct_params(params)
         self.lr = check_optimizer("sgd", lr, ValueError)
 
     def step(self):
@@ -588,7 +626,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Adam with betas (``ADAM_BETA1``, ``ADAM_BETA2``) and eps ``ADAM_EPS``.
+    """Adam with betas (``ADAM_BETA1``, ``ADAM_BETA2``) and eps ``ADAM_EPS``
+    over a list of distinct parameters.
 
     A row whose moments m and v are 0 and whose gradient is 0 is a fixed
     point of the update (m and v stay +0.0 and the step is
@@ -598,11 +637,20 @@ class Adam:
     bit-identical to the dense step. A dense gradient, or marks on
     ``DENSE_STEP_SHARE`` of the rows, switches the parameter to the
     dense step for good.
-    m and v start as untouched zero pages.
+
+    The parameters whose gradient is dense at the first step form the
+    dense group (an MLP's weights and biases, a codebook); their m and v
+    are views into one flat m and one flat v. A step in which every
+    member has a gradient updates the group with one moments step over
+    the members' gradients joined end to end; the update is elementwise,
+    so each entry gets the bits of its own parameter's step. Any other
+    step, and every parameter outside the group, steps one parameter at
+    a time. Row-sparse tables stay outside, so no buffer of the group
+    grows with a table's size.
     """
 
     def __init__(self, params, lr):
-        self.params = list(params)
+        self.params = _distinct_params(params)
         self.lr = check_optimizer("adam", lr, ValueError)
         self.t = 0
         self._m = [np.zeros(p.value.shape) for p in self.params]
@@ -610,6 +658,22 @@ class Adam:
         # per parameter: None until a row-sparse gradient arrives, then a
         # bool mask of the rows that ever had an entry, True once all have
         self._touched = [None] * len(self.params)
+        # the dense group's member indices, set by the first step
+        self._group = None
+
+    def _form_group(self) -> None:
+        """Group the parameters whose gradient is dense; their m and v, all
+        still zero, become views into one flat m and v."""
+        self._group = [i for i, p in enumerate(self.params) if isinstance(p._grad, np.ndarray)]
+        size = sum(self.params[i].value.size for i in self._group)
+        self._flat_m, self._flat_v = np.zeros(size), np.zeros(size)
+        start = 0
+        for i in self._group:
+            value = self.params[i].value
+            self._m[i] = self._flat_m[start : start + value.size].reshape(value.shape)
+            self._v[i] = self._flat_v[start : start + value.size].reshape(value.shape)
+            self._touched[i] = True
+            start += value.size
 
     def _moments_step(self, m, v, g, bias1, bias2):
         """Update m and v in place; return the step to subtract."""
@@ -619,12 +683,30 @@ class Adam:
         v += (1 - ADAM_BETA2) * g * g
         return self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
+    def _group_step(self, bias1, bias2) -> bool:
+        """One moments step over the dense group; False, with nothing
+        done, when a member has no gradient."""
+        members = [self.params[i] for i in self._group]
+        if not members or any(p._grad is None for p in members):
+            return False
+        # ``grad`` densifies a row-sparse gradient, as the dense step does
+        g = np.concatenate([p.grad.ravel() for p in members])
+        step = self._moments_step(self._flat_m, self._flat_v, g, bias1, bias2)
+        start = 0
+        for p in members:
+            p.value -= step[start : start + p.value.size].reshape(p.value.shape)
+            start += p.value.size
+        return True
+
     def step(self):
         self.t += 1
         bias1 = 1.0 - ADAM_BETA1**self.t
         bias2 = 1.0 - ADAM_BETA2**self.t
+        if self._group is None:
+            self._form_group()
+        grouped = set(self._group) if self._group_step(bias1, bias2) else ()
         for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
-            if p._grad is None:
+            if p._grad is None or i in grouped:
                 continue
             touched, g = self._touched[i], p._grad
             if isinstance(g, RowGrad) and touched is not True:

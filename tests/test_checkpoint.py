@@ -1,4 +1,4 @@
-"""Container entries with a dtype: int64 and float64 arrays, files
+"""Container entries with a dtype: int64, float64 and unsigned arrays, files
 without the field, the checks on what a model may load, named lengths,
 and the memory that reading and writing in place takes."""
 
@@ -38,6 +38,27 @@ def test_entries_record_their_dtype(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert loaded["ids"].dtype == np.int64 and loaded["ids"].tolist() == [1, 2]
     assert loaded["flags"].dtype == np.float64 and loaded["flags"].tolist() == [1.0]
+
+
+def test_unsigned_arrays_keep_their_dtype(tmp_path):
+    arrays = {
+        "u1": np.array([0, 255], dtype=np.uint8),
+        "u2": np.array([[256, 65535]], dtype=np.uint16),
+        "u4": np.array([65536, 2**32 - 1], dtype=np.uint32),
+        "u8": np.array([2**64 - 1], dtype=np.uint64),
+    }
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, arrays)
+    assert [e["dtype"] for e in header_of(path)["params"]] == ["|u1", "<u2", "<u4", "<u8"]
+    assert path.stat().st_size == 12 + struct.unpack("<I", path.read_bytes()[8:12])[0] + 2 + 4 + 8 + 8
+    loaded, _ = load_checkpoint(path)
+    for name, value in arrays.items():
+        assert loaded[name].dtype == value.dtype and loaded[name].tobytes() == value.tobytes()
+    check_arrays(path, loaded, {"u1": (("|u1", "<i8"), (2,)), "u2": ("<u2", (1, 2)), "u4": ("<u4", (2,)),
+                                "u8": ("<u8", (1,))})
+    with pytest.raises(CheckpointError, match="'u2' is uint16, expected uint8 or int64"):
+        check_arrays(path, loaded, {"u1": ("|u1", (2,)), "u2": (("|u1", "<i8"), (1, 2)), "u4": ("<u4", (2,)),
+                                    "u8": ("<u8", (1,))})
 
 
 def test_int64_ids_round_trip_exactly(tmp_path):

@@ -408,9 +408,54 @@ class TestSemanticIdTableFile:
         save_semid_table(tmp_path / "semid.bin", {97: (1, 2, 3), -5: (0, 0, 0), 2**63 - 1: (7, 1, 4)}, {})
         arrays, _ = load_checkpoint(tmp_path / "semid.bin")
         assert sorted(arrays) == ["codes", "raw_ids"]
-        assert arrays["raw_ids"].dtype == arrays["codes"].dtype == np.int64
+        assert arrays["raw_ids"].dtype == np.int64
+        assert arrays["codes"].dtype == np.uint8
         assert arrays["raw_ids"].tolist() == [-5, 97, 2**63 - 1]
         assert arrays["codes"].tolist() == [[0, 0, 0], [1, 2, 3], [7, 1, 4]]
+
+    # codebook size K -> dtype of codes up to K - 1, the narrowest unsigned one
+    @pytest.mark.parametrize("k,dtype", [(64, np.uint8), (256, np.uint8), (257, np.uint16), (65_537, np.uint32)])
+    def test_codes_round_trip_in_the_narrowest_unsigned_dtype(self, tmp_path, k, dtype):
+        rng = np.random.default_rng(k)
+        table = {i: tuple(rng.integers(0, k, size=4).tolist()) for i in range(50)}
+        table[50] = (k - 1, 0, k - 1, 1)
+        path = tmp_path / "semid.bin"
+        save_semid_table(path, table, {"k": k})
+        arrays, _ = load_checkpoint(path)
+        assert arrays["codes"].dtype == dtype
+        loaded, meta = load_semid_table(path)
+        assert loaded == table and meta == {"k": k}
+        assert all(type(c) is int for codes in loaded.values() for c in codes)
+
+    def test_int64_codes_written_before_narrow_ones_still_load(self, tmp_path):
+        path = tmp_path / "semid.bin"
+        save_checkpoint(path, {"raw_ids": self.IDS, "codes": self.CODES}, meta={"seed": 1})
+        assert load_checkpoint(path)[0]["codes"].dtype == np.int64
+        assert load_semid_table(path) == ({-4: (1, 2), 5: (0, 0), 9: (3, 1)}, {"seed": 1})
+
+    def test_codes_that_overflow_int64_raise(self, tmp_path):
+        # a uint64 code at 2^63 would not come back as an int64 value
+        path = tmp_path / "semid.bin"
+        codes = np.array([[1, 2], [0, 2**63], [3, 1]], dtype=np.uint64)
+        save_checkpoint(path, {"raw_ids": self.IDS, "codes": codes}, meta={})
+        with pytest.raises(CheckpointError, match="does not fit in int64"):
+            load_semid_table(path)
+
+    def test_codes_wider_than_their_declared_dtype_raise(self, tmp_path):
+        # eight-byte codes under a one-byte dtype leave bytes after the payload
+        path = tmp_path / "semid.bin"
+        save_checkpoint(path, {"raw_ids": self.IDS, "codes": self.CODES}, meta={})
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b'"dtype":"<i8","name":"codes"', b'"dtype":"|u1","name":"codes"'))
+        assert path.read_bytes() != data
+        with pytest.raises(CheckpointError, match="trailing bytes"):
+            load_semid_table(path)
+
+    def test_negative_code_raises_before_the_file_is_opened(self, tmp_path):
+        path = tmp_path / "semid.bin"
+        with pytest.raises(RqVaeConfigError, match="must not be negative"):
+            save_semid_table(path, {0: (1, 2), 7: (0, -1)}, {})
+        assert not path.exists()
 
     def test_empty_table_round_trips(self, tmp_path):
         save_semid_table(tmp_path / "semid.bin", {}, {"seed": 1})

@@ -190,7 +190,7 @@ def test_prediction_dump_round_trips_every_field(tmp_path_factory, records, seed
 def test_truncated_semid_row_raises(tmp_path):
     path = tmp_path / "semid.bin"
     save_semid_table(path, {5: (1, 2, 3), 9: (0, 0, 1)}, {"seed": 1})
-    path.write_bytes(path.read_bytes()[:-8])  # the last row loses its last code
+    path.write_bytes(path.read_bytes()[:-1])  # the last row loses its last one-byte code
     with pytest.raises(CheckpointError, match="truncated payload at parameter 'codes'"):
         load_semid_table(path)
 
