@@ -55,23 +55,17 @@ def build_segments(train_counts: dict, universe, eval_item_ids) -> SegmentSpec:
     new-items set. An item ID that is not an integer inside int64 raises
     ValueError.
     """
-    universe = np.sort(int64_array(list(universe), "item ids", ValueError)).tolist()
-    counts = np.array([train_counts.get(x, 0) for x in universe], dtype=np.float64)
+    universe = np.sort(int64_array(list(universe), "item ids", ValueError))
+    counts = np.array([train_counts.get(x, 0) for x in universe.tolist()], dtype=np.float64)
     order = np.lexsort((universe, -counts))  # impressions desc, id asc for ties
     total = counts.sum()
-    head, torso, tail = set(), set(), set()
-    cum = 0.0
-    for idx in order:
-        item = universe[idx]
-        c = counts[idx]
-        if total > 0 and cum < 0.25 * total:
-            head.add(item)
-        elif total > 0 and cum < 0.75 * total:
-            torso.add(item)
-        else:
-            tail.add(item)
-        cum += c
-    train_seen = {x for x in universe if train_counts.get(x, 0) > 0}
+    # the impressions ranked before each item, added in rank order from 0.0
+    before = np.zeros(order.size)
+    np.cumsum(counts[order][:-1], out=before[1:])
+    head = (total > 0) & (before < 0.25 * total)
+    torso = (total > 0) & ~head & (before < 0.75 * total)
+    head, torso, tail = (set(universe[order][m].tolist()) for m in (head, torso, ~(head | torso)))
+    train_seen = set(universe[counts > 0].tolist())
     new_items = set(int64_array(list(eval_item_ids), "eval item ids", ValueError).tolist()) - train_seen
     return SegmentSpec(head=head, torso=torso, tail=tail, new_items=new_items, train_seen=train_seen)
 

@@ -184,7 +184,8 @@ def load_checkpoint(path):
         size = os.fstat(fh.fileno()).st_size
         end = 12 + hlen
         for name, shape, dtype in entries:
-            if dtype not in DTYPES:
+            # a JSON list or object is unhashable: test the type before the lookup
+            if not isinstance(dtype, str) or dtype not in DTYPES:
                 raise CheckpointError(f"{path}: unsupported dtype {dtype!r} of {name!r}")
             # bool is a subclass of int; JSON true must not read as a length of 1
             if any(type(n) is not int for n in shape):

@@ -4,7 +4,9 @@ both models initialize and load from.
 
 Layer ``i`` of the stack named ``prefix`` holds the weight
 ``prefix.i.w`` (fan-in by fan-out) and the bias ``prefix.i.b``. A ReLU
-sits between layers, none after the last.
+sits between layers, none after the last. ``mlp`` has one path, the
+graph ops ``tensor.linear`` and ``tensor.relu``, whether the caller
+trains or only reads values.
 
 A model writes its parameters down once, as a list of ``ParamSpec``
 (name, shape, init rule) in creation order. ``init_params`` draws a
@@ -65,23 +67,14 @@ def load_params(path, saved: dict, layout) -> dict:
     return {s.name: T.parameter(saved[s.name], name=s.name) for s in layout}
 
 
-def mlp(params: dict, prefix: str, x):
-    """Run the stack over the last axis of ``x``.
-
-    A ``Tensor`` input builds the graph; an ndarray input (2-D) computes
-    the same values without one, so no backward closures hold its
-    activations.
-    """
+def mlp(params: dict, prefix: str, x: T.Tensor) -> T.Tensor:
+    """Run the stack over the last axis of ``x`` as ``linear`` and ``relu``
+    nodes; a graph-free pass feeds it a ``constant`` and reads ``value``."""
     n = 0
     while f"{prefix}.{n}.w" in params:
         n += 1
-    graph = isinstance(x, T.Tensor)
     for i in range(n):
-        w, b = params[f"{prefix}.{i}.w"], params[f"{prefix}.{i}.b"]
-        if graph:
-            x = T.linear(x, w, b)
-        else:
-            x = x @ w.value + b.value
+        x = T.linear(x, params[f"{prefix}.{i}.w"], params[f"{prefix}.{i}.b"])
         if i < n - 1:
-            x = T.relu(x) if graph else np.maximum(x, 0.0)
+            x = T.relu(x)
     return x

@@ -4,11 +4,13 @@ An MLP encoder maps content embeddings to latent vectors, a stack of
 codebooks greedily quantizes the latents level by level (each level
 approximating the residual the previous levels left behind), and an MLP
 decoder reconstructs the input from the summed codewords. Both MLPs are
-``mlp.mlp`` stacks named ``enc`` and ``dec``: graph-building on a
-``Tensor`` in ``loss``, values only on arrays everywhere else. After
-training the model is frozen and every item receives its code sequence,
-which downstream modules treat as the item's hierarchical semantic
-identifier.
+``mlp.mlp`` stacks named ``enc`` and ``dec``, built from graph ops:
+``loss`` differentiates them, and a graph-free pass runs them on a
+``tensor.constant`` and keeps only the value. Every graph-free encoder
+pass (warm start, ``evaluate_loss``, ``assign``) goes through
+``encode`` and its one shape check. After training the model is frozen
+and every item receives its code sequence, which downstream modules
+treat as the item's hierarchical semantic identifier.
 
 The API is batch-only: ``encode`` and ``loss`` take an (N, input_dim)
 array (one item is a (1, input_dim) batch) and ``quantize_batch`` an
@@ -112,11 +114,11 @@ def param_layout(config: RqVaeConfig) -> list[ParamSpec]:
 
 
 def encode(model: RqVaeModel, x) -> np.ndarray:
-    """Deterministic encoder forward pass over an (N, input_dim) batch."""
+    """Deterministic encoder forward pass over an (N, input_dim) batch; only the values are kept."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.config.input_dim:
         raise T.DimensionError(f"expected an (N, {model.config.input_dim}) batch, got shape {x.shape}")
-    return mlp(model.params, "enc", x)
+    return mlp(model.params, "enc", T.constant(x)).value
 
 
 # rows per block of the nearest-codeword search: a (block, K) distance
@@ -191,7 +193,7 @@ def loss(model: RqVaeModel, x) -> LossParts:
     """
     if model.frozen:
         raise FrozenModelError("loss() produces gradients; model is frozen")
-    # a 1-D input raises DimensionError in the encoder's first matmul
+    # a 1-D input raises DimensionError in the encoder's first linear layer
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     beta = model.config.commitment_weight
@@ -206,16 +208,16 @@ def loss(model: RqVaeModel, x) -> LossParts:
         picked = cb.value[codes[:, level]]
         cum = cum + picked
         # encoder half: codewords are constants, gradient flows into z
-        terms.append(T.scale(T.sum_sq(T.sub(z_t, T.constant(cum))), beta))
+        terms.append(T.scale(T.squared_distance(z_t, T.constant(cum)), beta))
         # codeword half: the residual is a constant, gradient flows into
         # the picked codebook rows
         rows = T.gather_groups(cb, codes[:, level : level + 1])
-        terms.append(T.sum_sq(T.sub(T.constant(residuals[level]), rows)))
+        terms.append(T.squared_distance(T.constant(residuals[level]), rows))
 
     # straight-through: decode the quantized latent, pass gradient to z
     z_st = T.add(z_t, T.constant(quantized - z))
     x_hat = mlp(model.params, "dec", z_st)
-    total = T.sum_sq(T.sub(T.constant(x), x_hat))
+    total = T.squared_distance(T.constant(x), x_hat)
     for term in terms:
         total = T.add(total, term)
     total = T.scale(total, 1.0 / n)
@@ -230,13 +232,13 @@ def _commitment(residuals: list) -> float:
 
 
 def evaluate_loss(model: RqVaeModel, x) -> dict:
-    """Loss parts without building a graph (works on frozen models)."""
+    """Loss parts from value-only passes (works on frozen models)."""
     x = np.asarray(x, dtype=np.float64)
-    z = mlp(model.params, "enc", x)
-    _, residuals, quantized = quantize_batch(model, z)
-    x_hat = mlp(model.params, "dec", quantized)
-    recon = float(((x - x_hat) ** 2).sum()) / x.shape[0]
+    _, residuals, quantized = quantize_batch(model, encode(model, x))
     commitment = _commitment(residuals)
+    del residuals  # the decoder's activations set the peak; do not hold the residuals too
+    x_hat = mlp(model.params, "dec", T.constant(quantized)).value
+    recon = float(((x - x_hat) ** 2).sum()) / x.shape[0]
     beta = model.config.commitment_weight
     return {
         "reconstruction": recon,
@@ -287,8 +289,7 @@ def _cluster_sums(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
 
 def _init_codebooks(model: RqVaeModel, sample: np.ndarray, rng: np.random.Generator) -> None:
     """Warm-start each level by k-means on that level's residuals."""
-    z = mlp(model.params, "enc", sample)
-    r = z
+    r = encode(model, sample)
     for cb in model.codebooks:
         centers = _kmeans(r, model.config.codebook_size, model.config.kmeans_iters, rng)
         cb.value[:] = centers

@@ -18,9 +18,13 @@ bias into the product in place; ``bmm`` also shares a plain matrix
 across the batch. Row gathers take integer index arrays in which -1 marks
 "no row". ``concat_along`` is the one concatenation: it stacks a
 target row on the history rows (axis -2) and joins the interaction
-vector with the ``reshape``-flattened rows (axis 1). ``bce_with_logits``'
-gradient calls ``metrics.logistic``, the logistic that the ranker's
-probabilities and the label oracle ``corpus.ground_truth_ctr`` share.
+vector with the ``reshape``-flattened rows (axis 1). The two losses are
+scalar nodes: ``squared_distance``, the residual quantizer's one squared
+error (its reconstruction, commitment and codeword terms), and
+``bce_with_logits``, whose gradient calls ``metrics.logistic``, the
+logistic that the ranker's probabilities and the label oracle
+``corpus.ground_truth_ctr`` share. Graph-free passes run the same ops
+on ``constant`` leaves and read ``value``.
 
 A row gather that reads fewer entries than its table has rows returns
 from backward a row-sparse ``RowGrad`` instead of a table-sized dense
@@ -408,15 +412,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.value + b.value, parents=(a, b), backward=back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-
-    def back(g):
-        return g, -g
-
-    return Tensor(a.value - b.value, parents=(a, b), backward=back)
-
-
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); a NaN entry stays NaN and passes no gradient."""
     av = a.value
@@ -468,14 +463,19 @@ def concat_along(tensors, axis: int) -> Tensor:
     return Tensor(np.concatenate([t.value for t in tensors], axis=axis), parents=tuple(tensors), backward=back)
 
 
-def sum_sq(a: Tensor) -> Tensor:
-    """Sum of squared entries, the squared Frobenius norm."""
-    av = a.value
+def squared_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Sum of the squared entries of ``a - b``, the squared Frobenius distance.
+
+    The gradients are ``2 g (a - b)`` and its negation.
+    """
+    _require_same_shape(a, b, "squared_distance")
+    d = a.value - b.value
 
     def back(g):
-        return (2.0 * g.item() * av,)
+        ga = 2.0 * g.item() * d
+        return ga, -ga
 
-    return Tensor(np.array((av * av).sum()), parents=(a,), backward=back)
+    return Tensor(np.array((d * d).sum()), parents=(a, b), backward=back)
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:

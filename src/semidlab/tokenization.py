@@ -25,12 +25,14 @@ np.float64(1.0), "7", 2^63) in ``rows``, ``rows_batch`` or a table or
 vocabulary key raises ConfigurationError rather than taking another
 ID's rows, as does an index space K^(L+1) that reaches 2^62. A codebook
 size, prefix depth, table size or hash seed that is a bool or not an
-integer raises it too (``checkpoint.integer``). Each mapping has one
-array implementation; ``RandomHash.rows`` and ``SemanticIdLookup.rows``
-keep a per-ID path (a scalar hash, a dict lookup, numpy only for an ID
-that is not an exact ``int``) because one ID through numpy costs several
-times more, and callers that map one ID at a time, such as the corpus
-tokenizer benchmark, would pay it per ID.
+integer raises it too (``checkpoint.integer``), and both hashed lookups
+hold their table size to one range, [1, 2^63), the values
+``int64_array`` takes, so their scalar and array paths agree. Each
+mapping has one array implementation; ``RandomHash.rows`` and
+``SemanticIdLookup.rows`` keep a per-ID path (a scalar hash, a dict
+lookup, numpy only for an ID that is not an exact ``int``) because one
+ID through numpy costs several times more, and callers that map one ID
+at a time, such as the corpus tokenizer benchmark, would pay it per ID.
 """
 
 from __future__ import annotations
@@ -170,6 +172,15 @@ def _splitmix64_array(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
+def _table_size(value) -> int:
+    """A hashed lookup's table size as an int; raises ConfigurationError
+    unless it is an integer in [1, 2^63)."""
+    size = integer(value, "table size", ConfigurationError)
+    if not 1 <= size < 2**63:
+        raise ConfigurationError(f"table size must lie in [1, 2^63), got {size}")
+    return size
+
+
 class RandomHash:
     """Seeded well-mixing hash of raw IDs into [0, H).
 
@@ -180,9 +191,7 @@ class RandomHash:
     kind = "random_hash"
 
     def __init__(self, table_size: int, seed: int = 0):
-        self.table_size = integer(table_size, "table size", ConfigurationError)
-        if self.table_size < 1:
-            raise ConfigurationError("table size must be positive")
+        self.table_size = _table_size(table_size)
         self.seed_mix = _splitmix64(integer(seed, "hash seed", ConfigurationError) & _MASK64)
         self.output_count = 1
 
@@ -248,7 +257,7 @@ class SemanticIdLookup:
         self.levels = codes.shape[1]
         self.parameterization = parameterization
         self.output_count = parameterization.output_count(self.levels)
-        self.table_size = integer(table_size, "table size", ConfigurationError)
+        self.table_size = _table_size(table_size)
         self._position = dict(zip(id_table, range(len(id_table))))
         self._fallback = len(id_table)
         pre = parameterize_batch(np.vstack([codes, np.zeros(self.levels, dtype=np.int64)]), parameterization)

@@ -3,6 +3,7 @@
 import numpy as np
 
 from semidlab import ranker
+from semidlab.analysis import SegmentSpec
 from semidlab.corpus import DAY, ground_truth_ctr
 from semidlab.tokenization import ConfigurationError
 
@@ -177,6 +178,28 @@ def click_loss_analog(
             "skipped": out[k]["skipped"],
         }
     return report
+
+
+def build_segments(train_counts, universe, eval_item_ids):
+    """``analysis.build_segments`` as a loop over the ranked items: each
+    item takes the band that the impressions ranked before it fall in,
+    summed one item at a time from 0.0. The total is numpy's sum, as the
+    function's own, so only the cut is checked."""
+    universe = sorted(int(x) for x in universe)
+    counts = [float(train_counts.get(x, 0)) for x in universe]
+    total = np.array(counts).sum()
+    bands = {"head": set(), "torso": set(), "tail": set()}
+    cum = 0.0
+    for i in sorted(range(len(universe)), key=lambda i: (-counts[i], universe[i])):
+        if total > 0 and cum < 0.25 * total:
+            bands["head"].add(universe[i])
+        elif total > 0 and cum < 0.75 * total:
+            bands["torso"].add(universe[i])
+        else:
+            bands["tail"].add(universe[i])
+        cum += counts[i]
+    train_seen = {x for x in universe if train_counts.get(x, 0) > 0}
+    return SegmentSpec(**bands, new_items={int(x) for x in eval_item_ids} - train_seen, train_seen=train_seen)
 
 
 def distribution_exports(items, train_events, semid_table) -> dict:

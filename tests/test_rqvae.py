@@ -170,17 +170,12 @@ class TestLoss:
         cb = T.parameter(rng.normal(size=(4, 3)))
         r = rng.normal(size=(1, 3))
         picked = T.gather_groups(cb, [[2]])
-        term = T.sum_sq(T.sub(T.constant(r), picked))
+        term = T.squared_distance(T.constant(r), picked)
         T.backward(term)
         expected = np.zeros((4, 3))
         expected[2] = 2.0 * (cb.value[2] - r[0])
         np.testing.assert_allclose(cb.grad, expected, rtol=1e-12)
-        fd = fd_grad(
-            lambda: float(
-                T.sum_sq(T.sub(T.constant(r), T.gather_groups(cb, [[2]]))).value
-            ),
-            cb.value,
-        )
+        fd = fd_grad(lambda: float(T.squared_distance(T.constant(r), T.gather_groups(cb, [[2]])).value), cb.value)
         assert_grads_close(cb.grad, fd)
 
     def test_stop_gradient_routing(self):

@@ -12,6 +12,8 @@
   and prefix depth, ``RandomHash``'s and ``SemanticIdLookup``'s table
   size, the hash seed) and so at ``ranker.build_lookup``'s spec: a bool
   or a non-integer raises ConfigurationError instead of being truncated.
+  Both hashed lookups, and so ``build_lookup``, take a table size in
+  [1, 2^63) only, on which their scalar and array paths agree.
 * ``corpus.inject_aa_pairs`` copies every ``ItemTable`` field.
 * ``metrics.logistic``: the one overflow-free logistic, behind
   ``tensor.bce_with_logits``' gradient, ``ranker.forward_batch``'s
@@ -355,6 +357,36 @@ SINGLE_INTEGERS = {
 def test_single_integer_entry_points_refuse_a_bool_or_non_integer(caller, value):
     with pytest.raises(ConfigurationError, match="integers only"):
         SINGLE_INTEGERS[caller](value)
+
+
+TABLE_SIZES = {
+    "RandomHash": lambda v: RandomHash(v, seed=1),
+    "SemanticIdLookup": lambda v: SemanticIdLookup(SEMID, TokenParameterization("trigram", 4), v),
+    "build_lookup.random_hash": lambda v: build_lookup({"kind": "random_hash", "table_size": v, "hash_seed": 1}),
+    "build_lookup.semantic_id": lambda v: build_lookup(
+        {"kind": "semantic_id", "variant": "trigram", "codebook_size": 4, "table_size": v}, semid_table=SEMID
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [0, -1, 2**63, 2**70, np.uint64(2**63)])
+@pytest.mark.parametrize("caller", sorted(TABLE_SIZES))
+def test_table_size_outside_one_to_two_to_the_63_is_refused(caller, value):
+    # 2^70 once built a RandomHash whose rows worked and whose rows_batch
+    # raised OverflowError, and a SemanticIdLookup raised OverflowError
+    with pytest.raises(ConfigurationError, match=r"table size must lie in \[1, 2\^63\)"):
+        TABLE_SIZES[caller](value)
+
+
+@pytest.mark.parametrize("caller", sorted(TABLE_SIZES))
+@pytest.mark.parametrize("size", [1, 2**63 - 1])
+def test_table_size_bounds_map_alike_on_both_paths(caller, size):
+    lookup = TABLE_SIZES[caller](size)
+    assert lookup.table_size == size
+    ids = [1, 2] if "semantic" in caller.lower() else [1, 2, -(2**63), 2**63 - 1]
+    rows = lookup.rows_batch(ids)
+    assert rows.tolist() == [lookup.rows(i) for i in ids]
+    assert ((0 <= rows) & (rows < size)).all()
 
 
 def test_fractional_lookup_sizes_and_seeds_are_refused_not_truncated():

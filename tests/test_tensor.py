@@ -201,7 +201,7 @@ class TestBackward:
 
         def loss_tensor():
             x = T.constant(xval)
-            return T.sum_sq(T.sub(x, T.matmul(w, x)))
+            return T.squared_distance(x, T.matmul(w, x))
 
         loss = loss_tensor()
         T.backward(loss)
@@ -255,12 +255,12 @@ OP_CASES = {
     "gather_sum": lambda rng, p: T.gather_groups(p, [[0, 2, 2]]),
     "gather_groups": lambda rng, p: T.gather_groups(p, [[0, 1], [-1, -1], [2, 2]]),
     "add": lambda rng, p: T.add(p, T.constant(_rand(rng, 3, 4))),
-    "sub": lambda rng, p: T.sub(T.constant(_rand(rng, 3, 4)), p),
     "relu": lambda rng, p: T.relu(p),
     "scale": lambda rng, p: T.scale(p, -2.5),
     "transpose": lambda rng, p: T.transpose(p),
     "concat_along_rows": lambda rng, p: T.concat_along([p, T.constant(_rand(rng, 2, 4))], axis=0),
-    "sum_sq": lambda rng, p: T.sum_sq(p),
+    "squared_distance_a": lambda rng, p: T.squared_distance(p, T.constant(_rand(rng, 3, 4))),
+    "squared_distance_b": lambda rng, p: T.squared_distance(T.constant(_rand(rng, 3, 4)), p),
     "add_rowvec_m": lambda rng, p: T.add_rowvec(p, T.constant(_rand(rng, 4))),
     "reshape": lambda rng, p: T.reshape(p, (4, 3)),
     "concat_along_columns": lambda rng, p: T.concat_along([p, T.constant(_rand(rng, 3, 5))], axis=1),
@@ -495,6 +495,32 @@ def test_gather_groups_without_pads_matches_the_masked_path_bytewise(index_shape
         assert got.rows.tobytes() == want.rows.tobytes() and got.sums.tobytes() == want.sums.tobytes()
     else:
         assert got.tobytes() == want.tobytes()
+
+
+def test_squared_distance_value_and_gradients_bytewise():
+    a_val = np.array([[1.5, -0.0, 0.0, -0.0], [2.0, np.nan, 3.25, -1e-200]])
+    b_val = np.array([[0.5, 0.0, -0.0, -0.0], [2.0, 1.0, -0.75, 1e-200]])
+    d = a_val - b_val
+    assert np.signbit(d[0, 1]) and not np.signbit(d[0, 2])  # both zero signs reach the gradient
+    a, b = T.parameter(a_val), T.parameter(b_val)
+    out = T.squared_distance(a, b)
+    assert out.value.shape == () and out.value.tobytes() == np.array((d * d).sum()).tobytes()
+    g = np.array(0.75)
+    ga, gb = out._backward(g)
+    assert ga.tobytes() == (2.0 * 0.75 * d).tobytes()
+    assert gb.tobytes() == (-(2.0 * 0.75 * d)).tobytes()
+    # through ``backward``: the bits the sum of squares of a subtraction node gave
+    T.backward(T.scale(out, 0.75))
+    inner = np.add(2.0 * 0.75 * d, 0.0)  # the subtraction node's gradient
+    assert a.grad.tobytes() == np.add(inner, 0.0).tobytes()
+    assert b.grad.tobytes() == np.add(-inner, 0.0).tobytes()
+    finite = np.isfinite(d)
+    assert np.isnan(out.value) and np.isnan(a.grad[~finite]).all() and np.isfinite(a.grad[finite]).all()
+
+
+def test_squared_distance_refuses_mismatched_shapes():
+    with pytest.raises(T.DimensionError, match="squared_distance"):
+        T.squared_distance(T.constant(np.ones((2, 3))), T.constant(np.ones((3, 2))))
 
 
 def test_pairwise_dot_upper_caches_read_only_index_pairs():
