@@ -12,13 +12,14 @@ would, and its numbers equal that loop's (``tests/oracles.py``).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ranker
-from .checkpoint import int64_array, integer, semid_table_arrays, sorted_distinct
+from .checkpoint import SemanticIdTable, int64_array, integer, sorted_distinct
 from .corpus import DAY, ground_truth_ctr
 from .metrics import SingleClassError, normalized_entropy
 
@@ -300,7 +301,7 @@ def click_loss_analog(
     model,
     items,
     users,
-    semid_table: dict,
+    semid_table,
     context_events,
     depths,
     *,
@@ -320,25 +321,27 @@ def click_loss_analog(
     swap is evaluated with the label oracle, isolating semantic continuity
     from model noise. Contexts with at most ``set_size`` alive items are
     passed over. Swaps with no same-prefix alternative are skipped and
-    counted. Before anything is scored, ValueError is raised for a
-    ``set_size`` or ``pool_size`` that is not an integer, a ``set_size``
-    below 1, a ``pool_size`` below ``set_size``, or a depth that is not an
-    integer in 1..L, for codes of L levels.
+    counted. ``semid_table`` is a ``checkpoint.SemanticIdTable`` (a plain
+    mapping is wrapped as one): the items' codes are read from its arrays
+    through one binary search over its shared ascending ID order, and the
+    table is neither converted nor sorted here. Before anything is
+    scored, ValueError is raised for a table that
+    ``checkpoint.semid_table_arrays`` refuses, a ``set_size`` or
+    ``pool_size`` that is not an integer, a ``set_size`` below 1, a
+    ``pool_size`` below ``set_size``, or a depth that is not an integer
+    in 1..L, for codes of L levels.
     """
     if integer(set_size, "set_size", ValueError) < 1:
         raise ValueError(f"set_size {set_size} is below 1")
     if integer(pool_size, "pool_size", ValueError) < set_size:
         raise ValueError(f"pool_size {pool_size} is below set_size {set_size}")
     rng = np.random.default_rng([seed, 23])
-    # each item's row of the table, found among the sorted table IDs; an
-    # item the table lacks reads a neighbour's row, or past the last ID
-    # the zero row appended below, and in_table keeps it out of every swap
-    table_ids, table_codes = semid_table_arrays(semid_table, ValueError)
-    order = np.argsort(table_ids)
-    at = np.append(order, -1)[np.searchsorted(table_ids, items.raw_ids, sorter=order)]
-    in_table = at >= 0
-    in_table[in_table] = table_ids[at[in_table]] == items.raw_ids[in_table]
-    codes = np.vstack([table_codes, np.zeros(table_codes.shape[1], dtype=np.int64)])[at]
+    table = SemanticIdTable.of(semid_table, ValueError)
+    # each item's row of the table; an item the table lacks reads the zero
+    # row appended below, and in_table keeps it out of every swap
+    at = table.positions(items.raw_ids)
+    in_table = at < len(table)
+    codes = np.vstack([table.codes, np.zeros(table.codes.shape[1], dtype=np.int64)])[at]
     for k in depths:
         if not 1 <= integer(k, "depth", ValueError) <= codes.shape[1]:
             raise ValueError(f"depth {k} outside 1..{codes.shape[1]}, the code levels")
@@ -400,13 +403,15 @@ def gini(values) -> float:
     return float(((2.0 * ranks - n - 1.0) * x).sum() / (n * total))
 
 
-def distribution_exports(items, train_events, semid_table: dict) -> dict:
+def distribution_exports(items, train_events, semid_table) -> dict:
     """Series for the skew, survival, and click-marginal figures.
 
     Returns arrays ready for plotting: the cumulative impression curve
     over popularity-sorted items, the initial-cohort survival curve per
     day, and marginal click counts in raw-ID versus full-code space with
-    their Gini coefficients.
+    their Gini coefficients. ``semid_table`` is read like
+    ``click_loss_analog`` reads it: the clicked items' codes come from its
+    arrays in one gather.
     """
     counts: dict[int, int] = {}
     clicks: dict[int, int] = {}
@@ -429,11 +434,13 @@ def distribution_exports(items, train_events, semid_table: dict) -> dict:
     survival = np.array([(items.death[cohort] > d * DAY).mean() for d in days])
 
     raw_clicks = np.array(sorted(clicks.values(), reverse=True), dtype=np.float64)
+    table = SemanticIdTable.of(semid_table, ValueError)
+    at = table.positions(np.fromiter(clicks, dtype=np.int64, count=len(clicks)))
+    found = at < len(table)
+    clicked_codes = map(tuple, table.codes[at[found]].tolist())
     semid_clicks: dict[tuple, int] = {}
-    for item_id, n in clicks.items():
-        codes = semid_table.get(item_id)
-        if codes is not None:
-            semid_clicks[codes] = semid_clicks.get(codes, 0) + n
+    for codes, n in zip(clicked_codes, itertools.compress(clicks.values(), found.tolist())):
+        semid_clicks[codes] = semid_clicks.get(codes, 0) + n
     code_clicks = np.array(sorted(semid_clicks.values(), reverse=True), dtype=np.float64)
     return {
         "impression_curve": (item_share, impression_share),

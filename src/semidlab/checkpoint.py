@@ -26,9 +26,14 @@ hold, lengths that several arrays share included.
 ``int64_array`` is every module's one check for an integer array, and
 ``integer`` the one check for a single integer: a value that is not an
 integer (inside int64, for an array) raises the caller's own error.
-``semid_table_arrays`` is every reader's one Semantic ID table check,
-``sorted_distinct`` the one dedupe (``np.unique`` imports numpy.ma, 1.7 MB)
-and ``scatter_rows`` the one scatter-add of rows.
+``SemanticIdTable`` is the one form a Semantic ID table takes from
+``rqvae.assign`` and ``rqvae.load_semid_table`` to every reader: a
+read-only ``{raw_id: codes}`` mapping held as an int64 ID array and an
+int64 code matrix, with ID indexes that every reader of it shares.
+``semid_table_arrays`` is every reader's one Semantic ID table check: it
+returns a table's own arrays and converts a plain mapping.
+``sorted_distinct`` is the one dedupe (``np.unique`` imports numpy.ma,
+1.7 MB) and ``scatter_rows`` the one scatter-add of rows.
 ``Config`` gives the configs kept in checkpoint meta one ``to_dict``
 (tuples as lists) and one rule that their float values are finite;
 ``config_from_meta`` rebuilds them by constructor.
@@ -37,11 +42,13 @@ and ``scatter_rows`` the one scatter-add of rows.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -75,9 +82,15 @@ def int64_array(values, what: str, error) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def semid_table_arrays(table: dict, error) -> tuple[np.ndarray, np.ndarray]:
-    """A ``{raw_id: codes}`` table as int64 (N,) IDs and (N, L) codes in table order; raises
-    ``error`` when code lengths differ or a key or code is not an integer inside int64."""
+def semid_table_arrays(table: Mapping, error) -> tuple[np.ndarray, np.ndarray]:
+    """A Semantic ID table as int64 (N,) IDs and (N, L) codes in table order.
+
+    A ``SemanticIdTable`` gives its own arrays, unconverted. A plain
+    ``{raw_id: codes}`` mapping is converted; that raises ``error`` when
+    code lengths differ or a key or code is not an integer inside int64.
+    """
+    if isinstance(table, SemanticIdTable):
+        return table.raw_ids, table.codes
     lengths = {len(codes) for codes in table.values()}
     if len(lengths) > 1:
         raise error(f"Semantic ID code sequences differ in length: code lengths {sorted(lengths)}")
@@ -85,6 +98,81 @@ def semid_table_arrays(table: dict, error) -> tuple[np.ndarray, np.ndarray]:
     # a flat list converts in about half the time of a list of tuples
     codes = int64_array(list(itertools.chain.from_iterable(table.values())), "codes", error)
     return raw_ids, codes.reshape(len(table), lengths.pop() if lengths else 0)
+
+
+class SemanticIdTable(Mapping):
+    """A read-only ``{raw_id: codes}`` Semantic ID table held as arrays.
+
+    ``raw_ids`` is an int64 (N,) array and ``codes`` an int64 (N, L) array
+    whose row i is the code sequence of ``raw_ids[i]``; both are taken
+    uncopied and made non-writeable. Iteration follows the stored order
+    and ``table[raw_id]`` is a tuple of ints. The arrays are checked once,
+    here, by ``semid_table_arrays``' rules (integers inside int64, one
+    code length), and a repeated ID raises ``error`` too.
+
+    Every reader of one table shares its two indexes: the ascending ID
+    order, which the duplicate check computes anyway (``ascending`` holds
+    the IDs in it, ``order`` their positions), and ``position``, an ID ->
+    position dict built on first use. Equality with any mapping
+    is dict equality, so it ignores order.
+    """
+
+    def __init__(self, raw_ids, codes, error=ValueError):
+        raw_ids = int64_array(raw_ids, "Semantic ID table keys", error)
+        codes = int64_array(codes, "codes", error)
+        if raw_ids.ndim != 1 or codes.ndim != 2 or len(codes) != len(raw_ids):
+            raise error(f"expected (N,) raw IDs and (N, L) codes, got shapes {raw_ids.shape} and {codes.shape}")
+        order = np.argsort(raw_ids, kind="stable")
+        ascending = raw_ids[order]
+        repeated = ascending[1:][ascending[1:] == ascending[:-1]]
+        if repeated.size:
+            raise error(f"Semantic ID table repeats raw ID {repeated[0]}")
+        for array in (raw_ids, codes, order, ascending):
+            array.flags.writeable = False
+        self.raw_ids, self.codes, self.order, self.ascending = raw_ids, codes, order, ascending
+
+    @classmethod
+    def of(cls, table: Mapping, error) -> "SemanticIdTable":
+        """``table`` itself if it is a SemanticIdTable; otherwise the table of a
+        ``{raw_id: codes}`` mapping, whose ``position`` keys are the mapping's own."""
+        if isinstance(table, cls):
+            return table
+        out = cls(*semid_table_arrays(table, error), error)
+        out.position = dict(zip(table, range(len(out))))
+        return out
+
+    @functools.cached_property
+    def position(self) -> dict:
+        return dict(zip(self.raw_ids.tolist(), range(len(self))))
+
+    def positions(self, raw_ids: np.ndarray) -> np.ndarray:
+        """Each ID's position in the table, by one binary search over
+        ``ascending``; ``len(self)`` for an ID the table lacks."""
+        n = len(self)
+        if not n:
+            return np.zeros(raw_ids.shape, dtype=np.intp)
+        pos = np.searchsorted(self.ascending, raw_ids).clip(max=n - 1)
+        at = self.order[pos]
+        at[self.ascending[pos] != raw_ids] = n
+        return at
+
+    def __getitem__(self, raw_id) -> tuple:
+        return tuple(self.codes[self.position[raw_id]].tolist())
+
+    def __iter__(self):
+        return iter(self.raw_ids.tolist())
+
+    def __len__(self) -> int:
+        return len(self.raw_ids)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, SemanticIdTable):
+            return np.array_equal(self.ascending, other.ascending) and (
+                not len(self) or np.array_equal(self.codes[self.order], other.codes[other.order])
+            )
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return dict(zip(self.raw_ids.tolist(), map(tuple, self.codes.tolist()))) == dict(other.items())
 
 
 def sorted_distinct(values) -> np.ndarray:

@@ -10,7 +10,10 @@ decoder reconstructs the input from the summed codewords. Both MLPs are
 pass (warm start, ``evaluate_loss``, ``assign``) goes through
 ``encode`` and its one shape check. After training the model is frozen
 and every item receives its code sequence, which downstream modules
-treat as the item's hierarchical semantic identifier.
+treat as the item's hierarchical semantic identifier. ``assign`` and
+``load_semid_table`` return it as a ``checkpoint.SemanticIdTable``: the
+code matrix the quantizer produced, or the arrays the file holds, with
+no per-item tuple built.
 
 The API is batch-only: ``encode`` and ``loss`` take an (N, input_dim)
 array (one item is a (1, input_dim) batch) and ``quantize_batch`` an
@@ -34,12 +37,12 @@ from . import tensor as T
 from .checkpoint import (
     CheckpointError,
     Config,
+    SemanticIdTable,
     check_arrays,
     config_from_meta,
     load_checkpoint,
     save_checkpoint,
     scatter_rows,
-    semid_table_arrays,
 )
 from .mlp import ParamSpec, init_params, load_params, mlp, mlp_layout
 
@@ -351,13 +354,14 @@ def train(model: RqVaeModel, embeddings) -> list[dict]:
 
 
 def assign(model: RqVaeModel, items: dict):
-    """Map raw IDs to code tuples through the frozen quantizer.
+    """Map raw IDs to Semantic IDs through the frozen quantizer.
 
     Items with a malformed embedding (wrong shape, or a NaN or infinite
-    entry) get a per-item error entry instead of failing the whole pass;
-    both dicts keep the order of ``items``. The well-shaped embeddings
-    are checked, encoded and quantized as one array. Returns
-    (assignments, errors).
+    entry) get a per-item error entry instead of failing the whole pass.
+    The well-shaped embeddings are checked, encoded and quantized as one
+    array. Returns (assignments, errors): a ``SemanticIdTable`` over the
+    quantizer's (N, L) code matrix and a dict, both in the order of
+    ``items``. A raw ID outside int64 raises RqVaeConfigError.
     """
     if not model.frozen:
         raise FrozenModelError("assign requires a frozen model")
@@ -372,7 +376,9 @@ def assign(model: RqVaeModel, items: dict):
             continue
         ids.append(int(raw_id))
         rows.append(arr)
-    x = np.stack(rows) if rows else np.empty((0, d))
+    # np.stack makes a (1, d) view of each row before it joins them: 9.7 ms
+    # against 3.5 ms for 20k rows of 16, with the same bytes
+    x = np.concatenate(rows).reshape(-1, d) if rows else np.empty((0, d))
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         for i in np.flatnonzero(~finite):
@@ -380,13 +386,10 @@ def assign(model: RqVaeModel, items: dict):
         errors = {k: errors[k] for k in map(int, items) if k in errors}
         ids = [raw_id for raw_id, ok in zip(ids, finite) if ok]
         x = x[finite]
-    if not ids:
-        return {}, errors
     z = encode(model, x)
     del x  # quantization's distance matrices set the peak; do not hold the input too
     codes, _, _ = quantize_batch(model, z)
-    # tuples zipped from L column lists: no transient list per item
-    return dict(zip(ids, zip(*codes.T.tolist()))), errors
+    return SemanticIdTable(ids, codes, RqVaeConfigError), errors
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +415,36 @@ def load_rqvae(path) -> tuple[RqVaeModel, dict]:
 SEMID_CODE_DTYPES = ("|u1", "<u2", "<u4", "<u8", "<i8")
 
 
-def save_semid_table(path, assignments: dict, meta: dict) -> None:
-    """Write ``{raw_id: codes}`` to the ``checkpoint`` container.
+def save_semid_table(path, assignments, meta: dict) -> None:
+    """Write a ``SemanticIdTable``, or a ``{raw_id: codes}`` mapping, to the
+    ``checkpoint`` container.
 
     The file holds an int64 ``raw_ids`` (N,) array in ascending order and
     a ``codes`` (N, L) array whose row i is the code sequence of
     ``raw_ids[i]``, in the narrowest unsigned dtype that holds the
     largest code (one byte per code below 256). A table that
     ``checkpoint.semid_table_arrays`` refuses, or one with a negative
-    code, raises RqVaeConfigError before the file is opened.
+    code, raises RqVaeConfigError before the file is opened. A table's
+    arrays are written in its ``order``, unconverted.
     """
-    raw_ids, codes = semid_table_arrays(assignments, RqVaeConfigError)
+    table = SemanticIdTable.of(assignments, RqVaeConfigError)
+    codes = table.codes
     if codes.size and codes.min() < 0:
         raise RqVaeConfigError(f"codes are codebook indices and must not be negative, got {codes.min()}")
-    order = np.argsort(raw_ids)
     dtype = np.min_scalar_type(codes.max() if codes.size else 0)
-    save_checkpoint(path, {"raw_ids": raw_ids[order], "codes": codes[order].astype(dtype)}, meta=meta)
+    order = table.order
+    save_checkpoint(path, {"raw_ids": table.raw_ids[order], "codes": codes.astype(dtype)[order]}, meta=meta)
 
 
 def load_semid_table(path):
     """Read a table written by ``save_semid_table``; returns (table, meta).
 
-    Raises CheckpointError unless the file holds exactly an int64
+    The table is a ``SemanticIdTable`` over the file's arrays, its codes
+    widened to int64 once, so they come back as ints whatever their width
+    on file. Raises CheckpointError unless the file holds exactly an int64
     ``raw_ids`` (N,) array in strictly ascending order and a ``codes``
     (N, L) array of a ``SEMID_CODE_DTYPES`` dtype whose values lie
-    inside int64. Codes come back as ints, whatever their width on file.
+    inside int64.
     """
     arrays, meta = load_checkpoint(path)
     check_arrays(path, arrays, {"raw_ids": ("<i8", ("N",)), "codes": (SEMID_CODE_DTYPES, ("N", None))})
@@ -445,4 +453,4 @@ def load_semid_table(path):
         raise CheckpointError(f"{path}: raw IDs are not strictly ascending")
     if codes.dtype == np.uint64 and codes.size and codes.max() >= 2**63:
         raise CheckpointError(f"{path}: code {codes.max()} does not fit in int64")
-    return dict(zip(raw_ids.tolist(), map(tuple, codes.tolist()))), meta
+    return SemanticIdTable(raw_ids, codes.astype(np.int64, copy=False), CheckpointError), meta

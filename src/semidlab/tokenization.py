@@ -14,9 +14,10 @@ Horner's rule and adds the window's block offset:
 * prefix-ngram: (0, d, (K^d - K)/(K - 1)) for d = 1..D, so each depth
   owns the K^d indices past the shallower depths.
 
-Every lookup maps one ID to a list of rows with ``rows`` and a sequence
-of N IDs to an N-by-G integer array with ``rows_batch``, where G is the
-lookup's ``output_count``; both give the same rows for the same ID.
+Every lookup maps one ID to a list of rows with ``rows`` and a flat
+sequence of N IDs to an N-by-G integer array with ``rows_batch``, where
+G is the lookup's ``output_count``; both give the same rows for the same
+ID. A 0-d or a nested ``rows_batch`` input raises ConfigurationError.
 
 Raw IDs and codes are int64 values, and pre-hash indices stay below
 2^62. ``checkpoint.int64_array``'s rule decides what a raw ID is on
@@ -33,6 +34,12 @@ mapping has one array implementation; ``RandomHash.rows`` and
 lookup, numpy only for an ID that is not an exact ``int``) because one
 ID through numpy costs several times more, and callers that map one ID
 at a time, such as the corpus tokenizer benchmark, would pay it per ID.
+
+A Semantic ID lookup reads a ``checkpoint.SemanticIdTable`` and keeps
+no copy of its IDs or codes: ``rows`` finds an ID through the table's ID
+-> position dict, and ``rows_batch`` finds a batch by one
+``searchsorted`` over the table's ascending ID order. Lookups built over
+one table share both indexes, whatever their parameterization.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import int64_array, integer, semid_table_arrays, sorted_distinct
+from .checkpoint import SemanticIdTable, int64_array, integer, sorted_distinct
 
 log = logging.getLogger(__name__)
+_MISSING = "raw id %d missing from Semantic ID table; using all-zeros code"
 
 VARIANTS = ("trigram", "fourgram", "all_bigrams", "prefix_ngram")
 
@@ -102,6 +110,14 @@ def _raw_id(raw_id) -> int:
     if type(raw_id) is int and -(2**63) <= raw_id < 2**63:
         return raw_id
     return int(int64_array(raw_id, "raw id", ConfigurationError))
+
+
+def _raw_ids(raw_ids) -> np.ndarray:
+    """A flat sequence of raw IDs as an int64 array under ``int64_array``'s rule."""
+    ids = int64_array(raw_ids, "raw ids", ConfigurationError)
+    if ids.ndim != 1:
+        raise ConfigurationError(f"raw ids must be a flat sequence, got shape {ids.shape}")
+    return ids
 
 
 def parameterize(codes, p: TokenParameterization) -> list[int]:
@@ -200,7 +216,7 @@ class RandomHash:
 
     def rows_batch(self, raw_ids) -> np.ndarray:
         # the uint64 view of an int64 ID is its value modulo 2^64, as in ``rows``
-        x = int64_array(raw_ids, "raw ids", ConfigurationError).view(np.uint64)
+        x = _raw_ids(raw_ids).view(np.uint64)
         x = _splitmix64_array(x ^ np.uint64(self.seed_mix))
         return (x % np.uint64(self.table_size)).astype(np.int64)[:, None]
 
@@ -225,7 +241,7 @@ class IndividualEmbedding:
 
     def rows_batch(self, raw_ids) -> np.ndarray:
         """Rows found by binary search in the sorted vocabulary."""
-        ids = int64_array(raw_ids, "raw ids", ConfigurationError)
+        ids = _raw_ids(raw_ids)
         pos = np.searchsorted(self._ids, ids)
         found = pos < self._ids.size
         found[found] = self._ids[pos[found]] == ids[found]
@@ -235,13 +251,15 @@ class IndividualEmbedding:
 class SemanticIdLookup:
     """Semantic ID lookup: assignment table, then parameterize, then fit.
 
-    The constructor expands every code once into an (N+1)-by-G row
-    array: row i holds the rows of the table's i-th ID, and the last row
-    those of the all-zeros fallback code. ``rows`` and ``rows_batch``
-    read from it through one dict from the table's own keys to
-    positions. A table that ``checkpoint.semid_table_arrays`` refuses, a
-    code outside [0, K) or an index space K^(L+1) at or past 2^62 raises
-    ConfigurationError here, not at the first lookup.
+    ``id_table`` is a ``checkpoint.SemanticIdTable``, or a ``{raw_id:
+    codes}`` mapping, which is wrapped as one once. The constructor
+    expands every code once into an (N+1)-by-G row array: row i holds
+    the rows of the table's i-th ID, and the last row those of the
+    all-zeros fallback code. ``rows`` and ``rows_batch`` find an ID's row
+    through the table's shared indexes. A table that
+    ``checkpoint.semid_table_arrays`` refuses, a code outside [0, K) or
+    an index space K^(L+1) at or past 2^62 raises ConfigurationError
+    here, not at the first lookup.
 
     Items missing from the assignment table fall back to the all-zeros
     code with a logged warning; the simulator assigns codes at item
@@ -253,26 +271,27 @@ class SemanticIdLookup:
     def __init__(self, id_table, parameterization: TokenParameterization, table_size: int):
         if not id_table:
             raise ConfigurationError("empty Semantic ID table")
-        _, codes = semid_table_arrays(id_table, ConfigurationError)
+        self.table = SemanticIdTable.of(id_table, ConfigurationError)
+        codes = self.table.codes
         self.levels = codes.shape[1]
         self.parameterization = parameterization
         self.output_count = parameterization.output_count(self.levels)
         self.table_size = _table_size(table_size)
-        self._position = dict(zip(id_table, range(len(id_table))))
-        self._fallback = len(id_table)
+        self._position = self.table.position
         pre = parameterize_batch(np.vstack([codes, np.zeros(self.levels, dtype=np.int64)]), parameterization)
         self._rows = fit_to_table_batch(pre, self.table_size)
 
-    def _index(self, raw_id: int) -> int:
+    def rows(self, raw_id: int) -> list[int]:
+        raw_id = _raw_id(raw_id)
         pos = self._position.get(raw_id)
         if pos is None:
-            log.warning("raw id %d missing from Semantic ID table; using all-zeros code", raw_id)
-            return self._fallback
-        return pos
-
-    def rows(self, raw_id: int) -> list[int]:
-        return self._rows[self._index(_raw_id(raw_id))].tolist()
+            log.warning(_MISSING, raw_id)
+            pos = -1  # the fallback code's row
+        return self._rows[pos].tolist()
 
     def rows_batch(self, raw_ids) -> np.ndarray:
-        ids = int64_array(raw_ids, "raw ids", ConfigurationError).tolist()
-        return self._rows[np.array([self._index(i) for i in ids], dtype=np.intp)]
+        ids = _raw_ids(raw_ids)
+        at = self.table.positions(ids)
+        for raw_id in ids[at == len(self.table)].tolist():
+            log.warning(_MISSING, raw_id)
+        return self._rows[at]

@@ -3,7 +3,8 @@
 * ``checkpoint.int64_array``: every writer and array lookup entry point
   refuses a value that is not an integer inside int64, with its own
   module's error, before a file is opened; a bool among the ints of a
-  list or tuple is refused too.
+  list or tuple is refused too. Every ``rows_batch`` takes a flat
+  sequence of IDs only.
 * ``checkpoint.Config``: one ``to_dict`` for the three configs, one rule
   for their integer fields, and ``config_from_meta`` rebuilds them
   through the constructor.
@@ -196,6 +197,22 @@ def test_ints_that_read_0_or_1_are_not_bools():
     assert int64_array((np.int64(1), 0), "ids", OwnError).tolist() == [1, 0]
     lookup = SemanticIdLookup({0: (1, 0, 3), 1: (3, 1, 0)}, PREFIX_NGRAM, 64)
     assert lookup.rows_batch([1, 0]).tolist() == [lookup.rows(1), lookup.rows(0)]
+
+
+FLAT_LOOKUPS = {
+    "RandomHash": lambda: RandomHash(100, seed=1),
+    "IndividualEmbedding": lambda: IndividualEmbedding([1, 2, 3, 4]),
+    "SemanticIdLookup": lambda: SemanticIdLookup({i: (i % 4, 0, 1) for i in range(1, 5)}, PREFIX_NGRAM, 64),
+}
+
+
+@pytest.mark.parametrize("ids", [
+    [[1, 2], [3, 4]], np.array([[1, 2], [3, 4]]), [[1]], np.ones((1, 1, 2), dtype=np.int64), 3, np.int64(3),
+], ids=["nested-list", "2-d", "1-by-1", "3-d", "int", "numpy-int"])
+@pytest.mark.parametrize("lookup", sorted(FLAT_LOOKUPS))
+def test_rows_batch_takes_a_flat_sequence_only(lookup, ids):
+    with pytest.raises(ConfigurationError, match="flat sequence"):
+        FLAT_LOOKUPS[lookup]().rows_batch(ids)
 
 
 def test_array_input_keeps_its_dtype_rule():
