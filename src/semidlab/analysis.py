@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ranker
-from .checkpoint import SemanticIdTable, int64_array, integer, sorted_distinct
+from .checkpoint import int64_array, integer, sorted_distinct
 from .corpus import DAY, ground_truth_ctr
 from .metrics import SingleClassError, normalized_entropy
 
@@ -321,30 +321,29 @@ def click_loss_analog(
     swap is evaluated with the label oracle, isolating semantic continuity
     from model noise. Contexts with at most ``set_size`` alive items are
     passed over. Swaps with no same-prefix alternative are skipped and
-    counted. ``semid_table`` is a ``checkpoint.SemanticIdTable`` (a plain
-    mapping is wrapped as one): the items' codes are read from its arrays
-    through one binary search over its shared ascending ID order, and the
-    table is neither converted nor sorted here. Before anything is
-    scored, ValueError is raised for a table that
-    ``checkpoint.semid_table_arrays`` refuses, a ``set_size`` or
-    ``pool_size`` that is not an integer, a ``set_size`` below 1, a
-    ``pool_size`` below ``set_size``, or a depth that is not an integer
-    in 1..L, for codes of L levels.
+    counted. ``semid_table`` is a ``checkpoint.SemanticIdTable``: the
+    items' codes are read from its arrays through one binary search over
+    its shared ascending ID order, and the table is neither converted nor
+    sorted here. Before anything is scored, ValueError is raised for a
+    ``set_size`` or ``pool_size`` that is not an integer, a ``set_size``
+    below 1, a ``pool_size`` below ``set_size``, a depth that is not an
+    integer in 1..L, for codes of L levels, or a depth given twice.
     """
     if integer(set_size, "set_size", ValueError) < 1:
         raise ValueError(f"set_size {set_size} is below 1")
     if integer(pool_size, "pool_size", ValueError) < set_size:
         raise ValueError(f"pool_size {pool_size} is below set_size {set_size}")
     rng = np.random.default_rng([seed, 23])
-    table = SemanticIdTable.of(semid_table, ValueError)
     # each item's row of the table; an item the table lacks reads the zero
     # row appended below, and in_table keeps it out of every swap
-    at = table.positions(items.raw_ids)
-    in_table = at < len(table)
-    codes = np.vstack([table.codes, np.zeros(table.codes.shape[1], dtype=np.int64)])[at]
+    at = semid_table.positions(items.raw_ids)
+    in_table = at < len(semid_table)
+    codes = np.vstack([semid_table.codes, np.zeros(semid_table.codes.shape[1], dtype=np.int64)])[at]
     for k in depths:
         if not 1 <= integer(k, "depth", ValueError) <= codes.shape[1]:
             raise ValueError(f"depth {k} outside 1..{codes.shape[1]}, the code levels")
+    if len(set(depths)) < len(depths):
+        raise ValueError(f"depths {tuple(depths)} name a depth twice")
 
     out = {k: {"rates": [], "skipped": 0} for k in depths}
     for event in context_events:
@@ -409,9 +408,9 @@ def distribution_exports(items, train_events, semid_table) -> dict:
     Returns arrays ready for plotting: the cumulative impression curve
     over popularity-sorted items, the initial-cohort survival curve per
     day, and marginal click counts in raw-ID versus full-code space with
-    their Gini coefficients. ``semid_table`` is read like
-    ``click_loss_analog`` reads it: the clicked items' codes come from its
-    arrays in one gather.
+    their Gini coefficients. ``semid_table`` is a
+    ``checkpoint.SemanticIdTable``, read like ``click_loss_analog`` reads
+    it: the clicked items' codes come from its arrays in one gather.
     """
     counts: dict[int, int] = {}
     clicks: dict[int, int] = {}
@@ -419,9 +418,7 @@ def distribution_exports(items, train_events, semid_table) -> dict:
         counts[e.item_id] = counts.get(e.item_id, 0) + 1
         if e.label == 1:
             clicks[e.item_id] = clicks.get(e.item_id, 0) + 1
-    count_vec = np.array(
-        [counts.get(int(x), 0) for x in items.raw_ids], dtype=np.float64
-    )
+    count_vec = np.array([counts.get(x, 0) for x in items.raw_ids.tolist()], dtype=np.float64)
     order = np.argsort(-count_vec, kind="stable")
     cum = np.cumsum(count_vec[order])
     total = cum[-1] if cum.size and cum[-1] > 0 else 1.0
@@ -434,10 +431,9 @@ def distribution_exports(items, train_events, semid_table) -> dict:
     survival = np.array([(items.death[cohort] > d * DAY).mean() for d in days])
 
     raw_clicks = np.array(sorted(clicks.values(), reverse=True), dtype=np.float64)
-    table = SemanticIdTable.of(semid_table, ValueError)
-    at = table.positions(np.fromiter(clicks, dtype=np.int64, count=len(clicks)))
-    found = at < len(table)
-    clicked_codes = map(tuple, table.codes[at[found]].tolist())
+    at = semid_table.positions(np.fromiter(clicks, dtype=np.int64, count=len(clicks)))
+    found = at < len(semid_table)
+    clicked_codes = map(tuple, semid_table.codes[at[found]].tolist())
     semid_clicks: dict[tuple, int] = {}
     for codes, n in zip(clicked_codes, itertools.compress(clicks.values(), found.tolist())):
         semid_clicks[codes] = semid_clicks.get(codes, 0) + n

@@ -29,9 +29,8 @@ integer (inside int64, for an array) raises the caller's own error.
 ``SemanticIdTable`` is the one form a Semantic ID table takes from
 ``rqvae.assign`` and ``rqvae.load_semid_table`` to every reader: a
 read-only ``{raw_id: codes}`` mapping held as an int64 ID array and an
-int64 code matrix, with ID indexes that every reader of it shares.
-``semid_table_arrays`` is every reader's one Semantic ID table check: it
-returns a table's own arrays and converts a plain mapping.
+int64 code matrix, checked once when built, with ID indexes that every
+reader of it shares.
 ``sorted_distinct`` is the one dedupe (``np.unique`` imports numpy.ma,
 1.7 MB) and ``scatter_rows`` the one scatter-add of rows.
 ``Config`` gives the configs kept in checkpoint meta one ``to_dict``
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import json
 import math
 import os
@@ -71,8 +69,12 @@ def int64_array(values, what: str, error) -> np.ndarray:
     unless every value is an integer inside int64. For any other value numpy
     infers float64, object, uint64, a string or a bool dtype, except for a
     bool among the ints of a flat list or tuple, which it reads as 0 or 1:
-    the entries that read 0 or 1 are checked for one."""
-    array = np.asarray(values)
+    the entries that read 0 or 1 are checked for one, and nested sequences
+    of different lengths raise ``error`` too."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy's error for nested sequences of different lengths
+        raise error(f"{what} differ in length, so they form no array") from None
     kind = array.dtype.kind
     if array.size and not (kind == "i" or kind == "u" and array.max() < 2**63):
         raise error(f"{what} must be integers inside int64, got {array.dtype} values")
@@ -82,24 +84,6 @@ def int64_array(values, what: str, error) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
-def semid_table_arrays(table: Mapping, error) -> tuple[np.ndarray, np.ndarray]:
-    """A Semantic ID table as int64 (N,) IDs and (N, L) codes in table order.
-
-    A ``SemanticIdTable`` gives its own arrays, unconverted. A plain
-    ``{raw_id: codes}`` mapping is converted; that raises ``error`` when
-    code lengths differ or a key or code is not an integer inside int64.
-    """
-    if isinstance(table, SemanticIdTable):
-        return table.raw_ids, table.codes
-    lengths = {len(codes) for codes in table.values()}
-    if len(lengths) > 1:
-        raise error(f"Semantic ID code sequences differ in length: code lengths {sorted(lengths)}")
-    raw_ids = int64_array(list(table), "Semantic ID table keys", error)
-    # a flat list converts in about half the time of a list of tuples
-    codes = int64_array(list(itertools.chain.from_iterable(table.values())), "codes", error)
-    return raw_ids, codes.reshape(len(table), lengths.pop() if lengths else 0)
-
-
 class SemanticIdTable(Mapping):
     """A read-only ``{raw_id: codes}`` Semantic ID table held as arrays.
 
@@ -107,8 +91,8 @@ class SemanticIdTable(Mapping):
     whose row i is the code sequence of ``raw_ids[i]``; both are taken
     uncopied and made non-writeable. Iteration follows the stored order
     and ``table[raw_id]`` is a tuple of ints. The arrays are checked once,
-    here, by ``semid_table_arrays``' rules (integers inside int64, one
-    code length), and a repeated ID raises ``error`` too.
+    here: a value that is not an integer inside int64, shapes other than
+    (N,) and (N, L), or a repeated ID raises ``error``.
 
     Every reader of one table shares its two indexes: the ascending ID
     order, which the duplicate check computes anyway (``ascending`` holds
@@ -130,16 +114,6 @@ class SemanticIdTable(Mapping):
         for array in (raw_ids, codes, order, ascending):
             array.flags.writeable = False
         self.raw_ids, self.codes, self.order, self.ascending = raw_ids, codes, order, ascending
-
-    @classmethod
-    def of(cls, table: Mapping, error) -> "SemanticIdTable":
-        """``table`` itself if it is a SemanticIdTable; otherwise the table of a
-        ``{raw_id: codes}`` mapping, whose ``position`` keys are the mapping's own."""
-        if isinstance(table, cls):
-            return table
-        out = cls(*semid_table_arrays(table, error), error)
-        out.position = dict(zip(table, range(len(out))))
-        return out
 
     @functools.cached_property
     def position(self) -> dict:

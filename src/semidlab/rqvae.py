@@ -415,25 +415,21 @@ def load_rqvae(path) -> tuple[RqVaeModel, dict]:
 SEMID_CODE_DTYPES = ("|u1", "<u2", "<u4", "<u8", "<i8")
 
 
-def save_semid_table(path, assignments, meta: dict) -> None:
-    """Write a ``SemanticIdTable``, or a ``{raw_id: codes}`` mapping, to the
-    ``checkpoint`` container.
+def save_semid_table(path, table: SemanticIdTable, meta: dict) -> None:
+    """Write a ``SemanticIdTable`` to the ``checkpoint`` container.
 
     The file holds an int64 ``raw_ids`` (N,) array in ascending order and
     a ``codes`` (N, L) array whose row i is the code sequence of
     ``raw_ids[i]``, in the narrowest unsigned dtype that holds the
-    largest code (one byte per code below 256). A table that
-    ``checkpoint.semid_table_arrays`` refuses, or one with a negative
-    code, raises RqVaeConfigError before the file is opened. A table's
+    largest code (one byte per code below 256). A table with a negative
+    code raises RqVaeConfigError before the file is opened. The table's
     arrays are written in its ``order``, unconverted.
     """
-    table = SemanticIdTable.of(assignments, RqVaeConfigError)
     codes = table.codes
     if codes.size and codes.min() < 0:
         raise RqVaeConfigError(f"codes are codebook indices and must not be negative, got {codes.min()}")
     dtype = np.min_scalar_type(codes.max() if codes.size else 0)
-    order = table.order
-    save_checkpoint(path, {"raw_ids": table.raw_ids[order], "codes": codes.astype(dtype)[order]}, meta=meta)
+    save_checkpoint(path, {"raw_ids": table.raw_ids[table.order], "codes": codes.astype(dtype)[table.order]}, meta=meta)
 
 
 def load_semid_table(path):

@@ -22,9 +22,10 @@ ID. A 0-d or a nested ``rows_batch`` input raises ConfigurationError.
 Raw IDs and codes are int64 values, and pre-hash indices stay below
 2^62. ``checkpoint.int64_array``'s rule decides what a raw ID is on
 every path: a value that is not an integer inside int64 (1.9, True,
-np.float64(1.0), "7", 2^63) in ``rows``, ``rows_batch`` or a table or
-vocabulary key raises ConfigurationError rather than taking another
-ID's rows, as does an index space K^(L+1) that reaches 2^62. A codebook
+np.float64(1.0), "7", 2^63) in ``rows``, ``rows_batch`` or a vocabulary
+key raises ConfigurationError rather than taking another ID's rows, as
+does an index space K^(L+1) that reaches 2^62; a Semantic ID table
+refuses one as a key when it is built. A codebook
 size, prefix depth, table size or hash seed that is a bool or not an
 integer raises it too (``checkpoint.integer``), and both hashed lookups
 hold their table size to one range, [1, 2^63), the values
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import SemanticIdTable, int64_array, integer, sorted_distinct
+from .checkpoint import int64_array, integer, sorted_distinct
 
 log = logging.getLogger(__name__)
 _MISSING = "raw id %d missing from Semantic ID table; using all-zeros code"
@@ -251,15 +252,13 @@ class IndividualEmbedding:
 class SemanticIdLookup:
     """Semantic ID lookup: assignment table, then parameterize, then fit.
 
-    ``id_table`` is a ``checkpoint.SemanticIdTable``, or a ``{raw_id:
-    codes}`` mapping, which is wrapped as one once. The constructor
+    ``id_table`` is a ``checkpoint.SemanticIdTable``. The constructor
     expands every code once into an (N+1)-by-G row array: row i holds
     the rows of the table's i-th ID, and the last row those of the
     all-zeros fallback code. ``rows`` and ``rows_batch`` find an ID's row
-    through the table's shared indexes. A table that
-    ``checkpoint.semid_table_arrays`` refuses, a code outside [0, K) or
-    an index space K^(L+1) at or past 2^62 raises ConfigurationError
-    here, not at the first lookup.
+    through the table's shared indexes. An empty table, a code outside
+    [0, K) or an index space K^(L+1) at or past 2^62 raises
+    ConfigurationError here, not at the first lookup.
 
     Items missing from the assignment table fall back to the all-zeros
     code with a logged warning; the simulator assigns codes at item
@@ -271,7 +270,7 @@ class SemanticIdLookup:
     def __init__(self, id_table, parameterization: TokenParameterization, table_size: int):
         if not id_table:
             raise ConfigurationError("empty Semantic ID table")
-        self.table = SemanticIdTable.of(id_table, ConfigurationError)
+        self.table = id_table
         codes = self.table.codes
         self.levels = codes.shape[1]
         self.parameterization = parameterization

@@ -4,8 +4,17 @@ import numpy as np
 
 from semidlab import ranker
 from semidlab.analysis import SegmentSpec
+from semidlab.checkpoint import SemanticIdTable
 from semidlab.corpus import DAY, ground_truth_ctr
 from semidlab.tokenization import ConfigurationError
+
+
+def semid_table(mapping, error=ValueError) -> SemanticIdTable:
+    """The ``SemanticIdTable`` of a ``{raw_id: codes}`` mapping, in its
+    order, checked by the table's constructor under ``error``; an empty
+    mapping gives (0,) IDs and (0, 0) codes."""
+    codes = list(mapping.values()) if mapping else np.zeros((0, 0), dtype=np.int64)
+    return SemanticIdTable(list(mapping), codes, error)
 
 
 def cluster_purity(cluster_labels, true_labels) -> float:

@@ -348,10 +348,10 @@ class TestClickLoss:
         users = generate_users(cfg)
         stream = generate_stream(items, users, cfg)
         # perfect-hierarchy codes straight from generator labels
-        semid = {
+        semid = oracles.semid_table({
             int(x): (int(items.top[i]), int(items.mid[i] % 4), int(items.leaf[i] % 4))
             for i, x in enumerate(items.raw_ids)
-        }
+        })
         rcfg = RankerConfig(d_m=4, history_length=4, top_mlp=(8,), seed=seed)
         model = RankerModel.initialize(rcfg, RandomHash(64, seed=1), RandomHash(64, seed=2))
         return cfg, items, users, stream, semid, model
@@ -389,6 +389,7 @@ class TestClickLoss:
             semid = {raw: codes for (raw, codes), keep in zip(semid.items(), kept) if keep}
             if table == "partial_all_zero_codes":
                 semid = dict.fromkeys(semid, (0, 0, 0))
+            semid = oracles.semid_table(semid)
         # the latest contexts, where many same-prefix items have died
         contexts = stream.eval[-20:]
         assert all((items.death <= e.timestamp).sum() > 100 for e in contexts)
@@ -398,7 +399,7 @@ class TestClickLoss:
         assert report == oracles.click_loss_analog(*args, **kwargs)
         assert report[1]["n_swaps"] > 0
 
-    @pytest.mark.parametrize("depths", [(0,), (1, 4), (-1,), (1.5,), (True,), (2.0,)])
+    @pytest.mark.parametrize("depths", [(0,), (1, 4), (-1,), (1.5,), (True,), (2.0,), (1, 1), (2, 1, 2)])
     def test_refuses_a_depth_outside_the_code_levels_before_scoring(self, depths):
         cfg, items, users, stream, semid, _ = self._setup()
         # no model: scoring anything would fail with another error
@@ -440,7 +441,7 @@ class TestClickLoss:
         table = {raw: semid[raw] for raw in keys}
         stray = int(items.raw_ids.max()) + 1
         table.update({stray: (0, 0, 0), -stray: semid[keys[0]]})
-        args = (model, items, users, table, stream.eval[-20:], (1, 2, 3))
+        args = (model, items, users, oracles.semid_table(table), stream.eval[-20:], (1, 2, 3))
         kwargs = dict(temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60, seed=seed)
         report = click_loss_analog(*args, **kwargs)
         assert report == oracles.click_loss_analog(*args, **kwargs)
@@ -448,12 +449,11 @@ class TestClickLoss:
 
     def test_table_of_mixed_code_lengths_raises(self):
         cfg, items, users, stream, semid, model = self._setup()
-        semid[int(items.raw_ids[0])] = (1, 2)
-        with pytest.raises(ValueError, match="code lengths"):
-            click_loss_analog(
-                model, items, users, semid, stream.eval[:2], depths=(1,),
-                temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=4, pool_size=60,
-            )
+        codes = dict(semid)
+        codes[int(items.raw_ids[0])] = (1, 2)
+        # the table refuses them when built, so no ragged table reaches the analog
+        with pytest.raises(ValueError, match="differ in length"):
+            oracles.semid_table(codes)
 
 
 class TestDistributionExports:
@@ -465,7 +465,7 @@ class TestDistributionExports:
         stream = generate_stream(items, users, cfg)
         semid = {int(x): (int(items.top[i]), int(items.mid[i]), int(items.leaf[i]))
                  for i, x in enumerate(items.raw_ids)}
-        return distribution_exports(items, stream.train, semid)
+        return distribution_exports(items, stream.train, oracles.semid_table(semid))
 
     def test_cumulative_curve_ends_at_one(self):
         out = self._exports()
@@ -491,14 +491,14 @@ class TestDistributionExports:
             clicks[e.item_id] = clicks.get(e.item_id, 0) + e.label
         # full codes: every click on a tabled item counts once
         tabled = {raw: (raw % 7, raw % 3) for raw in ids[::2]}
-        out = distribution_exports(items, stream.train, tabled)
+        out = distribution_exports(items, stream.train, oracles.semid_table(tabled))
         assert out["semid_click_counts"].sum() == sum(clicks.get(raw, 0) for raw in tabled)
         # one code for every item: a single cell, no skew
-        out = distribution_exports(items, stream.train, dict.fromkeys(ids, (0, 0, 0)))
+        out = distribution_exports(items, stream.train, oracles.semid_table(dict.fromkeys(ids, (0, 0, 0))))
         assert out["semid_click_counts"].tolist() == [out["raw_click_counts"].sum()]
         assert out["gini_semid"] == 0.0
         # one code per item: the raw-ID counts again
-        out = distribution_exports(items, stream.train, {raw: (raw,) for raw in ids})
+        out = distribution_exports(items, stream.train, oracles.semid_table({raw: (raw,) for raw in ids}))
         assert out["semid_click_counts"].tolist() == out["raw_click_counts"].tolist()
         assert out["gini_semid"] == out["gini_raw"] > 0.0
 
@@ -515,6 +515,7 @@ class TestDistributionExports:
             # clicks on items the table lacks count in raw-ID space only
             kept = np.random.default_rng(seed).random(len(semid)) < 0.7
             semid = {raw: codes for (raw, codes), keep in zip(semid.items(), kept) if keep}
+        semid = oracles.semid_table(semid)
         got = distribution_exports(items, stream.train, semid)
         want = oracles.distribution_exports(items, stream.train, semid)
         assert sorted(got) == sorted(want)

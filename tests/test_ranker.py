@@ -29,6 +29,7 @@ from semidlab.ranker import (
 from semidlab.tokenization import ConfigurationError, RandomHash, SemanticIdLookup, TokenParameterization
 
 from fdcheck import assert_grads_close, fd_grad
+from oracles import semid_table
 from reference_ranker import sparse_embed
 
 
@@ -72,7 +73,7 @@ class TestSparseEmbed:
     def test_prefix_lookup_sums_three_rows(self):
         table_vals = np.random.default_rng(0).normal(size=(30, 8))
         table = T.constant(table_vals)
-        lk = SemanticIdLookup({1: (0, 1, 2)}, TokenParameterization("prefix_ngram", 4, 3), 30)
+        lk = SemanticIdLookup(semid_table({1: (0, 1, 2)}), TokenParameterization("prefix_ngram", 4, 3), 30)
         rows = lk.rows(1)
         assert len(rows) == 3
         out = sparse_embed({1}, lk, table)
@@ -205,7 +206,7 @@ class TestForward:
         assert model.params["top.0.w"].value.shape[0] == expected
 
     def test_aa_pair_bit_exact_under_semantic_id_target(self):
-        table = {111: (1, 2, 3), 222: (1, 2, 3), 333: (0, 1, 1)}
+        table = semid_table({111: (1, 2, 3), 222: (1, 2, 3), 333: (0, 1, 1)})
         lookup = SemanticIdLookup(table, TokenParameterization("prefix_ngram", 4, 3), 30)
         cfg = RankerConfig(d_m=4, history_length=3, top_mlp=(8,), seed=9)
         model = RankerModel.initialize(cfg, lookup, RandomHash(16, seed=2))
@@ -470,7 +471,7 @@ class TestPersistence:
         sem = build_lookup(
             {"kind": "semantic_id", "table_size": 30, "variant": "prefix_ngram",
              "prefix_depth": 3, "codebook_size": 4},
-            semid_table={1: (0, 1, 2)},
+            semid_table=semid_table({1: (0, 1, 2)}),
         )
         assert len(sem.rows(1)) == 3
 

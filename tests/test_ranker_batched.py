@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reference_ranker as ref
+from oracles import semid_table
 from semidlab import analysis, ranker
 from semidlab.corpus import CorpusConfig, ImpressionEvent, generate_items, generate_stream, generate_users
 from semidlab.ranker import RankerConfig, RankerModel
@@ -22,9 +23,9 @@ PRED_TOL = 1e-12
 PARAM_TOL = 1e-9
 
 # codes for IDs 0..44; IDs 45..49 take the all-zeros fallback
-SEMID_TABLE = {
+SEMID_TABLE = semid_table({
     i: tuple(int(c) for c in np.random.default_rng([5, i]).integers(0, 4, size=3)) for i in range(45)
-}
+})
 
 LOOKUPS = {
     "random_hash": lambda: RandomHash(16, seed=1),
@@ -150,10 +151,10 @@ def test_click_loss_matches_per_event_scoring(monkeypatch):
     items = generate_items(cfg)
     users = generate_users(cfg)
     stream = generate_stream(items, users, cfg)
-    semid = {
+    semid = semid_table({
         int(x): (int(items.top[i]), int(items.mid[i] % 4), int(items.leaf[i] % 4))
         for i, x in enumerate(items.raw_ids)
-    }
+    })
     rcfg = RankerConfig(d_m=4, history_length=4, top_mlp=(8,), aggregation="pma", d_s=3, seed=7)
     model = RankerModel.initialize(rcfg, RandomHash(64, seed=1), RandomHash(64, seed=2))
 

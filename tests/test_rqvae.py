@@ -29,7 +29,7 @@ from semidlab.runfiles import write_table
 
 import reference_rqvae as ref
 from fdcheck import assert_grads_close, fd_grad
-from oracles import cluster_purity, gmm_hierarchy_embeddings, nearest_index_bruteforce
+from oracles import cluster_purity, gmm_hierarchy_embeddings, nearest_index_bruteforce, semid_table
 
 
 def scalar_identity_model(codebooks) -> RqVaeModel:
@@ -394,13 +394,13 @@ class TestAssign:
 class TestSemanticIdTableFile:
     def test_round_trip(self, tmp_path):
         mapping = {97: (1, 2, 3), 5: (0, 0, 0), 12: (7, 1, 4)}
-        save_semid_table(tmp_path / "semid.tsv", mapping, {"config_hash": "h", "seed": "1"})
+        save_semid_table(tmp_path / "semid.tsv", semid_table(mapping), {"config_hash": "h", "seed": "1"})
         loaded, meta = load_semid_table(tmp_path / "semid.tsv")
         assert loaded == mapping
         assert meta["config_hash"] == "h"
 
     def test_file_holds_ascending_int64_ids_and_their_codes(self, tmp_path):
-        save_semid_table(tmp_path / "semid.bin", {97: (1, 2, 3), -5: (0, 0, 0), 2**63 - 1: (7, 1, 4)}, {})
+        save_semid_table(tmp_path / "semid.bin", semid_table({97: (1, 2, 3), -5: (0, 0, 0), 2**63 - 1: (7, 1, 4)}), {})
         arrays, _ = load_checkpoint(tmp_path / "semid.bin")
         assert sorted(arrays) == ["codes", "raw_ids"]
         assert arrays["raw_ids"].dtype == np.int64
@@ -415,7 +415,7 @@ class TestSemanticIdTableFile:
         table = {i: tuple(rng.integers(0, k, size=4).tolist()) for i in range(50)}
         table[50] = (k - 1, 0, k - 1, 1)
         path = tmp_path / "semid.bin"
-        save_semid_table(path, table, {"k": k})
+        save_semid_table(path, semid_table(table), {"k": k})
         arrays, _ = load_checkpoint(path)
         assert arrays["codes"].dtype == dtype
         loaded, meta = load_semid_table(path)
@@ -449,11 +449,11 @@ class TestSemanticIdTableFile:
     def test_negative_code_raises_before_the_file_is_opened(self, tmp_path):
         path = tmp_path / "semid.bin"
         with pytest.raises(RqVaeConfigError, match="must not be negative"):
-            save_semid_table(path, {0: (1, 2), 7: (0, -1)}, {})
+            save_semid_table(path, semid_table({0: (1, 2), 7: (0, -1)}), {})
         assert not path.exists()
 
     def test_empty_table_round_trips(self, tmp_path):
-        save_semid_table(tmp_path / "semid.bin", {}, {"seed": 1})
+        save_semid_table(tmp_path / "semid.bin", semid_table({}), {"seed": 1})
         assert load_semid_table(tmp_path / "semid.bin") == ({}, {"seed": 1})
 
     def test_text_table_file_raises(self, tmp_path):
@@ -486,23 +486,24 @@ class TestSemanticIdTableFile:
 
     @pytest.mark.parametrize("table", [{1: (0, 1), 2: (0,)}, {1: (), 2: (3,)}, {1: (0, 1, 2), 2: (0, 1), 3: (4, 5, 6)}])
     def test_ragged_codes_raise_before_the_file_is_opened(self, tmp_path, table):
+        # the table refuses them when built, so no table reaches the writer
         path = tmp_path / "semid.bin"
         with pytest.raises(RqVaeConfigError, match="differ in length"):
-            save_semid_table(path, table, {})
+            save_semid_table(path, semid_table(table, RqVaeConfigError), {})
         assert not path.exists()
 
     @pytest.mark.parametrize("codes", [(0, 0.5), (1.0, 2.0), (0, 2**63), (0, -(2**63) - 1), (0, 2**70)])
     def test_code_that_is_not_an_int64_raises_before_the_file_is_opened(self, tmp_path, codes):
         path = tmp_path / "semid.bin"
         with pytest.raises(RqVaeConfigError, match="integers inside int64"):
-            save_semid_table(path, {0: (1, 2), 7: codes}, {})
+            save_semid_table(path, semid_table({0: (1, 2), 7: codes}, RqVaeConfigError), {})
         assert not path.exists()
 
     @pytest.mark.parametrize("raw_id", [2**63, -(2**63) - 1, 2**70])
     def test_id_outside_int64_raises_before_the_file_is_opened(self, tmp_path, raw_id):
         path = tmp_path / "semid.bin"
         with pytest.raises(RqVaeConfigError, match="int64"):
-            save_semid_table(path, {0: (1, 2), raw_id: (3, 4)}, {})
+            save_semid_table(path, semid_table({0: (1, 2), raw_id: (3, 4)}, RqVaeConfigError), {})
         assert not path.exists()
 
 
@@ -519,7 +520,7 @@ def test_semid_table_round_trips(tmp_path_factory, data, levels):
     table = data.draw(st.dictionaries(int64_ids, codes, max_size=40))
     path = tmp_path_factory.mktemp("semid") / "semid.bin"
     meta = {"config_hash": "abc", "seed": data.draw(int64_ids)}
-    save_semid_table(path, table, meta)
+    save_semid_table(path, semid_table(table), meta)
     loaded, loaded_meta = load_semid_table(path)
     assert loaded == table and loaded_meta == meta
     assert list(loaded) == sorted(table)

@@ -23,6 +23,7 @@ from semidlab.corpus import (
 from semidlab.ranker import PREDICTION_COLUMNS, PredictionRecord, load_predictions, save_predictions
 from semidlab.rqvae import load_semid_table, save_semid_table
 from semidlab.runfiles import ArtifactMismatchError, check_same_run, read_table, write_table
+from oracles import semid_table
 from test_corpus import int64_values
 
 EVENTS = [
@@ -189,7 +190,7 @@ def test_prediction_dump_round_trips_every_field(tmp_path_factory, records, seed
 
 def test_truncated_semid_row_raises(tmp_path):
     path = tmp_path / "semid.bin"
-    save_semid_table(path, {5: (1, 2, 3), 9: (0, 0, 1)}, {"seed": 1})
+    save_semid_table(path, semid_table({5: (1, 2, 3), 9: (0, 0, 1)}), {"seed": 1})
     path.write_bytes(path.read_bytes()[:-1])  # the last row loses its last one-byte code
     with pytest.raises(CheckpointError, match="truncated payload at parameter 'codes'"):
         load_semid_table(path)
@@ -197,7 +198,7 @@ def test_truncated_semid_row_raises(tmp_path):
 
 def test_extra_field_raises(tmp_path):
     path = tmp_path / "semid.bin"
-    save_semid_table(path, {5: (1, 2, 3)}, {"seed": 1})
+    save_semid_table(path, semid_table({5: (1, 2, 3)}), {"seed": 1})
     with open(path, "ab") as fh:
         fh.write(struct.pack("<q", 9))
     with pytest.raises(CheckpointError, match="trailing bytes"):

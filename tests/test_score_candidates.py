@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import reference_ranker as ref
+from oracles import semid_table
 from semidlab import analysis, ranker
 from semidlab.corpus import CorpusConfig, ImpressionEvent, generate_items, generate_stream, generate_users
 from semidlab.ranker import RankerConfig, RankerModel
@@ -75,10 +76,10 @@ def test_click_loss_runs_the_history_module_once_per_scored_context(monkeypatch)
     items = generate_items(cfg)
     users = generate_users(cfg)
     stream = generate_stream(items, users, cfg)
-    semid = {
+    semid = semid_table({
         int(x): (int(items.top[i]), int(items.mid[i] % 4), int(items.leaf[i] % 4))
         for i, x in enumerate(items.raw_ids)
-    }
+    })
     # pools of 60 in minibatches of 8: eight candidate chunks per context
     rcfg = RankerConfig(d_m=4, history_length=4, top_mlp=(8,), aggregation="pma", d_s=3, batch_size=8, seed=7)
     m = RankerModel.initialize(rcfg, RandomHash(64, seed=1), RandomHash(64, seed=2))

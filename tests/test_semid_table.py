@@ -6,8 +6,9 @@
 * Its arrays are read-only and a repeated ID is refused.
 * Lookups over one table share its indexes; ``rows_batch`` gives the
   scalar ``rows``, fallback and warnings included.
-* The readers give the same bytes for a table and for its plain dict,
-  and none of them walks the table as a mapping.
+* The readers give the same bytes for a table and for the same IDs and
+  codes in another stored order, and none of them walks the table as a
+  mapping.
 """
 
 import logging
@@ -15,8 +16,9 @@ import logging
 import numpy as np
 import pytest
 
+from oracles import semid_table
 from semidlab.analysis import click_loss_analog, distribution_exports
-from semidlab.checkpoint import SemanticIdTable, load_checkpoint, semid_table_arrays
+from semidlab.checkpoint import SemanticIdTable, load_checkpoint
 from semidlab.corpus import CorpusConfig, generate_items, generate_stream, generate_users
 from semidlab.ranker import RankerConfig, RankerModel
 from semidlab.rqvae import RqVaeConfig, RqVaeConfigError, RqVaeModel, assign, load_semid_table, save_semid_table
@@ -26,7 +28,7 @@ SOURCE = {97: (1, 2, 3), -5: (0, 0, 0), 2**63 - 1: (7, 1, 4), 12: (7, 1, 5)}
 
 
 def test_round_trip_keeps_every_id_and_code_as_ints(tmp_path):
-    save_semid_table(tmp_path / "semid.bin", SOURCE, {})
+    save_semid_table(tmp_path / "semid.bin", semid_table(SOURCE), {})
     assert load_checkpoint(tmp_path / "semid.bin")[0]["codes"].dtype == np.uint8
     loaded, _ = load_semid_table(tmp_path / "semid.bin")
     assert isinstance(loaded, SemanticIdTable)
@@ -36,38 +38,32 @@ def test_round_trip_keeps_every_id_and_code_as_ints(tmp_path):
     assert dict(loaded) == SOURCE
     assert all(type(i) is int and all(type(c) is int for c in loaded[i]) for i in loaded)
     # a table in insertion order equals one in ascending order
-    assert SemanticIdTable.of(SOURCE, ValueError) == loaded
+    assert semid_table(SOURCE) == loaded
 
 
 @pytest.mark.parametrize("changed", [{12: (7, 1, 6)}, {13: (7, 1, 5)}, {12: [7, 1, 5]}])
 def test_a_changed_entry_makes_tables_unequal(changed):
     other = {**{k: v for k, v in SOURCE.items() if k != 12}, **changed}
-    table = SemanticIdTable.of(SOURCE, ValueError)
+    table = semid_table(SOURCE)
     assert table != other and other != table
     if all(isinstance(v, tuple) for v in other.values()):
-        assert table != SemanticIdTable.of(other, ValueError)
+        assert table != semid_table(other)
 
 
 def test_tables_of_different_lengths_are_unequal():
-    table = SemanticIdTable.of(SOURCE, ValueError)
+    table = semid_table(SOURCE)
     shorter = dict(list(SOURCE.items())[:-1])
-    assert table != shorter and table != SemanticIdTable.of(shorter, ValueError)
-    assert SemanticIdTable([], np.empty((0, 3))) == {} == SemanticIdTable.of({}, ValueError)
+    assert table != shorter and table != semid_table(shorter)
+    assert SemanticIdTable([], np.empty((0, 3))) == {} == semid_table({})
     assert table != [] and table != list(SOURCE)
 
 
 def test_arrays_are_read_only():
-    table = SemanticIdTable.of(SOURCE, ValueError)
+    table = semid_table(SOURCE)
     for array in (table.raw_ids, table.codes, table.order):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     assert table.raw_ids.dtype == table.codes.dtype == np.int64
-
-
-def test_semid_table_arrays_returns_a_tables_own_arrays():
-    table = SemanticIdTable.of(SOURCE, ValueError)
-    raw_ids, codes = semid_table_arrays(table, ValueError)
-    assert raw_ids is table.raw_ids and codes is table.codes
 
 
 @pytest.mark.parametrize("raw_ids,codes,match", [
@@ -76,6 +72,7 @@ def test_semid_table_arrays_returns_a_tables_own_arrays():
     ([1, 2], [0, 1], "expected"),
     ([1.5], [[0]], "int64"),
     ([1], [[0.5]], "int64"),
+    ([1, 2], [[0, 1], [2]], "codes differ in length"),
 ])
 def test_malformed_arrays_raise_the_callers_error(raw_ids, codes, match):
     with pytest.raises(RqVaeConfigError, match=match):
@@ -109,7 +106,7 @@ def test_assign_refuses_two_items_that_read_as_one_id():
 
 
 def test_lookups_over_one_table_share_its_indexes():
-    table = SemanticIdTable.of({i: (i % 4, i // 4 % 4, i // 16 % 4) for i in range(64)}, ValueError)
+    table = semid_table({i: (i % 4, i // 4 % 4, i // 16 % 4) for i in range(64)})
     a = SemanticIdLookup(table, TokenParameterization("prefix_ngram", 4, 3), 30)
     b = SemanticIdLookup(table, TokenParameterization("trigram", 4), 64)
     assert a.table is b.table is table
@@ -118,7 +115,7 @@ def test_lookups_over_one_table_share_its_indexes():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_rows_batch_equals_rows_with_one_warning_per_missing_id(variant, caplog):
-    table = SemanticIdTable.of({i * 3: (i % 4, i // 4 % 4, i // 16 % 4, 1) for i in range(40)}, ValueError)
+    table = semid_table({i * 3: (i % 4, i // 4 % 4, i // 16 % 4, 1) for i in range(40)})
     lookup = SemanticIdLookup(table, TokenParameterization(variant, 4, 2), 50)
     # present, missing (between, below and above the table's IDs) and repeated
     ids = [0, 3, 1, 3, -7, 1, 200, 117, 0]
@@ -142,7 +139,7 @@ def _click_setup(seed=7):
     rng = np.random.default_rng(seed)
     keep = np.flatnonzero(rng.random(len(items.raw_ids)) < 0.7)
     rng.shuffle(keep)
-    semid = {int(items.raw_ids[i]): (int(items.top[i]), int(items.mid[i] % 4), int(items.leaf[i] % 4)) for i in keep}
+    semid = SemanticIdTable(items.raw_ids[keep], np.stack([items.top, items.mid % 4, items.leaf % 4], axis=1)[keep])
     model = RankerModel.initialize(
         RankerConfig(d_m=4, history_length=4, top_mlp=(8,), seed=seed), RandomHash(64, seed=1), RandomHash(64, seed=2)
     )
@@ -172,12 +169,18 @@ def _readers(table, setup):
     return repr(clicks), {k: np.asarray(v).tobytes() for k, v in flat.items()}, rows
 
 
-def test_readers_give_the_same_bytes_for_a_table_and_its_dict():
+def test_readers_ignore_the_stored_order(tmp_path):
     setup = _click_setup()
-    semid = setup[4]
-    got = _readers(SemanticIdTable.of(semid, ValueError), setup)
-    assert got == _readers(semid, setup)
+    table = setup[4]
+    # the same IDs and codes in ascending ID order, as a loaded file holds them
+    twin = SemanticIdTable(table.raw_ids[table.order], table.codes[table.order])
+    assert twin == table and not np.array_equal(twin.raw_ids, table.raw_ids)
+    got = _readers(table, setup)
+    assert got == _readers(twin, setup)
     assert "'n_swaps': 0" not in got[0]
+    save_semid_table(tmp_path / "table.bin", table, {})
+    save_semid_table(tmp_path / "twin.bin", twin, {})
+    assert (tmp_path / "table.bin").read_bytes() == (tmp_path / "twin.bin").read_bytes()
 
 
 class NoConversions(SemanticIdTable):
@@ -195,7 +198,7 @@ class NoConversions(SemanticIdTable):
 
 def test_readers_take_a_tables_arrays_without_walking_it(tmp_path):
     setup = _click_setup()
-    plain = SemanticIdTable.of(setup[4], ValueError)
+    plain = setup[4]
     table = NoConversions(plain.raw_ids, plain.codes)
     clicks, exports, rows = _readers(table, setup)
     save_semid_table(tmp_path / "semid.bin", table, {})

@@ -3,8 +3,9 @@
 * ``checkpoint.int64_array``: every writer and array lookup entry point
   refuses a value that is not an integer inside int64, with its own
   module's error, before a file is opened; a bool among the ints of a
-  list or tuple is refused too. Every ``rows_batch`` takes a flat
-  sequence of IDs only.
+  list or tuple is refused too. A Semantic ID table applies it when it
+  is built, under its caller's error, so no such table reaches a lookup
+  or a writer. Every ``rows_batch`` takes a flat sequence of IDs only.
 * ``checkpoint.Config``: one ``to_dict`` for the three configs, one rule
   for their integer fields, and ``config_from_meta`` rebuilds them
   through the constructor.
@@ -34,7 +35,7 @@ import numpy as np
 import pytest
 
 from semidlab import tensor as T
-from semidlab.checkpoint import config_from_meta, int64_array
+from semidlab.checkpoint import SemanticIdTable, config_from_meta, int64_array
 from semidlab.corpus import (
     DAY,
     CorpusConfig,
@@ -100,8 +101,15 @@ WRITERS = {
         CorpusConfigError,
         lambda path, v: save_events(path, [ImpressionEvent(0, 10, 3, 17, 1, ((17, v),))], {"seed": 1}),
     ),
-    "save_semid_table.raw_id": (RqVaeConfigError, lambda path, v: save_semid_table(path, {v: (1, 2)}, {})),
-    "save_semid_table.code": (RqVaeConfigError, lambda path, v: save_semid_table(path, {0: (1, v)}, {})),
+    # the table a writer is given refuses the value when it is built
+    "SemanticIdTable.raw_id": (
+        RqVaeConfigError,
+        lambda path, v: save_semid_table(path, SemanticIdTable([v], [[1, 2]], RqVaeConfigError), {}),
+    ),
+    "SemanticIdTable.code": (
+        RqVaeConfigError,
+        lambda path, v: save_semid_table(path, SemanticIdTable([0], [[1, v]], RqVaeConfigError), {}),
+    ),
 }
 LOOKUPS = {
     "parameterize_batch": lambda v: parameterize_batch([[0, 1, 2], [1, v, 0]], TokenParameterization("trigram", 4)),
@@ -174,13 +182,12 @@ def test_int64_array_raises_the_callers_error(values):
 
 # a bool among the ints of a list or tuple, which numpy reads as 0 or 1
 PREFIX_NGRAM = TokenParameterization("prefix_ngram", 4, prefix_depth=3)
+SEMID = SemanticIdTable([1, 2], [[0, 1, 2], [3, 2, 1]])
 BOOL_CALLERS = {
     "RandomHash.rows_batch": lambda: RandomHash(100, seed=1).rows_batch([2, True]),
     "RandomHash.rows_batch.tuple": lambda: RandomHash(100, seed=1).rows_batch((np.False_, 5)),
-    "SemanticIdLookup.rows_batch": lambda: SemanticIdLookup({1: (1, 2, 3), 2: (3, 2, 1)}, PREFIX_NGRAM, 64)
-    .rows_batch([2, True]),
-    "SemanticIdLookup.key": lambda: SemanticIdLookup({True: (1, 2, 3), 2: (3, 2, 1)}, PREFIX_NGRAM, 64),
-    "SemanticIdLookup.code": lambda: SemanticIdLookup({1: (1, True, 3), 2: (3, 2, 1)}, PREFIX_NGRAM, 64),
+    "SemanticIdLookup.rows_batch": lambda: SemanticIdLookup(SEMID, PREFIX_NGRAM, 64).rows_batch([2, True]),
+    "SemanticIdTable.key": lambda: SemanticIdTable([True, 2], [[1, 2, 3], [3, 2, 1]], ConfigurationError),
     "IndividualEmbedding": lambda: IndividualEmbedding([True, 2]),
     "IndividualEmbedding.rows_batch": lambda: IndividualEmbedding([1, 2]).rows_batch([2, True]),
 }
@@ -195,14 +202,16 @@ def test_every_lookup_refuses_a_bool_among_ints(caller):
 def test_ints_that_read_0_or_1_are_not_bools():
     assert int64_array([0, 1, 2**62, 1], "ids", OwnError).tolist() == [0, 1, 2**62, 1]
     assert int64_array((np.int64(1), 0), "ids", OwnError).tolist() == [1, 0]
-    lookup = SemanticIdLookup({0: (1, 0, 3), 1: (3, 1, 0)}, PREFIX_NGRAM, 64)
+    lookup = SemanticIdLookup(SemanticIdTable([0, 1], [[1, 0, 3], [3, 1, 0]]), PREFIX_NGRAM, 64)
     assert lookup.rows_batch([1, 0]).tolist() == [lookup.rows(1), lookup.rows(0)]
 
 
 FLAT_LOOKUPS = {
     "RandomHash": lambda: RandomHash(100, seed=1),
     "IndividualEmbedding": lambda: IndividualEmbedding([1, 2, 3, 4]),
-    "SemanticIdLookup": lambda: SemanticIdLookup({i: (i % 4, 0, 1) for i in range(1, 5)}, PREFIX_NGRAM, 64),
+    "SemanticIdLookup": lambda: SemanticIdLookup(
+        SemanticIdTable([1, 2, 3, 4], [[i % 4, 0, 1] for i in range(1, 5)]), PREFIX_NGRAM, 64
+    ),
 }
 
 
@@ -348,7 +357,6 @@ def test_aa_copies_share_every_field_but_their_fresh_raw_ids():
 # ---------------------------------------------------------------------------
 # checkpoint.integer at the entry points that take one integer
 
-SEMID = {1: (0, 1, 2), 2: (3, 2, 1)}
 SINGLE_INTEGERS = {
     "TokenParameterization.codebook_size": lambda v: TokenParameterization("prefix_ngram", v, 1),
     "TokenParameterization.prefix_depth": lambda v: TokenParameterization("prefix_ngram", 4, v),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import oracles
-from oracles import fit_to_table, prefix_depth_range
+from oracles import fit_to_table, prefix_depth_range, semid_table
 from semidlab.tokenization import (
     VARIANTS,
     ConfigurationError,
@@ -170,20 +170,20 @@ class TestIndividualEmbedding:
 
 class TestSemanticIdLookup:
     def test_identical_codes_identical_rows(self):
-        table = {1: (0, 1, 2), 2: (0, 1, 2), 3: (3, 1, 2)}
+        table = semid_table({1: (0, 1, 2), 2: (0, 1, 2), 3: (3, 1, 2)})
         lk = SemanticIdLookup(table, P("prefix_ngram", 4, n=3), 300)
         assert lk.rows(1) == lk.rows(2)
         assert lk.rows(1) != lk.rows(3)
 
     def test_shared_top_code_shares_first_row_only(self):
-        table = {1: (2, 1, 0), 2: (2, 3, 1)}
+        table = semid_table({1: (2, 1, 0), 2: (2, 3, 1)})
         lk = SemanticIdLookup(table, P("prefix_ngram", 4, n=3), 300)
         r1, r2 = lk.rows(1), lk.rows(2)
         assert r1[0] == r2[0]
         assert r1[1] != r2[1] and r1[2] != r2[2]
 
     def test_missing_id_falls_back_to_zero_code(self, caplog):
-        table = {1: (1, 1, 1)}
+        table = semid_table({1: (1, 1, 1)})
         lk = SemanticIdLookup(table, P("prefix_ngram", 4, n=3), 300)
         with caplog.at_level("WARNING"):
             rows = lk.rows(42)
@@ -191,13 +191,15 @@ class TestSemanticIdLookup:
         assert any("missing" in r.message for r in caplog.records)
 
     def test_inconsistent_code_lengths_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SemanticIdLookup({1: (0, 1), 2: (0, 1, 2)}, P("prefix_ngram", 4, n=2), 100)
+        with pytest.raises(ConfigurationError, match="differ in length"):
+            SemanticIdLookup(
+                semid_table({1: (0, 1), 2: (0, 1, 2)}, ConfigurationError), P("prefix_ngram", 4, n=2), 100
+            )
 
     def test_pure_across_instances(self):
         table = {i: (i % 4, (i * 7) % 4, (i * 3) % 4) for i in range(50)}
-        a = SemanticIdLookup(table, P("all_bigrams", 4), 120)
-        b = SemanticIdLookup(dict(table), P("all_bigrams", 4), 120)
+        a = SemanticIdLookup(semid_table(table), P("all_bigrams", 4), 120)
+        b = SemanticIdLookup(semid_table(table), P("all_bigrams", 4), 120)
         for i in range(50):
             assert a.rows(i) == b.rows(i)
 
@@ -278,7 +280,7 @@ def test_semantic_id_rows_batch_matches_rows(variant, k, levels, depth, n_items,
     codes = st.tuples(*[st.integers(0, k - 1)] * levels)
     table = data.draw(st.dictionaries(st.integers(-(2**40), 2**40), codes, min_size=1, max_size=n_items))
     table_size = data.draw(st.integers(p.output_count(levels), 5000))
-    lk = SemanticIdLookup(table, p, table_size)
+    lk = SemanticIdLookup(semid_table(table), p, table_size)
     # known IDs plus IDs missing from the table (all-zeros fallback)
     ids = data.draw(st.lists(st.one_of(st.sampled_from(sorted(table)), st.integers(2**41, 2**42)), max_size=30))
     logging.disable(logging.WARNING)
@@ -300,13 +302,13 @@ def test_semantic_id_rows_batch_beyond_int64_index_space():
     for variant in VARIANTS:
         p = TokenParameterization(variant, k, 4 if variant == "prefix_ngram" else 0)
         with pytest.raises(ConfigurationError, match="int64"):
-            SemanticIdLookup(table, p, 1_000_003)
+            SemanticIdLookup(semid_table(table), p, 1_000_003)
         with pytest.raises(ConfigurationError, match="int64"):
             parameterize_batch(list(table.values()), p)
 
 
 def test_semantic_id_rows_batch_warns_on_missing_id(caplog):
-    lk = SemanticIdLookup({1: (1, 2, 3)}, TokenParameterization("prefix_ngram", 4, 3), 30)
+    lk = SemanticIdLookup(semid_table({1: (1, 2, 3)}), TokenParameterization("prefix_ngram", 4, 3), 30)
     with caplog.at_level(logging.WARNING, logger="semidlab.tokenization"):
         rows = lk.rows_batch([1, 99])
     assert "99" in caplog.text
@@ -351,7 +353,7 @@ def test_semantic_id_rows_match_per_id_reference(variant, levels, depth, n_items
     table = data.draw(st.dictionaries(int64_ids, codes, min_size=1, max_size=n_items))
     table[data.draw(int64_ids)] = (k - 1,) * levels  # the largest pre-hash indices
     table_size = data.draw(st.integers(p.output_count(levels), 2**40))
-    lk = SemanticIdLookup(table, p, table_size)
+    lk = SemanticIdLookup(semid_table(table), p, table_size)
     # known IDs plus missing ones
     ids = data.draw(st.lists(st.one_of(st.sampled_from(sorted(table)), int64_ids), max_size=30))
     logging.disable(logging.WARNING)
@@ -367,7 +369,7 @@ def test_semantic_id_rows_match_per_id_reference(variant, levels, depth, n_items
     assert_rejects_id(lk, ids, data.draw(outside_int64_ids))
     wide = TokenParameterization(variant, k_max + 1, p.prefix_depth)
     with pytest.raises(ConfigurationError, match="int64"):
-        SemanticIdLookup(table, wide, table_size)
+        SemanticIdLookup(semid_table(table), wide, table_size)
 
 
 @pytest.mark.parametrize("table_size", [97, 1_000_003])
@@ -380,12 +382,12 @@ def test_semantic_id_rows_beyond_int64_index_space_match_per_id_reference(varian
     rng = np.random.default_rng(24)
     table = {i: tuple(int(c) for c in rng.integers(0, 2**16, size=levels)) for i in range(20)}
     with pytest.raises(ConfigurationError, match="int64"):
-        SemanticIdLookup(table, TokenParameterization(variant, 2**16, depth), table_size)
+        SemanticIdLookup(semid_table(table), TokenParameterization(variant, 2**16, depth), table_size)
     k = largest_codebook(levels)
     p = TokenParameterization(variant, k, depth)
     table = {i: tuple(int(c) for c in rng.integers(0, k, size=levels)) for i in range(20)}
     table[99] = (k - 1,) * levels
-    lk = SemanticIdLookup(table, p, table_size)
+    lk = SemanticIdLookup(semid_table(table), p, table_size)
     ids = [*table, -7]  # -7 is missing
     logging.disable(logging.WARNING)
     try:
@@ -398,19 +400,21 @@ def test_semantic_id_rows_beyond_int64_index_space_match_per_id_reference(varian
 
 @pytest.mark.parametrize("code", [4, -1, 2**63, -(2**63) - 1])
 def test_semantic_id_lookup_rejects_out_of_range_code_at_construction(code):
-    table = {1: (0, 1, 2), 2: (1, code, 3)}
+    # a code outside int64 is refused by the table, one outside [0, K) by the lookup
     with pytest.raises(ConfigurationError):
-        SemanticIdLookup(table, P("prefix_ngram", 4, n=3), 300)
+        SemanticIdLookup(
+            semid_table({1: (0, 1, 2), 2: (1, code, 3)}, ConfigurationError), P("prefix_ngram", 4, n=3), 300
+        )
 
 
 def test_semantic_id_lookup_rejects_code_beyond_int64_in_a_huge_codebook():
     # 2^63 lies inside [0, 2^64) but cannot be stored as an int64 code
     with pytest.raises(ConfigurationError, match="int64"):
-        SemanticIdLookup({1: (2**63, 0, 0)}, P("trigram", 2**64), 300)
+        SemanticIdLookup(semid_table({1: (2**63, 0, 0)}, ConfigurationError), P("trigram", 2**64), 300)
 
 
 def test_semantic_id_lookup_rows_batch_of_no_ids():
-    lk = SemanticIdLookup({1: (1, 2, 3)}, P("all_bigrams", 4), 30)
+    lk = SemanticIdLookup(semid_table({1: (1, 2, 3)}), P("all_bigrams", 4), 30)
     assert lk.rows_batch([]).shape == (0, 2)
 
 
@@ -421,7 +425,7 @@ def test_semantic_id_lookup_rows_batch_of_no_ids():
 LOOKUPS = {
     "random_hash": lambda: RandomHash(100, seed=1),
     "individual": lambda: IndividualEmbedding([1, 2, 3]),
-    "semantic_id": lambda: SemanticIdLookup({1: (0, 1, 2), 2: (3, 3, 3)}, P("prefix_ngram", 4, n=3), 30),
+    "semantic_id": lambda: SemanticIdLookup(semid_table({1: (0, 1, 2), 2: (3, 3, 3)}), P("prefix_ngram", 4, n=3), 30),
 }
 
 
@@ -436,7 +440,9 @@ def test_table_and_vocabulary_keys_outside_int64_are_rejected(raw_id):
     with pytest.raises(ConfigurationError, match="int64"):
         IndividualEmbedding([1, raw_id])
     with pytest.raises(ConfigurationError, match="int64"):
-        SemanticIdLookup({1: (0, 1, 2), raw_id: (1, 2, 3)}, P("prefix_ngram", 4, n=3), 30)
+        SemanticIdLookup(
+            semid_table({1: (0, 1, 2), raw_id: (1, 2, 3)}, ConfigurationError), P("prefix_ngram", 4, n=3), 30
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import logging
 import numpy as np
 import pytest
 
-from oracles import gmm_hierarchy_embeddings
+from oracles import gmm_hierarchy_embeddings, semid_table
 from semidlab import ranker, rqvae
 from semidlab.corpus import ImpressionEvent
 from semidlab.ranker import RankerConfig, RankerModel
@@ -28,9 +28,9 @@ T_LEN = 4
 N_IDS = 300
 
 # codes for IDs 0..269; IDs 270..299 take the all-zeros fallback
-SEMID_TABLE = {
+SEMID_TABLE = semid_table({
     i: tuple(int(c) for c in np.random.default_rng([7, i]).integers(0, 6, size=3)) for i in range(270)
-}
+})
 
 LOOKUPS = {
     "random_hash": lambda: RandomHash(150, seed=4),
