@@ -418,7 +418,15 @@ def distribution_exports(items, train_events, semid_table) -> dict:
         counts[e.item_id] = counts.get(e.item_id, 0) + 1
         if e.label == 1:
             clicks[e.item_id] = clicks.get(e.item_id, 0) + 1
-    count_vec = np.array([counts.get(x, 0) for x in items.raw_ids.tolist()], dtype=np.float64)
+    # each counted ID's item, by one binary search over the item IDs'
+    # sort order (the IDs are unique); IDs outside the table count nowhere
+    counted = np.fromiter(counts, dtype=np.int64, count=len(counts))
+    by_id = np.argsort(items.raw_ids)
+    at = by_id[np.searchsorted(items.raw_ids, counted, sorter=by_id).clip(max=len(items) - 1)]
+    found = items.raw_ids[at] == counted
+    count_vec = np.zeros(len(items))
+    count_vec[at[found]] = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))[found]
+    del counted, by_id  # the click regrouping below sets the peak; do not hold the search too
     order = np.argsort(-count_vec, kind="stable")
     cum = np.cumsum(count_vec[order])
     total = cum[-1] if cum.size and cum[-1] > 0 else 1.0

@@ -27,7 +27,6 @@ int64). A value that is not an integer inside int64 in an integer field
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -143,11 +142,10 @@ class Stream:
 
 
 def _unique_raw_ids(n: int, rng: np.random.Generator, taken=()) -> np.ndarray:
-    seen = set(int(x) for x in taken)
+    seen = set(np.asarray(taken, dtype=np.int64).tolist())
     out: list[int] = []
     while len(out) < n:
-        for v in rng.integers(1, 2**62, size=n - len(out)):
-            v = int(v)
+        for v in rng.integers(1, 2**62, size=n - len(out)).tolist():
             if v not in seen:
                 seen.add(v)
                 out.append(v)
@@ -298,7 +296,10 @@ def generate_stream(items: ItemTable, users: UserTable, config: CorpusConfig) ->
     """Sample the labeled impression stream and maintain user histories.
 
     Histories record positive interactions only (an engagement history),
-    appended after the event so every snapshot is strictly causal.
+    appended after the event so every snapshot is strictly causal. Each
+    snapshot is an immutable tuple, so a user's events between two of
+    their clicks share one history object, and every event of an item
+    shares one raw-ID int.
     """
     rng = substream(config.seed, _S_STREAM)
     train_end = int(config.train_days * DAY)
@@ -319,21 +320,18 @@ def generate_stream(items: ItemTable, users: UserTable, config: CorpusConfig) ->
     )
     labels = (rng.random(ts.size) < ctr).astype(np.int64)
 
-    histories = [deque(maxlen=config.history_capacity) for _ in range(len(users))]
-    train: list[ImpressionEvent] = []
-    evals: list[ImpressionEvent] = []
-    raw = items.raw_ids
-    for eid in range(ts.size):
-        u = int(user_ids[eid])
-        t = int(ts[eid])
-        item_id = int(raw[item_idx[eid]])
-        label = int(labels[eid])
-        snapshot = tuple(reversed(histories[u]))
-        ev = ImpressionEvent(eid, t, u, item_id, label, snapshot)
-        (train if eid < config.n_train_events else evals).append(ev)
-        if label == 1:
-            histories[u].append((item_id, t))
-    return Stream(train=train, eval=evals, train_end=train_end)
+    # gathers from object arrays of one int per user and per item, so the
+    # columns hold shared ints and no event converts a numpy scalar
+    histories = [()] * len(users)
+    user_col = np.arange(len(users)).astype(object)[user_ids]
+    item_col = items.raw_ids.astype(object)[item_idx]
+    events: list[ImpressionEvent] = []
+    for eid, (t, u, item_id, label) in enumerate(zip(ts.tolist(), user_col, item_col, labels.tolist())):
+        h = histories[u]
+        events.append(ImpressionEvent(eid, t, u, item_id, label, h))
+        if label:
+            histories[u] = ((item_id, t),) + h[: config.history_capacity - 1]
+    return Stream(events[: config.n_train_events], events[config.n_train_events :], train_end)
 
 
 def inject_aa_pairs(items: ItemTable, count: int, window: tuple[int, int], seed: int):

@@ -1,8 +1,10 @@
 """Shared test oracles, independent of the implementation under test."""
 
+from collections import deque
+
 import numpy as np
 
-from semidlab import ranker
+from semidlab import corpus, ranker
 from semidlab.analysis import SegmentSpec
 from semidlab.checkpoint import SemanticIdTable
 from semidlab.corpus import DAY, ground_truth_ctr
@@ -251,3 +253,37 @@ def distribution_exports(items, train_events, semid_table) -> dict:
         "gini_raw": gini(raw),
         "gini_semid": gini(semid),
     }
+
+
+def generate_stream(items, users, config) -> corpus.Stream:
+    """``corpus.generate_stream`` with one bounded deque per user: the
+    generator's draws in its order, then each event converts its fields
+    from numpy scalars and snapshots its user's deque, newest first."""
+    rng = corpus.substream(config.seed, corpus._S_STREAM)
+    train_end = int(config.train_days * DAY)
+    eval_end = train_end + int(config.eval_hours * 3600)
+    ts = np.concatenate(
+        [
+            np.sort(rng.integers(0, train_end, size=config.n_train_events)),
+            np.sort(rng.integers(train_end, eval_end, size=config.n_eval_events)),
+        ]
+    )
+    user_ids = rng.integers(0, len(users), size=ts.size)
+    item_idx = corpus.sample_items_at(rng, items, ts)
+    ctr = ground_truth_ctr(
+        users.preferences[user_ids], items.embeddings[item_idx], config.temperature, items.bias[item_idx]
+    )
+    labels = (rng.random(ts.size) < ctr).astype(np.int64)
+
+    histories = [deque(maxlen=config.history_capacity) for _ in range(len(users))]
+    train, evals = [], []
+    for eid in range(ts.size):
+        u = int(user_ids[eid])
+        t = int(ts[eid])
+        item_id = int(items.raw_ids[item_idx[eid]])
+        label = int(labels[eid])
+        ev = corpus.ImpressionEvent(eid, t, u, item_id, label, tuple(reversed(histories[u])))
+        (train if eid < config.n_train_events else evals).append(ev)
+        if label == 1:
+            histories[u].append((item_id, t))
+    return corpus.Stream(train=train, eval=evals, train_end=train_end)
