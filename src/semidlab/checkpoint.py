@@ -121,8 +121,12 @@ class SemanticIdTable(Mapping):
 
     def positions(self, raw_ids: np.ndarray) -> np.ndarray:
         """Each ID's position in the table, by one binary search over
-        ``ascending``; ``len(self)`` for an ID the table lacks."""
+        ``ascending``; ``len(self)`` for an ID the table lacks. An array
+        equal to ``raw_ids`` (the item IDs of a table ``assign`` built over
+        the item table) is its own positions and skips the search."""
         n = len(self)
+        if np.array_equal(raw_ids, self.raw_ids):
+            return np.arange(n)
         if not n:
             return np.zeros(raw_ids.shape, dtype=np.intp)
         pos = np.searchsorted(self.ascending, raw_ids).clip(max=n - 1)

@@ -292,6 +292,11 @@ def sample_items_at(rng: np.random.Generator, items: ItemTable, timestamps: np.n
     raise RuntimeError("no alive item found for some timestamps after 10000 rounds")
 
 
+# events per CTR block in ``generate_stream``: two (8192, 16) float64
+# gathers hold 2 MB
+CTR_BLOCK = 8192
+
+
 def generate_stream(items: ItemTable, users: UserTable, config: CorpusConfig) -> Stream:
     """Sample the labeled impression stream and maintain user histories.
 
@@ -300,6 +305,13 @@ def generate_stream(items: ItemTable, users: UserTable, config: CorpusConfig) ->
     snapshot is an immutable tuple, so a user's events between two of
     their clicks share one history object, and every event of an item
     shares one raw-ID int.
+
+    The CTR is computed ``CTR_BLOCK`` events at a time into one (N,)
+    array. ``ground_truth_ctr`` is row-wise, so the labels are those of
+    one whole-stream call, but no (N, d) gather of preferences and
+    embeddings is built: for the default stream (110k events, d = 16)
+    those two would hold 28 MB at once, enough to set the peak memory of
+    a ranker set-up.
     """
     rng = substream(config.seed, _S_STREAM)
     train_end = int(config.train_days * DAY)
@@ -312,12 +324,12 @@ def generate_stream(items: ItemTable, users: UserTable, config: CorpusConfig) ->
     )
     user_ids = rng.integers(0, len(users), size=ts.size)
     item_idx = sample_items_at(rng, items, ts)
-    ctr = ground_truth_ctr(
-        users.preferences[user_ids],
-        items.embeddings[item_idx],
-        config.temperature,
-        items.bias[item_idx],
-    )
+    ctr = np.empty(ts.size)
+    for start in range(0, ts.size, CTR_BLOCK):
+        users_at, items_at = user_ids[start : start + CTR_BLOCK], item_idx[start : start + CTR_BLOCK]
+        ctr[start : start + CTR_BLOCK] = ground_truth_ctr(
+            users.preferences[users_at], items.embeddings[items_at], config.temperature, items.bias[items_at]
+        )
     labels = (rng.random(ts.size) < ctr).astype(np.int64)
 
     # gathers from object arrays of one int per user and per item, so the

@@ -37,7 +37,11 @@ plus +0.0, which has the bits of adding it into zeros.
 
 ``Adam`` steps the parameters whose gradients arrive dense (the MLPs,
 codebooks and small tables) with one moments step over their joined
-gradients, and each row-sparse table by its touched rows.
+gradients, and each row-sparse table by its touched rows. Such a table
+keeps m and v for those rows only, compact and in first-touched order,
+until it steps dense, so a large embedding table costs no table-sized
+optimizer state while training touches a minority of its rows;
+``Adam._m`` and ``Adam._v`` read every parameter's m and v full-shape.
 
 Node construction is cheap, since a forward pass builds one node per
 op: ``Tensor`` keeps a C-contiguous float64 ndarray as it is (every op
@@ -614,15 +618,60 @@ class SGD:
         zero_grads(self.params)
 
 
-# Share of a table's rows, once that many have had a gradient entry,
-# above which Adam takes the dense step: updating the touched rows by
-# index then measured slower than the whole table (20000 x 16 table,
-# 256 to 864 gradient entries per step, numpy on one thread; the two
-# crossed between 0.6 and 0.65).
+# Share of a table's rows, once that many have had a gradient entry, at
+# which Adam takes the dense step for good (20000 x 16 table, 256 or 864
+# gradient entries per step, numpy on one thread): the compact step
+# measured faster than the dense one up to a share between 0.8 and 0.85,
+# and 0.83-0.90 of its time at 0.6, so switching at 0.6 costs a table at
+# most about a fifth more per step than switching at the crossover.
 DENSE_STEP_SHARE = 0.6
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+# rows of a table's first compact moments; they double when they fill,
+# up to the table's row count
+_FIRST_ROWS = 256
+
+
+def _grown(a: np.ndarray, size: int) -> np.ndarray:
+    """``a`` zero-padded to ``size`` leading entries."""
+    out = np.zeros((size,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
+
+
+class _RowMoments:
+    """Adam's m and v over the touched rows of a row-sparse table.
+
+    ``rows[:n]`` holds the touched rows in first-touched order and
+    ``m[:n]``, ``v[:n]`` their moments; ``slot`` maps a table row to its
+    entry there, -1 for a row not yet touched. Entries past ``n`` are
+    zeros, the moments of an untouched row.
+    """
+
+    def __init__(self, shape):
+        self.shape = shape
+        self.slot = np.full(shape[0], -1, dtype=np.intp)
+        self.rows = np.zeros(0, dtype=np.intp)
+        self.m, self.v = np.zeros((0, shape[1])), np.zeros((0, shape[1]))
+        self.n = 0
+
+    def append(self, new: np.ndarray) -> None:
+        """Give the rows ``new``, none touched before, the next entries."""
+        n = self.n + new.size
+        if n > self.rows.size:
+            size = min(max(n, 2 * self.rows.size, _FIRST_ROWS), self.slot.size)
+            self.rows, self.m, self.v = (_grown(a, size) for a in (self.rows, self.m, self.v))
+        self.rows[self.n : n] = new
+        self.slot[new] = np.arange(self.n, n)
+        self.n = n
+
+    def full(self, compact: np.ndarray) -> np.ndarray:
+        """The table-shaped array of ``m`` or ``v``: zeros but the touched rows."""
+        out = np.zeros(self.shape)
+        out[self.rows[: self.n]] = compact[: self.n]
+        return out
 
 
 class Adam:
@@ -633,10 +682,13 @@ class Adam:
     point of the update (m and v stay +0.0 and the step is
     ``lr * 0.0 / eps``, +0.0), so a row-sparse gradient marks its
     ``rows`` as touched, only the rows ever touched are updated, by the
-    dense arithmetic in the same order, and every parameter, m and v stay
-    bit-identical to the dense step. A dense gradient, or marks on
-    ``DENSE_STEP_SHARE`` of the rows, switches the parameter to the
-    dense step for good.
+    dense arithmetic, and every parameter, m and v stay bit-identical to
+    the dense step. Such a table keeps m and v for its touched rows only,
+    compact and in first-touched order (``_RowMoments``), so no table-
+    sized moments exist while it steps by rows. A dense gradient, or
+    marks on ``DENSE_STEP_SHARE`` of the rows, scatters them once into
+    table-sized m and v and switches the parameter to the dense step for
+    good. A parameter gets its m and v at its first step.
 
     The parameters whose gradient is dense at the first step form the
     dense group (an MLP's weights and biases, a codebook); their m and v
@@ -647,33 +699,58 @@ class Adam:
     step, and every parameter outside the group, steps one parameter at
     a time. Row-sparse tables stay outside, so no buffer of the group
     grows with a table's size.
+
+    ``_m[i]`` and ``_v[i]`` read parameter i's full-shape m and v: its
+    dense arrays, or built from its compact rows (zeros elsewhere) on
+    each read. ``_touched[i]`` is None before any gradient, a bool mask
+    of the touched rows while the parameter steps by rows, and True once
+    it steps dense.
     """
 
     def __init__(self, params, lr):
         self.params = _distinct_params(params)
         self.lr = check_optimizer("adam", lr, ValueError)
         self.t = 0
-        self._m = [np.zeros(p.value.shape) for p in self.params]
-        self._v = [np.zeros(p.value.shape) for p in self.params]
-        # per parameter: None until a row-sparse gradient arrives, then a
-        # bool mask of the rows that ever had an entry, True once all have
-        self._touched = [None] * len(self.params)
+        # per parameter: None before its first step, a ``_RowMoments``
+        # while it steps by rows, then its dense (m, v) for good
+        self._state = [None] * len(self.params)
         # the dense group's member indices, set by the first step
         self._group = None
 
+    def _moments(self, i) -> tuple:
+        """Parameter i's full-shape (m, v)."""
+        state = self._state[i]
+        if isinstance(state, tuple):
+            return state
+        if state is None:
+            shape = self.params[i].value.shape
+            return np.zeros(shape), np.zeros(shape)
+        return state.full(state.m), state.full(state.v)
+
+    @property
+    def _m(self) -> list:
+        return [self._moments(i)[0] for i in range(len(self.params))]
+
+    @property
+    def _v(self) -> list:
+        return [self._moments(i)[1] for i in range(len(self.params))]
+
+    @property
+    def _touched(self) -> list:
+        return [None if s is None else True if isinstance(s, tuple) else s.slot >= 0 for s in self._state]
+
     def _form_group(self) -> None:
-        """Group the parameters whose gradient is dense; their m and v, all
-        still zero, become views into one flat m and v."""
+        """Group the parameters whose gradient is dense; their m and v
+        become views into one flat m and v."""
         self._group = [i for i, p in enumerate(self.params) if isinstance(p._grad, np.ndarray)]
         size = sum(self.params[i].value.size for i in self._group)
         self._flat_m, self._flat_v = np.zeros(size), np.zeros(size)
         start = 0
         for i in self._group:
             value = self.params[i].value
-            self._m[i] = self._flat_m[start : start + value.size].reshape(value.shape)
-            self._v[i] = self._flat_v[start : start + value.size].reshape(value.shape)
-            self._touched[i] = True
-            start += value.size
+            end = start + value.size
+            self._state[i] = (self._flat_m[start:end].reshape(value.shape), self._flat_v[start:end].reshape(value.shape))
+            start = end
 
     def _moments_step(self, m, v, g, bias1, bias2):
         """Update m and v in place; return the step to subtract."""
@@ -705,24 +782,22 @@ class Adam:
         if self._group is None:
             self._form_group()
         grouped = set(self._group) if self._group_step(bias1, bias2) else ()
-        for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
+        for i, p in enumerate(self.params):
             if p._grad is None or i in grouped:
                 continue
-            touched, g = self._touched[i], p._grad
-            if isinstance(g, RowGrad) and touched is not True:
-                if touched is None:
-                    touched = self._touched[i] = np.zeros(p.value.shape[0], dtype=bool)
-                touched[g.rows] = True
-                idx = np.flatnonzero(touched)
-                if idx.size < DENSE_STEP_SHARE * touched.size:
-                    g_rows = np.zeros((idx.size, p.value.shape[1]))
-                    g_rows[np.searchsorted(idx, g.rows)] = g.sums
-                    m_rows, v_rows = m[idx], v[idx]
-                    p.value[idx] -= self._moments_step(m_rows, v_rows, g_rows, bias1, bias2)
-                    m[idx] = m_rows
-                    v[idx] = v_rows
+            state, g = self._state[i], p._grad
+            if isinstance(g, RowGrad) and not isinstance(state, tuple):
+                if state is None:
+                    state = self._state[i] = _RowMoments(p.value.shape)
+                new = g.rows[state.slot[g.rows] < 0]
+                if state.n + new.size < DENSE_STEP_SHARE * state.slot.size:
+                    state.append(new)
+                    n = state.n
+                    g_rows = np.zeros((n, p.value.shape[1]))
+                    g_rows[state.slot[g.rows]] = g.sums
+                    p.value[state.rows[:n]] -= self._moments_step(state.m[:n], state.v[:n], g_rows, bias1, bias2)
                     continue
-            self._touched[i] = True
+            m, v = self._state[i] = self._moments(i)
             p.value -= self._moments_step(m, v, p.grad, bias1, bias2)
 
     def zero_grad(self):

@@ -5,7 +5,8 @@
   tuples of ints, dict equality in both directions.
 * Its arrays are read-only and a repeated ID is refused.
 * Lookups over one table share its indexes; ``rows_batch`` gives the
-  scalar ``rows``, fallback and warnings included.
+  scalar ``rows``, fallback and warnings included; ``positions`` of an
+  array equal to the table's own IDs skips the binary search.
 * The readers give the same bytes for a table and for the same IDs and
   codes in another stored order, and none of them walks the table as a
   mapping.
@@ -83,6 +84,28 @@ def _frozen_model():
     model = RqVaeModel.initialize(RqVaeConfig(levels=3, codebook_size=4, input_dim=5, latent_dim=3, seed=21))
     model.frozen = True
     return model
+
+
+def test_positions_of_the_tables_own_ids_skip_the_search(monkeypatch):
+    table = semid_table(SOURCE)
+    n = len(table)
+
+    def by_dict(ids):
+        return [table.position.get(i, n) for i in ids.tolist()]
+
+    searches = []
+    search = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a, **k: searches.append(1) or search(*a, **k))
+    own = table.raw_ids.copy()
+    assert table.positions(own).tolist() == by_dict(own) == list(range(n))
+    assert not searches
+    # permuted, partial, longer, one ID changed, and another shape: searched
+    changed = own.copy()
+    changed[1] = 5
+    for k, ids in enumerate([own[::-1], own[:2], np.append(own, 5), changed, own.reshape(2, 2)]):
+        assert table.positions(ids).tolist() == np.reshape(by_dict(ids.ravel()), ids.shape).tolist()
+        assert len(searches) == k + 1
+    assert semid_table({}).positions(np.zeros(0, dtype=np.int64)).tolist() == []
 
 
 def test_assign_keeps_item_order():

@@ -1,9 +1,11 @@
-"""``corpus.generate_stream`` against the per-event deque reference, and
-the history sharing its memory rests on."""
+"""``corpus.generate_stream`` against the per-event deque reference, with
+its CTR drawn in blocks of the default size and of 7 events, and the
+history sharing its memory rests on."""
 
 import pytest
 
 import oracles
+from semidlab import corpus
 from semidlab.corpus import CorpusConfig, generate_items, generate_stream, generate_users
 
 
@@ -38,8 +40,15 @@ def assert_same_stream(got, want):
         assert all(type(v) is int for entry in e.history for v in entry)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 5])
-def test_stream_equals_reference(seed):
+@pytest.mark.parametrize(
+    "seed, ctr_block",
+    [pytest.param(seed, None, id=str(seed)) for seed in (1, 2, 5)]
+    # a block of 7 events: 258 blocks per stream, the last one short
+    + [pytest.param(seed, 7, id=f"{seed}-ctr-block-7") for seed in (1, 2, 5)],
+)
+def test_stream_equals_reference(seed, ctr_block, monkeypatch):
+    if ctr_block is not None:
+        monkeypatch.setattr(corpus, "CTR_BLOCK", ctr_block)
     got, want = both_streams(tiny_config(seed=seed))
     assert sum(e.label for e in want.train + want.eval) > 0
     assert_same_stream(got, want)

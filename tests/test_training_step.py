@@ -4,8 +4,12 @@
 first gradient contribution against ``zeros_like`` then ``+=``; the
 fused ``linear`` op against ``matmul`` then ``add_rowvec``; Adam's dense
 group step against the per-parameter dense Adam of ``reference_optim``;
-and the optimizers' refusal of a parameter listed twice.
+Adam's compact moments of a row-sparse table, as they grow and go dense,
+against the same reference, and the memory they keep; and the
+optimizers' refusal of a parameter listed twice.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +199,64 @@ def test_group_step_runs_once_per_step_with_every_member_graded(monkeypatch):
     assert calls[0] == group_size
     assert calls.count(group_size) == len(SOMETIMES)
     assert len(calls) == 3 * len(SOMETIMES) + 5 * (STEPS - len(SOMETIMES))
+
+
+# ---------------------------------------------------------------------------
+# a row-sparse table's compact moments
+
+# a 1000-row table: each step reads 100 new rows and 20 of the last
+# step's again, so the touched rows outgrow the first compact capacity at
+# step 3 and pass DENSE_STEP_SHARE at step 7; step 4 has no gradient
+GROW_ORDER = np.random.default_rng(5).permutation(1000)
+GROW_ROWS = [GROW_ORDER[max(0, 100 * s - 20) : 100 * (s + 1)] for s in range(6)]
+GROW_ROWS = GROW_ROWS[:3] + [None] + GROW_ROWS[3:] + [GROW_ORDER[:50]]
+
+
+def _grow_then_cross(fast):
+    gather, backward, adam = (T.gather_groups, T.backward, T.Adam) if fast else (
+        ref.gather_groups, ref.backward, ref.Adam)
+    rng = np.random.default_rng(6)
+    table = T.parameter(rng.normal(size=(1000, 2)), name="table")
+    opt = adam([table], 0.05)
+    states, touched = [], []
+    for rows in GROW_ROWS:
+        if rows is not None:
+            backward(weighted_sum(gather(table, rows[:, None]), rng.normal(size=(rows.size, 2))))
+        opt.step()
+        states.append((table.value.tobytes(), opt._m[0].tobytes(), opt._v[0].tobytes()))
+        if fast:
+            touched.append(opt._touched[0] if opt._touched[0] is True else np.flatnonzero(opt._touched[0]).size)
+        opt.zero_grad()
+    return states, touched
+
+
+def test_compact_moments_grow_then_go_dense_as_the_dense_adam():
+    got, touched = _grow_then_cross(fast=True)
+    want, _ = _grow_then_cross(fast=False)
+    for step, (g, w) in enumerate(zip(got, want)):
+        for what, a, b in zip(("parameters", "m", "v"), g, w):
+            assert a == b, f"{what} differ after step {step + 1}"
+    assert touched == [100, 200, 300, 300, 400, 500, True, True]
+    assert touched[1] <= T._FIRST_ROWS < touched[2]
+    assert 500 < T.DENSE_STEP_SHARE * 1000 <= 600
+
+
+def test_adam_keeps_no_table_sized_moments_for_a_row_sparse_table():
+    # m and v of the whole table would take 2 x 2.56 MB
+    table = T.parameter(np.random.default_rng(7).normal(size=(20_000, 16)), name="table")
+    rows = np.array([[3], [70], [19_999], [70]])
+    tracemalloc.start()
+    try:
+        opt = T.Adam([table], 0.01)
+        for _ in range(3):
+            T.backward(weighted_sum(T.gather_groups(table, rows), np.ones((4, 16))))
+            opt.step()
+            opt.zero_grad()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert np.flatnonzero(opt._touched[0]).tolist() == [3, 70, 19_999]
 
 
 # ---------------------------------------------------------------------------
