@@ -13,8 +13,7 @@ would, and its numbers equal that loop's (``tests/oracles.py``).
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,18 +100,6 @@ def segment_ne(records, segments: SegmentSpec) -> dict:
 # drift
 
 
-def default_drift_windows(train_end: int) -> tuple:
-    """Early/late training windows, scaled from the 4-day reference.
-
-    At a 4-day horizon the early window is [end-48h, end-42h] and the
-    late window the last 6 hours; other horizons scale proportionally.
-    """
-    scale = train_end / (96.0 * 3600.0)
-    early = (train_end - int(48.0 * 3600 * scale), train_end - int(42.0 * 3600 * scale))
-    late = (train_end - int(6.0 * 3600 * scale), train_end)
-    return early, late
-
-
 def drifting_gap(model, train_events, early_window, late_window) -> dict:
     """NE on the early training window minus NE on the late one.
 
@@ -130,82 +117,6 @@ def drifting_gap(model, train_events, early_window, late_window) -> dict:
     ne_early = ranker.evaluate(model, early).ne
     ne_late = ranker.evaluate(model, late).ne
     return {"ne_early": ne_early, "ne_late": ne_late, "gap": ne_early - ne_late}
-
-
-def long_retention(ne_short: dict, ne_long: dict) -> dict:
-    """NE(long-trained) - NE(short-trained) per lookup kind; negative
-    means the extra data helped."""
-    return {kind: ne_long[kind] - ne_short[kind] for kind in ne_short}
-
-
-# ---------------------------------------------------------------------------
-# item representation space
-
-
-@dataclass
-class ClusterGroupStats:
-    n_clusters: int
-    variance_mean: float | None
-    variance_std: float | None
-    distance_mean: float | None
-    distance_std: float | None
-
-
-def _cluster_stats(clusters: list, rng: np.random.Generator) -> ClusterGroupStats:
-    max_pairs = 1_000_000  # beyond this many centroid pairs, distances come from as many random pairs
-    variances = []
-    centroids = []
-    for members in clusters:
-        arr = np.asarray(members)
-        centroids.append(arr.mean(axis=0))
-        if len(arr) >= 2:
-            variances.append(arr.var(axis=0).mean())
-    if not centroids or len(centroids) < 2:
-        dist_mean = dist_std = None
-    else:
-        c = np.vstack(centroids)
-        n = len(c)
-        n_pairs = n * (n - 1) // 2
-        if n_pairs <= max_pairs:
-            iu, ju = np.triu_indices(n, k=1)
-        else:
-            iu = rng.integers(0, n, size=max_pairs)
-            ju = rng.integers(0, n, size=max_pairs)
-            keep = iu != ju
-            iu, ju = iu[keep], ju[keep]
-        d = np.linalg.norm(c[iu] - c[ju], axis=1)
-        dist_mean, dist_std = float(d.mean()), float(d.std())
-    return ClusterGroupStats(
-        n_clusters=len(clusters),
-        variance_mean=float(np.mean(variances)) if variances else None,
-        variance_std=float(np.std(variances)) if variances else None,
-        distance_mean=dist_mean,
-        distance_std=dist_std,
-    )
-
-
-def cluster_geometry(item_embeddings: dict, partition: dict, small_sizes=(4, 10)) -> dict:
-    """Intra-cluster variance and centroid pairwise distance for a
-    partition of per-item embedding rows.
-
-    Two cluster groups are reported: small clusters (member count inside
-    ``small_sizes`` inclusive) and the 1000 largest. Variance is
-    per-dimension, averaged over dimensions then clusters; clusters with
-    fewer than two members contribute no variance.
-    """
-    groups: dict = {}
-    for item_id, key in partition.items():
-        if item_id in item_embeddings:
-            groups.setdefault(key, []).append(item_embeddings[item_id])
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), str(kv[0])))
-    clusters = [members for _, members in ordered]
-    rng = np.random.default_rng([0, 17])
-    lo, hi = small_sizes
-    return {
-        "all": _cluster_stats(clusters, rng),
-        "small": _cluster_stats([m for m in clusters if lo <= len(m) <= hi], rng),
-        "top": _cluster_stats(clusters[:1000], rng),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -454,50 +365,4 @@ def distribution_exports(items, train_events, semid_table) -> dict:
         "gini_raw": gini(raw_clicks),
         "gini_semid": gini(code_clicks),
     }
-
-
-# ---------------------------------------------------------------------------
-# reports
-
-
-@dataclass
-class MetricsReport:
-    """Named metrics plus run metadata; serializes deterministically."""
-
-    kind: str
-    metrics: dict
-    metadata: dict = field(default_factory=dict)
-
-    def to_json_text(self) -> str:
-        payload = {"kind": self.kind, "metadata": self.metadata, "metrics": self.metrics}
-        return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
-
-    def to_table_text(self) -> str:
-        lines = [f"{self.kind} report"]
-        for key in sorted(self.metadata):
-            lines.append(f"  {key} = {self.metadata[key]}")
-        width = max((len(k) for k in self.metrics), default=0)
-        lines.append("")
-        for name in sorted(self.metrics):
-            value = self.metrics[name]
-            if isinstance(value, float):
-                value = f"{value:.6f}"
-            lines.append(f"  {name:<{width}}  {value}")
-        return "\n".join(lines) + "\n"
-
-    def save(self, path_prefix) -> None:
-        with open(str(path_prefix) + ".json", "w", encoding="utf-8") as fh:
-            fh.write(self.to_json_text())
-        with open(str(path_prefix) + ".txt", "w", encoding="utf-8") as fh:
-            fh.write(self.to_table_text())
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 

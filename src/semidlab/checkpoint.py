@@ -13,13 +13,12 @@ str, "shape": [int, ...], "dtype": str}, ...]}``, with a dtype from
 and unsigned integer arrays keep their dtype (a Semantic ID table
 stores its codes in the narrowest unsigned one). Other signed integer
 arrays are stored as ``"<i8"`` (raw IDs near 2^62 do not fit in
-float64); everything else as ``"<f8"``. An entry without ``dtype``
-reads as ``"<f8"``, the only type of files written before the field
-existed. Values round-trip bit-exactly because the payload is the raw
-bytes.
+float64); everything else as ``"<f8"``. Every entry names its
+``dtype``, and no two entries share a name. Values round-trip
+bit-exactly because the payload is the raw bytes.
 
-Model parameters, item tables, user tables, Semantic ID tables and
-event streams live in this container.
+Model parameters, item tables, Semantic ID tables and event streams
+live in this container.
 
 ``check_arrays`` is every loader's one check of the arrays a file must
 hold, lengths that several arrays share included.
@@ -46,6 +45,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from collections.abc import Mapping
 
 import numpy as np
@@ -188,8 +188,10 @@ def save_checkpoint(path, params, meta=None) -> None:
     Each array is written from its own buffer, without a byte copy; one
     that is not already a C-contiguous array of a ``DTYPES`` dtype is
     converted first: a signed integer array to int64, anything else to
-    float64.
+    float64. Two keys that write as the same name (``1`` and ``"1"``)
+    raise CheckpointError before the file is opened.
     """
+    _check_distinct(path, [str(name) for name in params])
     entries = []
     values = []
     for name, arr in params.items():
@@ -220,7 +222,8 @@ def load_checkpoint(path):
     shape, and the payload size against the file's, are checked before
     any array is allocated; each array is then read straight from the
     file into its own writable native array. Raises CheckpointError on a
-    foreign, truncated or inconsistent file.
+    foreign, truncated or inconsistent file, an entry without a dtype, or
+    a name that two entries share.
     """
     with open(path, "rb") as fh:
         preamble = fh.read(12)
@@ -237,7 +240,7 @@ def load_checkpoint(path):
             version = header.get("version")
             if version == VERSION:
                 entries = [
-                    (str(e["name"]), tuple(e["shape"]), e.get("dtype", "<f8"))
+                    (str(e["name"]), tuple(e["shape"]), e["dtype"])
                     for e in header["params"]
                 ]
                 meta = header["meta"]
@@ -247,6 +250,7 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: unsupported version {version}")
         if not isinstance(meta, dict):
             raise CheckpointError(f"{path}: header meta is {type(meta).__name__}, expected an object")
+        _check_distinct(path, [name for name, _, _ in entries])
         size = os.fstat(fh.fileno()).st_size
         end = 12 + hlen
         for name, shape, dtype in entries:
@@ -278,6 +282,13 @@ def load_checkpoint(path):
             # a no-op on a little-endian machine
             params[name] = value.astype(DTYPES[dtype], copy=False).reshape(shape)
     return params, meta
+
+
+def _check_distinct(path, names: list) -> None:
+    """Raise CheckpointError naming every name that ``names`` holds more than once."""
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise CheckpointError(f"{path}: array names repeat: {repeated}")
 
 
 def check_arrays(path, saved: dict, expected: dict) -> None:

@@ -18,7 +18,7 @@ construction.
 
 Time is integer seconds from epoch 0; a day is 86400 seconds.
 
-Item tables, user tables and event streams persist in the binary
+Item tables and event streams persist in the binary
 container of ``checkpoint`` (bit-exact numeric arrays, integer fields as
 int64). A value that is not an integer inside int64 in an integer field
 (a ``birth`` of 0.5, say) raises CorpusConfigError before a file opens.
@@ -386,7 +386,6 @@ _ITEM_ARRAYS = {
     "weight": ("<f8", ("N",)),
     "bias": ("<f8", ("N",)),
 }
-_USER_ARRAYS = {"preferences": ("<f8", (None, None))}
 
 
 def save_items(path, items: ItemTable, meta: dict) -> None:
@@ -402,17 +401,6 @@ def load_items(path):
     arrays, meta = load_checkpoint(path)
     check_arrays(path, arrays, _ITEM_ARRAYS)
     return ItemTable(**arrays), meta
-
-
-def save_users(path, users: UserTable, meta: dict) -> None:
-    save_checkpoint(path, {"preferences": np.asarray(users.preferences, dtype=np.float64)}, meta=meta)
-
-
-def load_users(path):
-    """Read a user table; CheckpointError on a wrong name, type or shape."""
-    arrays, meta = load_checkpoint(path)
-    check_arrays(path, arrays, _USER_ARRAYS)
-    return UserTable(preferences=arrays["preferences"]), meta
 
 
 # (N,) int64 arrays; the (E, 2) ``history`` holds the (item_id, timestamp)

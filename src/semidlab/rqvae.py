@@ -411,8 +411,8 @@ def load_rqvae(path) -> tuple[RqVaeModel, dict]:
 
 
 # dtypes a Semantic ID table's codes may have on file: the unsigned ones
-# it is written in, and the int64 of files written before them
-SEMID_CODE_DTYPES = ("|u1", "<u2", "<u4", "<u8", "<i8")
+# ``save_semid_table`` writes
+SEMID_CODE_DTYPES = ("|u1", "<u2", "<u4", "<u8")
 
 
 def save_semid_table(path, table: SemanticIdTable, meta: dict) -> None:
@@ -439,8 +439,8 @@ def load_semid_table(path):
     widened to int64 once, so they come back as ints whatever their width
     on file. Raises CheckpointError unless the file holds exactly an int64
     ``raw_ids`` (N,) array in strictly ascending order and a ``codes``
-    (N, L) array of a ``SEMID_CODE_DTYPES`` dtype whose values lie
-    inside int64.
+    (N, L) array of an unsigned ``SEMID_CODE_DTYPES`` dtype whose values
+    lie inside int64.
     """
     arrays, meta = load_checkpoint(path)
     check_arrays(path, arrays, {"raw_ids": ("<i8", ("N",)), "codes": (SEMID_CODE_DTYPES, ("N", None))})

@@ -6,8 +6,8 @@ Prediction dumps are the only text tables: tab-separated, with a string
 inputs. Writers serialize floats with Python's shortest round-trip repr,
 which parses back bit-exactly. Text that would not read back as written
 (see ``write_table``) is refused before the file is opened. Numeric
-arrays (model parameters, item, user and Semantic ID tables, event
-streams) go into the binary container of ``checkpoint``.
+arrays (model parameters, item and Semantic ID tables, event streams)
+go into the binary container of ``checkpoint``.
 """
 
 from __future__ import annotations

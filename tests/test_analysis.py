@@ -1,4 +1,4 @@
-"""Metric definitions: NE, segments, drift, clusters, attention, AAR, exports."""
+"""Metric definitions: NE, segments, drift, attention, AAR, exports."""
 
 import math
 
@@ -9,18 +9,14 @@ from hypothesis import strategies as st
 
 import oracles
 from semidlab.analysis import (
-    MetricsReport,
     aar,
     aar_report,
     attention_metrics,
     build_segments,
     click_loss_analog,
-    cluster_geometry,
-    default_drift_windows,
     distribution_exports,
     drifting_gap,
     gini,
-    long_retention,
     segment_ne,
 )
 from semidlab.corpus import (
@@ -184,61 +180,6 @@ class TestDriftGap:
         stream, model = self._stream_model()
         with pytest.raises(ValueError):
             drifting_gap(model, stream.train, (0, 1), (0, stream.train_end))
-
-    def test_default_windows_scale_with_horizon(self):
-        end = 96 * 3600  # a 4-day horizon reproduces the reference windows
-        early, late = default_drift_windows(end)
-        assert early == (end - 48 * 3600, end - 42 * 3600)
-        assert late == (end - 6 * 3600, end)
-        early2, late2 = default_drift_windows(end // 4)
-        assert early2 == (end // 4 - 12 * 3600, end // 4 - int(10.5 * 3600))
-        assert late2 == (end // 4 - int(1.5 * 3600), end // 4)
-
-
-class TestRetention:
-    def test_zero_extra_data_zero_gain(self):
-        assert long_retention({"rh": 0.9}, {"rh": 0.9}) == {"rh": 0.0}
-
-    def test_deterministic(self):
-        a = long_retention({"rh": 0.9, "semid": 0.8}, {"rh": 0.85, "semid": 0.7})
-        b = long_retention({"rh": 0.9, "semid": 0.8}, {"rh": 0.85, "semid": 0.7})
-        assert a == b
-        assert a["semid"] == pytest.approx(-0.1)
-
-
-class TestClusterGeometry:
-    def test_singleton_partition_has_no_variance_clusters(self):
-        emb = {i: np.array([float(i), 0.0]) for i in range(10)}
-        partition = {i: i for i in range(10)}
-        out = cluster_geometry(emb, partition)
-        assert out["all"].variance_mean is None
-        assert out["all"].distance_mean is not None
-
-    def test_single_cluster_distance_unavailable(self):
-        emb = {i: np.array([float(i), 0.0]) for i in range(10)}
-        partition = {i: 0 for i in range(10)}
-        out = cluster_geometry(emb, partition)
-        assert out["all"].distance_mean is None
-        assert out["all"].variance_mean is not None
-
-    def test_semantic_partition_has_lower_variance_than_random(self):
-        cfg = CorpusConfig(n_items=3000, embedding_dim=8, n_users=10, n_train_events=10,
-                           n_eval_events=10, seed=4)
-        items = generate_items(cfg)
-        emb = {int(x): items.embeddings[i] for i, x in enumerate(items.raw_ids)}
-        semantic = {int(x): int(items.leaf[i]) for i, x in enumerate(items.raw_ids)}
-        rng = np.random.default_rng(5)
-        random_part = {int(x): int(rng.integers(0, 64)) for x in items.raw_ids}
-        sem_stats = cluster_geometry(emb, semantic)["all"]
-        rnd_stats = cluster_geometry(emb, random_part)["all"]
-        assert sem_stats.variance_mean < rnd_stats.variance_mean
-
-    def test_small_cluster_group_filters_sizes(self):
-        emb = {i: np.array([float(i % 7), 1.0]) for i in range(40)}
-        partition = {i: ("big" if i < 25 else f"small{i % 3}") for i in range(40)}
-        out = cluster_geometry(emb, partition, small_sizes=(4, 10))
-        assert out["small"].n_clusters == 3
-        assert out["top"].n_clusters == 4
 
 
 class TestAttentionMetrics:
@@ -535,17 +476,3 @@ class TestDistributionExports:
         assert gini([0] * (n - 1) + [1]) == pytest.approx((n - 1) / n)
         assert gini([]) == 0.0
 
-
-class TestMetricsReport:
-    def test_serialization_is_deterministic(self, tmp_path):
-        report = MetricsReport(
-            kind="segments",
-            metrics={"overall_ne": 0.9312345, "head_ne": None, "n": 12},
-            metadata={"config_hash": "abc", "seed": 7},
-        )
-        report.save(tmp_path / "r1")
-        report.save(tmp_path / "r2")
-        assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
-        assert (tmp_path / "r1.txt").read_bytes() == (tmp_path / "r2.txt").read_bytes()
-        text = (tmp_path / "r1.json").read_text()
-        assert "abc" in text and "overall_ne" in text

@@ -1,18 +1,22 @@
-"""The benchmark's tracer still fits the package it wraps.
+"""The benchmark still fits the package it runs.
 
 ``perfbench/tracing.py`` names public ``semidlab`` functions it wraps by
 module and attribute; a traced run stops with ``TracePatchError`` when
-one of them is gone. These tests load the tracer by path, edit nothing
-in it, and check that every wrapped name resolves and that the wrappers
-install and restore cleanly, so a deleted or renamed traced function
-fails here and not only in a traced benchmark run.
+one of them is gone. The workloads and the benchmark's own tests read
+``semidlab`` module attributes directly. These tests read the benchmark's
+files, edit nothing in them, and check that every wrapped name and every
+attribute they read resolves, and that the wrappers install and restore
+cleanly, so a deleted or renamed function fails here and not only in a
+benchmark run.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def load_tracing():
@@ -38,3 +42,52 @@ def test_wrappers_install_and_restore():
         patcher.install()
     finally:
         patcher.restore()
+
+
+def semidlab_references(source: str) -> list:
+    """(line, module, attribute) of every ``semidlab`` module attribute that
+    ``source`` reads: ``name.attr`` for a module bound by ``from semidlab
+    import module`` or ``import semidlab.module as name``, and each name of
+    ``from semidlab.module import name``."""
+    tree = ast.parse(source)
+    modules, refs = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "semidlab":
+            modules.update((a.asname or a.name, "semidlab." + a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("semidlab."):
+            refs += [(node.lineno, node.module, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            modules.update((a.asname, a.name) for a in node.names if a.name.startswith("semidlab.") and a.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            refs.append((node.lineno, modules[node.value.id], node.attr))
+    return sorted(refs)
+
+
+def unresolved(refs) -> list:
+    return [ref for ref in refs if not hasattr(importlib.import_module(ref[1]), ref[2])]
+
+
+def test_every_semidlab_attribute_the_benchmark_reads_resolves():
+    refs = {path.name: semidlab_references(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.glob("*.py"))}
+    assert refs["workloads.py"] and refs["test_perfbench.py"]
+    assert [(name, *ref) for name, r in refs.items() for ref in unresolved(r)] == []
+
+
+def test_a_deleted_attribute_is_reported():
+    source = (
+        "import semidlab.tensor as T\n"
+        "from semidlab import corpus\n"
+        "from semidlab.rqvae import load_semid_table, save_rqvae_table\n"
+        "corpus.drop_users(corpus.generate_users(T.relu))\n"
+    )
+    refs = semidlab_references(source)
+    assert refs == [
+        (3, "semidlab.rqvae", "load_semid_table"),
+        (3, "semidlab.rqvae", "save_rqvae_table"),
+        (4, "semidlab.corpus", "drop_users"),
+        (4, "semidlab.corpus", "generate_users"),
+        (4, "semidlab.tensor", "relu"),
+    ]
+    assert unresolved(refs) == [(3, "semidlab.rqvae", "save_rqvae_table"), (4, "semidlab.corpus", "drop_users")]

@@ -1,6 +1,7 @@
-"""Container entries with a dtype: int64, float64 and unsigned arrays, files
-without the field, the checks on what a model may load, named lengths,
-and the memory that reading and writing in place takes."""
+"""Container entries with a dtype: int64, float64 and unsigned arrays,
+entries without the field and names given twice, the checks on what a
+model may load, named lengths, and the memory that reading and writing
+in place takes."""
 
 import json
 import struct
@@ -11,18 +12,8 @@ import pytest
 
 from semidlab.checkpoint import MAGIC, CheckpointError, check_arrays, load_checkpoint, save_checkpoint
 from semidlab.ranker import RankerConfig, RankerModel, load_ranker, save_ranker
-from semidlab.rqvae import RqVaeConfig, RqVaeModel, assign, load_rqvae, save_rqvae
+from semidlab.rqvae import RqVaeConfig, RqVaeModel, load_rqvae, save_rqvae
 from semidlab.tokenization import RandomHash
-
-
-def write_without_dtype(path, params, meta):
-    """A container as written before entries had a ``dtype``: float64 only."""
-    entries = [{"name": name, "shape": list(np.shape(v))} for name, v in params.items()]
-    header = json.dumps({"version": 1, "meta": meta, "params": entries}, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<I", len(header)) + header)
-        for value in params.values():
-            fh.write(np.asarray(value, dtype="<f8").tobytes())
 
 
 def header_of(path) -> dict:
@@ -72,21 +63,34 @@ def test_int64_ids_round_trip_exactly(tmp_path):
     loaded["ids"][0] = 5  # arrays come back writable, not as views of the file
 
 
-def test_file_without_dtype_loads_as_float64(tmp_path):
-    cfg = RqVaeConfig(levels=2, codebook_size=4, input_dim=5, latent_dim=3, seed=25)
-    model = RqVaeModel.initialize(cfg)
-    model.frozen = True
+def test_entry_without_dtype_raises(tmp_path):
+    # files written before entries had a dtype held float64 only; no entry defaults to it
+    header = json.dumps({"version": 1, "meta": {}, "params": [{"name": "w", "shape": [2]}]}).encode("utf-8")
     path = tmp_path / "old.ckpt"
-    write_without_dtype(path, {n: p.value for n, p in model.params.items()},
-                        {"rqvae_config": cfg.to_dict(), "frozen": True})
-    assert all("dtype" not in e for e in header_of(path)["params"])
-    params, _ = load_checkpoint(path)
-    assert all(v.dtype == np.float64 for v in params.values())
-    loaded, _ = load_rqvae(path)
-    for name, p in model.params.items():
-        assert loaded.params[name].value.tobytes() == p.value.tobytes()
-    items = {i: np.random.default_rng(i).normal(size=5) for i in range(20)}
-    assert assign(loaded, items) == assign(model, items)
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(16))
+    with pytest.raises(CheckpointError, match="malformed header: 'dtype'"):
+        load_checkpoint(path)
+
+
+def test_keys_that_write_as_one_name_raise_before_the_file_opens(tmp_path):
+    path = tmp_path / "c.ckpt"
+    with pytest.raises(CheckpointError, match=r"array names repeat: \['1'\]"):
+        save_checkpoint(path, {1: np.zeros(2), "1": np.ones(3)})
+    assert not path.exists()
+
+
+def test_a_name_two_entries_share_raises_before_any_allocation(tmp_path):
+    # the second 'w' would replace the first, and 4 MB of payload would go unread
+    entries = [{"name": "w", "shape": [500_000], "dtype": "<f8"}] * 2
+    header = json.dumps({"version": 1, "meta": {}, "params": entries}).encode("utf-8")
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(8_000_000))
+
+    def load():
+        with pytest.raises(CheckpointError, match=r"array names repeat: \['w'\]"):
+            load_checkpoint(path)
+
+    assert traced_peak(load) < 1e6
 
 
 # a JSON list or object is unhashable and once escaped as a bare TypeError
@@ -118,7 +122,9 @@ def test_model_rejects_an_int64_parameter(tmp_path):
     [2**63],
 ])
 def test_shape_too_large_raises(tmp_path, shape):
-    header = json.dumps({"version": 1, "meta": {}, "params": [{"name": "w", "shape": shape}]}).encode("utf-8")
+    header = json.dumps(
+        {"version": 1, "meta": {}, "params": [{"name": "w", "shape": shape, "dtype": "<f8"}]}
+    ).encode("utf-8")
     path = tmp_path / "c.ckpt"
     path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
     with pytest.raises(CheckpointError, match="too large"):

@@ -8,14 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from semidlab.checkpoint import CheckpointError, save_checkpoint
+from semidlab.checkpoint import CheckpointError, SemanticIdTable, load_checkpoint, save_checkpoint
 from semidlab.corpus import (
     DAY,
     CorpusConfig,
     CorpusConfigError,
     ImpressionEvent,
     ItemTable,
-    UserTable,
     calibrate_skew,
     generate_items,
     generate_stream,
@@ -24,14 +23,13 @@ from semidlab.corpus import (
     inject_aa_pairs,
     load_events,
     load_items,
-    load_users,
     sample_items_at,
     save_events,
     save_items,
-    save_users,
     substream,
     zipf_head_share,
 )
+from semidlab.rqvae import load_semid_table, save_semid_table
 from semidlab.tokenization import RandomHash
 
 
@@ -344,12 +342,6 @@ class TestPersistence:
             else:
                 assert a == b, f.name
 
-    def test_users_round_trip(self, tmp_path):
-        users = generate_users(small_config(n_users=20))
-        save_users(tmp_path / "users.tsv", users, {"config_hash": "x", "seed": "1"})
-        loaded, _ = load_users(tmp_path / "users.tsv")
-        assert np.array_equal(loaded.preferences, users.preferences)
-
     def test_events_round_trip(self, tmp_path):
         cfg = small_config(n_items=500, n_train_events=300, n_eval_events=50)
         stream = generate_stream(generate_items(cfg), generate_users(cfg), cfg)
@@ -368,7 +360,7 @@ class TestPersistence:
 
 
 # ---------------------------------------------------------------------------
-# item and user tables in the binary container
+# item tables and event streams in the binary container
 
 INT64_EDGES = [2**62, -(2**62), 2**62 - 1, 2**63 - 1, -(2**63), 0, -1]
 FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, -1e-310, np.inf, -np.inf]
@@ -421,17 +413,6 @@ def test_item_table_round_trips_every_field(tmp_path_factory, items, seed):
     assert_same_table(loaded, items)
 
 
-@settings(max_examples=30, deadline=None)
-@given(prefs=st.integers(0, 10).flatmap(
-    lambda n: hnp.arrays(np.float64, (n, 4), elements=float_values)))
-def test_user_table_round_trips(tmp_path_factory, prefs):
-    path = tmp_path_factory.mktemp("users") / "users.bin"
-    save_users(path, UserTable(prefs), {"seed": 1})
-    loaded, meta = load_users(path)
-    assert meta == {"seed": 1}
-    assert_same_table(loaded, UserTable(prefs))
-
-
 @st.composite
 def event_streams(draw):
     def event():
@@ -456,32 +437,42 @@ def test_event_stream_round_trips_every_field(tmp_path_factory, events, seed):
 
 
 class TestTableFiles:
+    # each table kind's file and loader
+    LOADERS = {"items.bin": load_items, "events.bin": load_events, "semid.bin": load_semid_table}
+
     def _items(self):
         return generate_items(small_config(n_items=50))
 
+    def _save_tables(self, tmp_path):
+        save_items(tmp_path / "items.bin", self._items(), {"seed": 1})
+        events = [ImpressionEvent(i, 10 * i, 3, 17 + i, i % 2, ((17, i),) * (i % 3)) for i in range(8)]
+        save_events(tmp_path / "events.bin", events, {"seed": 1})
+        table = SemanticIdTable(np.arange(40), np.arange(120).reshape(40, 3) % 7)
+        save_semid_table(tmp_path / "semid.bin", table, {"seed": 1})
+
     def test_foreign_file_raises(self, tmp_path):
-        save_events(tmp_path / "events.tsv", [], {"seed": 1})
-        for load in (load_items, load_users):
-            with pytest.raises(CheckpointError):
-                load(tmp_path / "events.tsv")
+        (tmp_path / "notes.txt").write_text("# seed=1\nnot a container\n", encoding="utf-8")
+        for load in self.LOADERS.values():
+            with pytest.raises(CheckpointError, match="bad magic"):
+                load(tmp_path / "notes.txt")
 
     @pytest.mark.parametrize("cut", [4, 30, 200, -1])
     def test_truncated_file_raises(self, tmp_path, cut):
-        save_items(tmp_path / "items.bin", self._items(), {"seed": 1})
-        save_users(tmp_path / "users.bin", generate_users(small_config(n_users=5)), {"seed": 1})
-        for name, load in (("items.bin", load_items), ("users.bin", load_users)):
+        self._save_tables(tmp_path)
+        for name, load in self.LOADERS.items():
             path = tmp_path / name
-            path.write_bytes(path.read_bytes()[:cut])
+            data = path.read_bytes()
+            assert len(data) > cut
+            path.write_bytes(data[:cut])
             with pytest.raises(CheckpointError):
                 load(path)
 
     def test_one_table_is_not_the_other(self, tmp_path):
-        save_items(tmp_path / "items.bin", self._items(), {"seed": 1})
-        save_users(tmp_path / "users.bin", generate_users(small_config(n_users=5)), {"seed": 1})
-        with pytest.raises(CheckpointError, match="names differ"):
-            load_users(tmp_path / "items.bin")
-        with pytest.raises(CheckpointError, match="names differ"):
-            load_items(tmp_path / "users.bin")
+        self._save_tables(tmp_path)
+        for name, load in self.LOADERS.items():
+            for other in sorted(self.LOADERS.keys() - {name}):
+                with pytest.raises(CheckpointError, match="names differ"):
+                    load(tmp_path / other)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -510,7 +501,10 @@ class TestTableFiles:
         with pytest.raises(CheckpointError, match=f"length N is 50 in 'raw_ids' but 49 in '{field}'"):
             load_items(tmp_path / "items.bin")
 
-    def test_user_table_must_be_a_matrix(self, tmp_path):
-        save_checkpoint(tmp_path / "users.bin", {"preferences": np.zeros(3)})
-        with pytest.raises(CheckpointError, match="preferences"):
-            load_users(tmp_path / "users.bin")
+    def test_event_history_must_be_a_matrix(self, tmp_path):
+        path = tmp_path / "events.bin"
+        save_events(path, [ImpressionEvent(0, 10, 3, 17, 1, ((17, 1),))], {"seed": 1})
+        arrays, meta = load_checkpoint(path)
+        save_checkpoint(path, arrays | {"history": arrays["history"].ravel()}, meta=meta)
+        with pytest.raises(CheckpointError, match="'history' has shape"):
+            load_events(path)

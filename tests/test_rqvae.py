@@ -422,11 +422,13 @@ class TestSemanticIdTableFile:
         assert loaded == table and meta == {"k": k}
         assert all(type(c) is int for codes in loaded.values() for c in codes)
 
-    def test_int64_codes_written_before_narrow_ones_still_load(self, tmp_path):
+    def test_int64_codes_raise(self, tmp_path):
+        # tables were once written with int64 codes; save_semid_table writes unsigned ones only
         path = tmp_path / "semid.bin"
-        save_checkpoint(path, {"raw_ids": self.IDS, "codes": self.CODES}, meta={"seed": 1})
+        save_checkpoint(path, {"raw_ids": self.IDS, "codes": self.CODES.astype(np.int64)}, meta={"seed": 1})
         assert load_checkpoint(path)[0]["codes"].dtype == np.int64
-        assert load_semid_table(path) == ({-4: (1, 2), 5: (0, 0), 9: (3, 1)}, {"seed": 1})
+        with pytest.raises(CheckpointError, match="'codes' is int64"):
+            load_semid_table(path)
 
     def test_codes_that_overflow_int64_raise(self, tmp_path):
         # a uint64 code at 2^63 would not come back as an int64 value
@@ -439,9 +441,9 @@ class TestSemanticIdTableFile:
     def test_codes_wider_than_their_declared_dtype_raise(self, tmp_path):
         # eight-byte codes under a one-byte dtype leave bytes after the payload
         path = tmp_path / "semid.bin"
-        save_checkpoint(path, {"raw_ids": self.IDS, "codes": self.CODES}, meta={})
+        save_checkpoint(path, {"raw_ids": self.IDS, "codes": self.CODES.astype(np.uint64)}, meta={})
         data = path.read_bytes()
-        path.write_bytes(data.replace(b'"dtype":"<i8","name":"codes"', b'"dtype":"|u1","name":"codes"'))
+        path.write_bytes(data.replace(b'"dtype":"<u8","name":"codes"', b'"dtype":"|u1","name":"codes"'))
         assert path.read_bytes() != data
         with pytest.raises(CheckpointError, match="trailing bytes"):
             load_semid_table(path)
@@ -464,7 +466,7 @@ class TestSemanticIdTableFile:
             load_semid_table(path)
 
     IDS = np.array([-4, 5, 9], dtype=np.int64)
-    CODES = np.array([[1, 2], [0, 0], [3, 1]], dtype=np.int64)
+    CODES = np.array([[1, 2], [0, 0], [3, 1]], dtype=np.uint8)
 
     @pytest.mark.parametrize("arrays,match", [
         ({"raw_ids": IDS, "codes": CODES.astype(np.float64)}, "'codes' is float64"),
