@@ -91,3 +91,32 @@ def test_a_deleted_attribute_is_reported():
         (4, "semidlab.tensor", "relu"),
     ]
     assert unresolved(refs) == [(3, "semidlab.rqvae", "save_rqvae_table"), (4, "semidlab.corpus", "drop_users")]
+
+
+def test_only_reads_of_semidlab_modules_are_references():
+    source = (
+        "import numpy as np\n"
+        "import semidlab.corpus\n"
+        "from semidlab import ranker as r, rqvae\n"
+        "r.score_candidates = np.zeros\n"
+        "np.gone(rqvae.assign, r.RankerModel)\n"
+    )
+    assert semidlab_references(source) == [
+        (5, "semidlab.ranker", "RankerModel"),
+        (5, "semidlab.rqvae", "assign"),
+    ]
+
+
+def test_every_semidlab_import_of_the_benchmark_binds_a_module_the_walk_follows():
+    # ``import semidlab.corpus`` unaliased, or a function taken by ``from
+    # semidlab import``, would hide its reads from semidlab_references
+    imports = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name, a.asname) for a in node.names if a.name.split(".")[0] == "semidlab"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "semidlab":
+                imports += [(path.name, "semidlab." + a.name, a.asname or a.name) for a in node.names]
+    assert len(imports) >= 10
+    assert [i for i in imports if i[2] is None] == []
+    assert all(importlib.import_module(name).__name__ == name for _, name, _ in imports)

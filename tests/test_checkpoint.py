@@ -79,6 +79,27 @@ def test_keys_that_write_as_one_name_raise_before_the_file_opens(tmp_path):
     assert not path.exists()
 
 
+def test_a_refused_save_leaves_the_file_it_would_replace(tmp_path):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"w": np.arange(3.0)}, meta={"seed": 1})
+    data = path.read_bytes()
+    with pytest.raises(CheckpointError, match="array names repeat"):
+        save_checkpoint(path, {2: np.zeros(2), "2": np.ones(2)})
+    assert path.read_bytes() == data
+
+
+def test_every_name_given_twice_is_reported(tmp_path):
+    keys = ["b", 2, "a", "2", 1, "1"]
+    with pytest.raises(CheckpointError, match=r"array names repeat: \['1', '2'\]$"):
+        save_checkpoint(tmp_path / "s.ckpt", {key: np.zeros(1) for key in keys})
+    entries = [{"name": name, "shape": [1], "dtype": "<f8"} for name in "babcab"]
+    header = json.dumps({"version": 1, "meta": {}, "params": entries}).encode("utf-8")
+    path = tmp_path / "c.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + bytes(8 * len(entries)))
+    with pytest.raises(CheckpointError, match=r"array names repeat: \['a', 'b'\]$"):
+        load_checkpoint(path)
+
+
 def test_a_name_two_entries_share_raises_before_any_allocation(tmp_path):
     # the second 'w' would replace the first, and 4 MB of payload would go unread
     entries = [{"name": "w", "shape": [500_000], "dtype": "<f8"}] * 2
@@ -142,14 +163,19 @@ def test_non_integer_shape_entry_raises(tmp_path, shape):
         load_checkpoint(path)
 
 
-def replace_meta(path, meta) -> None:
-    """Rewrite a container's header with ``meta`` in place of its own."""
+def rewrite_header(path, edit) -> None:
+    """Rewrite a container's header as ``edit`` changes it, keeping the payload."""
     raw = path.read_bytes()
     (n,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + n])
-    header["meta"] = meta
+    edit(header)
     new = json.dumps(header).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<I", len(new)) + new + raw[12 + n :])
+
+
+def replace_meta(path, meta) -> None:
+    """Rewrite a container's header with ``meta`` in place of its own."""
+    rewrite_header(path, lambda header: header.update(meta=meta))
 
 
 @pytest.mark.parametrize("meta", [[], ["rqvae_config"], None, "frozen", 3])
@@ -165,6 +191,21 @@ def test_meta_that_is_not_an_object_raises(tmp_path, meta):
     with pytest.raises(CheckpointError, match="header meta"):
         load_rqvae(rq_path)
     with pytest.raises(CheckpointError, match="header meta"):
+        load_ranker(ranker_path, lookup, lookup)
+
+
+def test_model_files_without_dtypes_raise(tmp_path):
+    # the float64-only layout of files written before entries had a dtype
+    rq_path, ranker_path = tmp_path / "rq.ckpt", tmp_path / "ranker.ckpt"
+    save_rqvae(rq_path, RqVaeModel.initialize(RqVaeConfig(input_dim=4, latent_dim=2, hidden_sizes=(3,))))
+    lookup = RandomHash(8, seed=1)
+    save_ranker(ranker_path, RankerModel.initialize(RankerConfig(d_m=2, history_length=2, top_mlp=(2,)), lookup, lookup))
+    for path in (rq_path, ranker_path):
+        assert {e["dtype"] for e in header_of(path)["params"]} == {"<f8"}
+        rewrite_header(path, lambda header: [entry.pop("dtype") for entry in header["params"]])
+    with pytest.raises(CheckpointError, match="malformed header: 'dtype'"):
+        load_rqvae(rq_path)
+    with pytest.raises(CheckpointError, match="malformed header: 'dtype'"):
         load_ranker(ranker_path, lookup, lookup)
 
 

@@ -1,6 +1,8 @@
 """Generator-level oracles: skew calibration, drift, labels, stream shape."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -342,6 +344,15 @@ class TestPersistence:
             else:
                 assert a == b, f.name
 
+    def test_users_regenerate_from_the_seed(self):
+        # no user table is written: a run draws the same users again from the corpus seed
+        users = generate_users(small_config(n_users=20))
+        assert users.preferences.shape == (20, small_config().embedding_dim)
+        again = generate_users(small_config(n_users=20, n_items=77, n_train_events=5))
+        assert again.preferences.tobytes() == users.preferences.tobytes()
+        other = generate_users(small_config(n_users=20, seed=small_config().seed + 1))
+        assert not np.array_equal(other.preferences, users.preferences)
+
     def test_events_round_trip(self, tmp_path):
         cfg = small_config(n_items=500, n_train_events=300, n_eval_events=50)
         stream = generate_stream(generate_items(cfg), generate_users(cfg), cfg)
@@ -473,6 +484,21 @@ class TestTableFiles:
             for other in sorted(self.LOADERS.keys() - {name}):
                 with pytest.raises(CheckpointError, match="names differ"):
                     load(tmp_path / other)
+
+    def test_a_name_two_entries_share_raises(self, tmp_path):
+        # the second array takes the first one's name, so one of them would be dropped
+        self._save_tables(tmp_path)
+        for name, load in self.LOADERS.items():
+            path = tmp_path / name
+            raw = path.read_bytes()
+            (n,) = struct.unpack("<I", raw[8:12])
+            header = json.loads(raw[12 : 12 + n])
+            first, second = header["params"][:2]
+            second["name"] = first["name"]
+            new = json.dumps(header).encode("utf-8")
+            path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + n :])
+            with pytest.raises(CheckpointError, match=rf"array names repeat: \['{first['name']}'\]"):
+                load(path)
 
     @pytest.mark.parametrize(
         "field, value",
