@@ -4,10 +4,11 @@ Everything here is a pure function of its inputs (dumps, tables,
 frozen models), so re-running an analysis without retraining is
 bit-identical.
 
-``attention_metrics`` works array-at-a-time: it stacks the records of
-each shape and reduces along axes, arranged so that every record's sums
-add the same entries in the same order as a loop over the records
-would, and its numbers equal that loop's (``tests/oracles.py``).
+``attention_metrics`` reads attention in the arrays the ranker computes
+it in, an (N, rows, T) attention and an (N, T) pad mask, and reduces
+along axes, arranged so that every record's sums add the same entries
+in the same order as a loop over the records would, and its numbers
+equal that loop's (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -129,57 +130,50 @@ def _row_means(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.ascontiguousarray(x), axis=-1) / x.shape[-1]
 
 
-def attention_metrics(attention_records) -> dict:
+def attention_metrics(attentions) -> dict:
     """Mean first-token, padding, entropy, and self-attention statistics.
 
-    Input is (matrix, pad mask) pairs; each matrix row is a distribution
-    over source positions. Self-attention needs square matrices and is
-    reported as None otherwise (pooled attention has no self position).
-    0 * log2(0) counts as 0 in the entropy.
+    Input is the (attention, pad mask) pair that ``ranker.score`` keeps:
+    an N-by-rows-by-T array whose rows are distributions over the T
+    source positions, and the N-by-T pad mask. Self-attention needs
+    square matrices and is reported as None otherwise (pooled attention
+    has no self position). 0 * log2(0) counts as 0 in the entropy. None
+    or no records raise ValueError, as does a pad mask whose shape is
+    not (N, T).
 
     Each statistic is a per-record value averaged over records in input
-    order. Records of one shape are stacked and reduced together, each
-    record's sums running over the same entries in the same order as
-    they would for that record alone, so the numbers do not depend on
-    how the records group.
+    order. The records are reduced together, each record's sums running
+    over the same entries in the same order as they would for that
+    record alone.
     """
-    records = [(np.asarray(a, dtype=np.float64), np.asarray(m, dtype=bool)) for a, m in attention_records]
-    if not records:
+    if attentions is None:
         raise ValueError("no attention records")
-    n = len(records)
-    firsts, pads, entropies, selfs = np.empty(n), np.zeros(n), np.empty(n), np.empty(n)
-    square = True
-    by_shape: dict = {}
-    for i, (a, _) in enumerate(records):
-        by_shape.setdefault(a.shape, []).append(i)
-    for shape, members in by_shape.items():
-        members = np.array(members)
-        a = np.stack([records[i][0] for i in members])
-        pad_mask = np.stack([records[i][1] for i in members])
-        firsts[members] = _row_means(a[:, :, 0])
-        # records with as many pads at a time; a record's pad columns, in
-        # order, are summed one after the other into each row's total, as
-        # numpy sums the column-major ``a[:, pad_mask]`` of one record
-        counts = pad_mask.sum(axis=1)
-        columns_first = np.swapaxes(a, 1, 2)
-        for count in sorted_distinct(counts[counts > 0]).tolist():
-            group = np.flatnonzero(counts == count)
-            columns = np.nonzero(pad_mask[group])[1].reshape(group.size, count, 1)
-            pad_columns = np.take_along_axis(columns_first[group], columns, axis=1)
-            pads[members[group]] = _row_means(np.add.reduce(pad_columns, axis=1))
-        # an entry that is not positive takes log2(1.0) = 0.0, so it
-        # adds 0 * 0.0 (and a NaN stays NaN)
-        plogp = a * np.log2(np.where(a > 0.0, a, 1.0))
-        entropies[members] = -_row_means(np.add.reduce(plogp, axis=-1))
-        if shape[0] == shape[1]:
-            selfs[members] = _row_means(np.diagonal(a, axis1=1, axis2=2))
-        else:
-            square = False
+    a = np.ascontiguousarray(attentions[0], dtype=np.float64)
+    pad_mask = np.asarray(attentions[1], dtype=bool)
+    if a.ndim != 3 or pad_mask.shape != (a.shape[0], a.shape[2]):
+        raise ValueError(f"attention {a.shape} and pad mask {pad_mask.shape} are not (N, rows, T) and (N, T)")
+    if not len(a):
+        raise ValueError("no attention records")
+    pads = np.zeros(len(a))
+    # records with as many pads at a time; a record's pad columns, in
+    # order, are summed one after the other into each row's total, as
+    # numpy sums the column-major ``a[:, pad_mask]`` of one record
+    counts = pad_mask.sum(axis=1)
+    columns_first = np.swapaxes(a, 1, 2)
+    for count in sorted_distinct(counts[counts > 0]).tolist():
+        group = np.flatnonzero(counts == count)
+        columns = np.nonzero(pad_mask[group])[1].reshape(group.size, count, 1)
+        pad_columns = np.take_along_axis(columns_first[group], columns, axis=1)
+        pads[group] = _row_means(np.add.reduce(pad_columns, axis=1))
+    # an entry that is not positive takes log2(1.0) = 0.0, so it adds
+    # 0 * 0.0 (and a NaN stays NaN)
+    plogp = a * np.log2(np.where(a > 0.0, a, 1.0))
+    square = a.shape[1] == a.shape[2]
     return {
-        "first": float(np.mean(firsts)),
+        "first": float(np.mean(_row_means(a[:, :, 0]))),
         "pad": float(np.mean(pads)),
-        "entropy": float(np.mean(entropies)),
-        "self": float(np.mean(selfs)) if square else None,
+        "entropy": float(np.mean(-_row_means(np.add.reduce(plogp, axis=-1)))),
+        "self": float(np.mean(_row_means(np.diagonal(a, axis1=1, axis2=2)))) if square else None,
     }
 
 
@@ -236,15 +230,16 @@ def click_loss_analog(
     items' codes are read from its arrays through one binary search over
     its shared ascending ID order, and the table is neither converted nor
     sorted here. Before anything is scored, ValueError is raised for a
-    ``set_size`` or ``pool_size`` that is not an integer, a ``set_size``
-    below 1, a ``pool_size`` below ``set_size``, a depth that is not an
-    integer in 1..L, for codes of L levels, or a depth given twice.
+    ``set_size``, ``pool_size`` or ``seed`` that is a bool or not an
+    integer, a ``set_size`` below 1, a ``pool_size`` below ``set_size``,
+    a depth that is not an integer in 1..L, for codes of L levels, or a
+    depth given twice.
     """
     if integer(set_size, "set_size", ValueError) < 1:
         raise ValueError(f"set_size {set_size} is below 1")
     if integer(pool_size, "pool_size", ValueError) < set_size:
         raise ValueError(f"pool_size {pool_size} is below set_size {set_size}")
-    rng = np.random.default_rng([seed, 23])
+    rng = np.random.default_rng([integer(seed, "seed", ValueError), 23])
     # each item's row of the table; an item the table lacks reads the zero
     # row appended below, and in_table keeps it out of every swap
     at = semid_table.positions(items.raw_ids)

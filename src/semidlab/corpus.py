@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checkpoint import CheckpointError, Config, check_arrays, int64_array, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, Config, check_arrays, int64_array, integer, load_checkpoint, save_checkpoint
 from .metrics import logistic
 
 DAY = 86_400
@@ -353,10 +353,12 @@ def inject_aa_pairs(items: ItemTable, count: int, window: tuple[int, int], seed:
     ``raw_ids``: embedding, generator path, lifetime, weight and bias;
     they are created after stream generation so they can never appear in
     training events. Returns (extended item table, list of
-    (original_id, copy_id)).
+    (original_id, copy_id)). A ``count`` or ``seed`` that is a bool or
+    not an integer raises CorpusConfigError.
     """
+    count = integer(count, "count", CorpusConfigError)
     t0, t1 = window
-    rng = substream(seed, _S_AA)
+    rng = substream(integer(seed, "seed", CorpusConfigError), _S_AA)
     alive = np.flatnonzero((items.birth < t1) & (items.death > t0))
     if alive.size == 0:
         raise ValueError("no items alive in the requested window")

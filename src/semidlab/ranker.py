@@ -45,13 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import (
-    Config,
-    config_from_meta,
-    int64_array,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .checkpoint import Config, config_from_meta, int64_array, integer, load_checkpoint, save_checkpoint
 from .metrics import PREDICTION_CLIP, logistic, normalized_entropy
 from .mlp import ParamSpec, init_params, load_params, mlp, mlp_layout
 from .runfiles import ArtifactMismatchError, field_error, read_table, write_table
@@ -299,11 +293,12 @@ def train_one_epoch(model: RankerModel, events, ne_window: int = 5000) -> TrainR
     Events must already be time-ordered. Each minibatch is one graph and
     one optimizer step. Each full window of ``ne_window`` events with
     both labels gives an NE point from the events' pre-update
-    predictions (progressive validation).
+    predictions (progressive validation). An ``ne_window`` that is a bool,
+    not an integer or below 1 raises RankerConfigError.
     """
     if model.frozen:
         raise RankerConfigError("model is frozen")
-    if ne_window < 1:
+    if integer(ne_window, "ne_window", RankerConfigError) < 1:
         raise RankerConfigError(f"ne_window must be at least 1, got {ne_window}")
     cfg = model.config
     events = list(events)
@@ -328,27 +323,31 @@ def train_one_epoch(model: RankerModel, events, ne_window: int = 5000) -> TrainR
 class EvalResult:
     ne: float
     records: list
-    attentions: list  # (attention matrix, pad mask) pairs when requested
+    # (attention (N, rows, T), pad mask (N, T)) when requested, else None
+    attentions: tuple[np.ndarray, np.ndarray] | None
 
 
-def score(model: RankerModel, events, keep_attention: bool = False) -> tuple[np.ndarray, list]:
+def score(model: RankerModel, events, keep_attention: bool = False) -> tuple[np.ndarray, tuple | None]:
     """Frozen-model probabilities, scored in minibatches of ``batch_size``.
 
     Only one minibatch graph is alive at a time. With ``keep_attention``
-    the (attention matrix, pad mask) pair of every event comes back too
-    (none for bypass). No events give no probabilities and no pairs.
+    the events' attention, N-by-rows-by-T, and their N-by-T pad mask come
+    back too, each the minibatches' arrays joined in event order. The
+    pair is None when attention was not asked for, for bypass, and for
+    no events, which give no probabilities.
     """
     events = list(events)
     probabilities = np.empty(len(events))
-    attentions = []
+    attention, pad_mask = [], []
     size = model.config.batch_size
     for start in range(0, len(events), size):
         out = forward_batch(model, events[start : start + size])
         probabilities[start : start + size] = out.probabilities
         if keep_attention and out.attention is not None:
-            attentions.extend(zip(out.attention, out.pad_positions))
+            attention.append(out.attention)
+            pad_mask.append(out.pad_positions)
         del out  # drop this chunk's graph before the next one is built
-    return probabilities, attentions
+    return probabilities, (np.concatenate(attention), np.concatenate(pad_mask)) if attention else None
 
 
 def score_candidates(model: RankerModel, context, item_ids) -> np.ndarray:
@@ -379,7 +378,8 @@ def score_candidates(model: RankerModel, context, item_ids) -> np.ndarray:
 
 def evaluate(model: RankerModel, events, keep_attention: bool = False) -> EvalResult:
     """Frozen-model scoring through ``score``; NE per the segment's own
-    base rate.
+    base rate. ``attentions`` holds ``score``'s (attention, pad mask)
+    pair, or None.
 
     Raises SingleClassError when the stream holds only one label class
     rather than returning a silent NaN.

@@ -205,8 +205,6 @@ class RandomHash:
     fixed pure function for a given (seed, H) across processes.
     """
 
-    kind = "random_hash"
-
     def __init__(self, table_size: int, seed: int = 0):
         self.table_size = _table_size(table_size)
         self.seed_mix = _splitmix64(integer(seed, "hash seed", ConfigurationError) & _MASK64)
@@ -228,8 +226,6 @@ class IndividualEmbedding:
     IDs outside the training vocabulary map to a single reserved row at
     the end of the table, which never receives gradient during training.
     """
-
-    kind = "individual"
 
     def __init__(self, vocabulary):
         self._ids = sorted_distinct(int64_array(list(vocabulary), "vocabulary ids", ConfigurationError))
@@ -265,19 +261,16 @@ class SemanticIdLookup:
     birth, so hitting the fallback indicates a misconfigured run.
     """
 
-    kind = "semantic_id"
-
     def __init__(self, id_table, parameterization: TokenParameterization, table_size: int):
         if not id_table:
             raise ConfigurationError("empty Semantic ID table")
         self.table = id_table
         codes = self.table.codes
-        self.levels = codes.shape[1]
-        self.parameterization = parameterization
-        self.output_count = parameterization.output_count(self.levels)
+        levels = codes.shape[1]
+        self.output_count = parameterization.output_count(levels)
         self.table_size = _table_size(table_size)
         self._position = self.table.position
-        pre = parameterize_batch(np.vstack([codes, np.zeros(self.levels, dtype=np.int64)]), parameterization)
+        pre = parameterize_batch(np.vstack([codes, np.zeros(levels, dtype=np.int64)]), parameterization)
         self._rows = fit_to_table_batch(pre, self.table_size)
 
     def rows(self, raw_id: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Metric definitions: NE, segments, drift, attention, AAR, exports."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -182,12 +183,17 @@ class TestDriftGap:
             drifting_gap(model, stream.train, (0, 1), (0, stream.train_end))
 
 
+def one(a, pad):
+    """One record as the stacked (attention, pad mask) pair."""
+    return np.asarray(a)[None], np.asarray(pad)[None]
+
+
 class TestAttentionMetrics:
     def test_uniform_matrix_exact_values(self):
         s = 8
         a = np.full((s, s), 1.0 / s)
         pad = np.array([False] * 6 + [True] * 2)
-        out = attention_metrics([(a, pad)])
+        out = attention_metrics(one(a, pad))
         assert out["first"] == 1.0 / s
         assert out["pad"] == pytest.approx(2.0 / s, abs=1e-15)
         assert out["entropy"] == math.log2(s)  # exact for a power of two
@@ -196,70 +202,60 @@ class TestAttentionMetrics:
     def test_all_mass_on_padding(self):
         a = np.zeros((3, 4))
         a[:, 3] = 1.0
-        out = attention_metrics([(a, np.array([False, False, False, True]))])
+        out = attention_metrics(one(a, np.array([False, False, False, True])))
         assert out["pad"] == 1.0
 
     def test_identity_matrix(self):
-        out = attention_metrics([(np.eye(5), np.zeros(5, dtype=bool))])
+        out = attention_metrics(one(np.eye(5), np.zeros(5, dtype=bool)))
         assert out["self"] == 1.0
         assert out["entropy"] == 0.0  # 0 log 0 := 0
 
     def test_pooled_attention_has_no_self_metric(self):
         a = np.full((2, 5), 0.2)
-        out = attention_metrics([(a, np.zeros(5, dtype=bool))])
+        out = attention_metrics(one(a, np.zeros(5, dtype=bool)))
         assert out["self"] is None
 
 
 @st.composite
-def attention_records(draw):
-    """(matrix, pad mask) records over one to three shapes, square ones
-    among them, with zero entries, and pads anywhere or as a suffix."""
-    shapes = draw(st.lists(
-        st.tuples(st.integers(1, 40), st.integers(1, 20)).map(lambda s: s if s[0] % 3 else (s[1], s[1])),
-        min_size=1, max_size=3,
-    ))
+def attention_pairs(draw):
+    """(attention, pad mask) pairs of one to 40 records of one shape,
+    square or not, with zero entries, and pads anywhere or as a suffix."""
+    rows, cols = draw(st.tuples(st.integers(1, 40), st.integers(1, 20)).map(lambda s: s if s[0] % 3 else (s[1], s[1])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     zero_share, pad_share = draw(st.floats(0.0, 0.9)), draw(st.floats(0.0, 1.0))
-    records = []
-    for _ in range(draw(st.integers(1, 40))):
-        rows, cols = shapes[int(rng.integers(len(shapes)))]
-        a = rng.random((rows, cols)) ** 3
-        a[rng.random((rows, cols)) < zero_share] = 0.0
-        a /= np.maximum(a.sum(axis=1, keepdims=True), 1e-300)
+    n = draw(st.integers(1, 40))
+    a = rng.random((n, rows, cols)) ** 3
+    a[rng.random((n, rows, cols)) < zero_share] = 0.0
+    a /= np.maximum(a.sum(axis=2, keepdims=True), 1e-300)
+    pad = np.empty((n, cols), dtype=bool)
+    for i in range(n):
         if rng.random() < 0.5:
-            pad = rng.random(cols) < pad_share
+            pad[i] = rng.random(cols) < pad_share
         else:
-            pad = np.arange(cols) >= rng.integers(0, cols + 1)
-        records.append((a, pad))
-    return records
+            pad[i] = np.arange(cols) >= rng.integers(0, cols + 1)
+    return a, pad
 
 
 class TestAttentionMetricsAgainstTheLoop:
     @settings(max_examples=150, deadline=None)
-    @given(records=attention_records())
-    def test_equals_the_per_record_loop(self, records):
-        assert attention_metrics(records) == oracles.attention_metrics(records)
-
-    def test_mixed_shapes_average_per_record_values_in_input_order(self):
-        rng = np.random.default_rng(3)
-        records = []
-        for shape in [(4, 8), (8, 8), (4, 8), (3, 9), (8, 8)] * 7:
-            a = rng.random(shape)
-            records.append((a / a.sum(axis=1, keepdims=True), rng.random(shape[1]) < 0.4))
-        got = attention_metrics(records)
-        assert got == oracles.attention_metrics(records)
-        assert got["self"] is None
-        square = [r for r in records if r[0].shape == (8, 8)]
-        assert attention_metrics(square) == oracles.attention_metrics(square)
-        assert attention_metrics(square)["self"] is not None
+    @given(pair=attention_pairs())
+    def test_equals_the_per_record_loop(self, pair):
+        assert attention_metrics(pair) == oracles.attention_metrics(zip(*pair))
 
     def test_lists_and_int_masks_read_as_arrays(self):
-        records = [([[0.5, 0.5], [1.0, 0.0]], [0, 1]), (np.eye(2), np.array([False, False]))]
-        assert attention_metrics(records) == oracles.attention_metrics(records)
+        pair = ([[[0.5, 0.5], [1.0, 0.0]], np.eye(2).tolist()], [[0, 1], [0, 0]])
+        assert attention_metrics(pair) == oracles.attention_metrics(zip(*pair))
 
     def test_no_records_raises(self):
         with pytest.raises(ValueError, match="no attention records"):
-            attention_metrics(iter([]))
+            attention_metrics(None)
+        with pytest.raises(ValueError, match="no attention records"):
+            attention_metrics((np.empty((0, 4, 4)), np.empty((0, 4), dtype=bool)))
+
+    @pytest.mark.parametrize("a_shape,pad_shape", [((2, 3, 4), (2, 3)), ((2, 3, 4), (3, 4)), ((3, 4), (3, 4))])
+    def test_a_pad_mask_off_the_attention_shape_raises(self, a_shape, pad_shape):
+        with pytest.raises(ValueError, match=r"are not \(N, rows, T\) and \(N, T\)"):
+            attention_metrics((np.full(a_shape, 0.25), np.zeros(pad_shape, dtype=bool)))
 
 
 class TestAar:
@@ -279,6 +275,10 @@ class TestAar:
         out = aar_report([(0.4, 0.4), (0.3, 0.1)])
         assert out["n_pairs"] == 2
         assert out["mean_abs"] == pytest.approx(0.5 * (2 * 0.2 / (0.4 + 1e-9)), rel=1e-6)
+
+    def test_no_pairs_raise(self):
+        with pytest.raises(ValueError, match="no A/A pairs scored"):
+            aar_report([])
 
 
 class TestClickLoss:
@@ -339,6 +339,27 @@ class TestClickLoss:
         report = click_loss_analog(*args, **kwargs)
         assert report == oracles.click_loss_analog(*args, **kwargs)
         assert report[1]["n_swaps"] > 0
+
+    def test_passes_over_contexts_with_at_most_set_size_alive_items(self):
+        cfg, items, users, stream, semid, model = self._setup()
+        contexts = stream.eval[:6]
+        kwargs = dict(temperature=cfg.temperature, bias=cfg.ctr_bias, pool_size=60, seed=7)
+        # as many alive items as set_size: passed over before anything is
+        # scored, so no model is needed
+        context = contexts[0]
+        alive = int(items.alive_mask(context.timestamp).sum())
+        report = click_loss_analog(
+            None, items, users, semid, [context], (1, 2),
+            temperature=cfg.temperature, bias=cfg.ctr_bias, set_size=alive, pool_size=alive,
+        )
+        empty = {"click_loss_rate": None, "abs_click_loss_rate": None, "n_swaps": 0, "skipped": 0}
+        assert report == {1: empty, 2: empty}
+        # a context past every item's death draws nothing from the seeded
+        # stream, so the contexts after it read as they do without it
+        dead = dataclasses.replace(context, timestamp=int(items.death.max()))
+        with_dead = click_loss_analog(model, items, users, semid, [dead, *contexts], (1, 2), set_size=4, **kwargs)
+        assert with_dead == click_loss_analog(model, items, users, semid, contexts, (1, 2), set_size=4, **kwargs)
+        assert with_dead[1]["n_swaps"] > 0
 
     @pytest.mark.parametrize("depths", [(0,), (1, 4), (-1,), (1.5,), (True,), (2.0,), (1, 1), (2, 1, 2)])
     def test_refuses_a_depth_outside_the_code_levels_before_scoring(self, depths):

@@ -327,6 +327,14 @@ class TestAaPairs:
         # collision chance is 1/H per pair
         assert differs >= 180
 
+    def test_a_window_with_no_item_alive_raises(self):
+        items = generate_items(small_config())
+        end = int(items.death.max())
+        # items alive over [t0, t1) are born before t1 and die after t0
+        for window in [(end, end + DAY), (-DAY, int(items.birth.min()))]:
+            with pytest.raises(ValueError, match="no items alive in the requested window"):
+                inject_aa_pairs(items, 5, window, seed=1)
+
 
 class TestPersistence:
     def test_items_round_trip(self, tmp_path):

@@ -330,7 +330,7 @@ class TestEvaluate:
     def test_no_events_score_empty_but_do_not_evaluate(self, aggregation):
         model = make_model(aggregation, T_len=3, d_s=4)
         probabilities, attentions = score(model, [], keep_attention=True)
-        assert probabilities.dtype == np.float64 and probabilities.shape == (0,) and attentions == []
+        assert probabilities.dtype == np.float64 and probabilities.shape == (0,) and attentions is None
         assert train_one_epoch(model, []).ne_curve == []
         with pytest.raises(ValueError, match="empty evaluation stream"):
             evaluate(model, [])
@@ -348,9 +348,10 @@ class TestEvaluate:
         events = toy_events(6, seed=14)
         events[0].label, events[1].label = 0, 1
         res = evaluate(model, events, keep_attention=True)
-        assert len(res.attentions) == 6
-        a, pad = res.attentions[0]
-        assert a.shape == (4, 3) and pad.shape == (3,)
+        a, pad = res.attentions
+        assert a.shape == (6, 4, 3) and pad.shape == (6, 3) and pad.dtype == bool
+        assert evaluate(model, events).attentions is None
+        assert evaluate(make_model("bypass", T_len=3), events, keep_attention=True).attentions is None
 
 
 class TestPersistence:

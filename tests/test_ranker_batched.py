@@ -107,10 +107,13 @@ def test_training_and_evaluation_match_per_event_path(agg, lookup):
     want_ev = ref.evaluate(oracle, held_out, keep_attention=True)
     assert_records_close(got_ev.records, want_ev.records)
     assert abs(got_ev.ne - want_ev.ne) <= PRED_TOL
-    assert len(got_ev.attentions) == len(want_ev.attentions)
-    for (a, pad), (b, pad_b) in zip(got_ev.attentions, want_ev.attentions):
-        np.testing.assert_allclose(a, b, rtol=0, atol=PRED_TOL)
-        np.testing.assert_array_equal(pad, pad_b)
+    if agg == "bypass":
+        assert got_ev.attentions is None and want_ev.attentions == []
+    else:
+        # the per-event path keeps one (matrix, pad mask) pair per event
+        attention, pad_mask = got_ev.attentions
+        np.testing.assert_allclose(attention, np.stack([a for a, _ in want_ev.attentions]), rtol=0, atol=PRED_TOL)
+        np.testing.assert_array_equal(pad_mask, np.stack([pad for _, pad in want_ev.attentions]))
 
 
 def test_partial_last_batch_keeps_per_event_weight():
@@ -133,10 +136,10 @@ def test_evaluate_chunking_does_not_change_predictions():
     model.config.batch_size = 5
     chunked = ranker.evaluate(model, stream, keep_attention=True)
     assert_records_close(chunked.records, whole.records)
-    assert len(chunked.attentions) == len(whole.attentions) == 37
-    for (attn, pads), (want_attn, want_pads) in zip(chunked.attentions, whole.attentions):
-        np.testing.assert_allclose(attn, want_attn, rtol=0, atol=PRED_TOL)
-        np.testing.assert_array_equal(pads, want_pads)
+    (attn, pads), (want_attn, want_pads) = chunked.attentions, whole.attentions
+    assert attn.shape == want_attn.shape == (37, T_LEN, T_LEN) and pads.shape == want_pads.shape == (37, T_LEN)
+    np.testing.assert_allclose(attn, want_attn, rtol=0, atol=PRED_TOL)
+    np.testing.assert_array_equal(pads, want_pads)
 
 
 def test_forward_batch_rejects_empty_batch():

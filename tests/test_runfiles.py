@@ -205,6 +205,16 @@ def test_extra_field_raises(tmp_path):
         load_semid_table(path)
 
 
+@pytest.mark.parametrize(
+    "first", ["# semidlab other v1", "# semidlab things v2", "event_id\tlabel", "", "# semidlab things v1 "]
+)
+def test_a_foreign_first_line_raises(tmp_path, first):
+    path = tmp_path / "t.tsv"
+    path.write_text(first + "\n# columns: a\n1\n", encoding="utf-8")
+    with pytest.raises(ArtifactMismatchError, match="expected header '# semidlab things v1'"):
+        read_table(path, "things")
+
+
 def test_row_without_columns_line_raises(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# semidlab things v1\n# seed=1\na\tb\n", encoding="utf-8")

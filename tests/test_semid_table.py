@@ -108,6 +108,13 @@ def test_positions_of_the_tables_own_ids_skip_the_search(monkeypatch):
     assert semid_table({}).positions(np.zeros(0, dtype=np.int64)).tolist() == []
 
 
+def test_an_empty_table_lacks_every_id():
+    empty = SemanticIdTable([], np.zeros((0, 3), dtype=np.int64))
+    at = empty.positions(np.array([5, -7, 0], dtype=np.int64))
+    assert at.tolist() == [0, 0, 0] == [len(empty)] * 3 and at.dtype == np.intp
+    assert empty.positions(np.array([[1, 2]], dtype=np.int64)).shape == (1, 2)
+
+
 def test_assign_keeps_item_order():
     order = [42, -3, 2**62, 7, 0]
     items = {i: np.random.default_rng(abs(i) % 97).normal(size=5) for i in order}

@@ -14,6 +14,9 @@
   and prefix depth, ``RandomHash``'s and ``SemanticIdLookup``'s table
   size, the hash seed) and so at ``ranker.build_lookup``'s spec: a bool
   or a non-integer raises ConfigurationError instead of being truncated.
+  It holds too at ``ranker.train_one_epoch``'s NE window,
+  ``corpus.inject_aa_pairs``' count and seed and
+  ``analysis.click_loss_analog``'s seed, each with its module's error.
   Both hashed lookups, and so ``build_lookup``, take a table size in
   [1, 2^63) only, on which their scalar and array paths agree.
 * ``corpus.inject_aa_pairs`` copies every ``ItemTable`` field.
@@ -35,6 +38,7 @@ import numpy as np
 import pytest
 
 from semidlab import tensor as T
+from semidlab.analysis import click_loss_analog
 from semidlab.checkpoint import SemanticIdTable, config_from_meta, int64_array
 from semidlab.corpus import (
     DAY,
@@ -49,7 +53,14 @@ from semidlab.corpus import (
     save_items,
 )
 from semidlab.metrics import logistic
-from semidlab.ranker import RankerConfig, RankerConfigError, RankerModel, build_lookup, forward_batch
+from semidlab.ranker import (
+    RankerConfig,
+    RankerConfigError,
+    RankerModel,
+    build_lookup,
+    forward_batch,
+    train_one_epoch,
+)
 from semidlab.rqvae import RqVaeConfig, RqVaeConfigError, save_semid_table
 from semidlab.runfiles import config_hash
 from semidlab.tokenization import (
@@ -357,31 +368,67 @@ def test_aa_copies_share_every_field_but_their_fresh_raw_ids():
 # ---------------------------------------------------------------------------
 # checkpoint.integer at the entry points that take one integer
 
+def small_model() -> RankerModel:
+    return RankerModel.initialize(RankerConfig(d_m=2, top_mlp=(2,)), RandomHash(16, seed=1), RandomHash(16, seed=2))
+
+
+# caller -> (error type, call that passes ``value`` as the caller's integer)
 SINGLE_INTEGERS = {
-    "TokenParameterization.codebook_size": lambda v: TokenParameterization("prefix_ngram", v, 1),
-    "TokenParameterization.prefix_depth": lambda v: TokenParameterization("prefix_ngram", 4, v),
-    "RandomHash.table_size": lambda v: RandomHash(v),
-    "RandomHash.seed": lambda v: RandomHash(100, seed=v),
-    "SemanticIdLookup.table_size": lambda v: SemanticIdLookup(SEMID, TokenParameterization("trigram", 4), v),
-    "build_lookup.random_hash.table_size": lambda v: build_lookup({"kind": "random_hash", "table_size": v}),
-    "build_lookup.hash_seed": lambda v: build_lookup({"kind": "random_hash", "table_size": 100, "hash_seed": v}),
+    "TokenParameterization.codebook_size": (ConfigurationError, lambda v: TokenParameterization("prefix_ngram", v, 1)),
+    "TokenParameterization.prefix_depth": (ConfigurationError, lambda v: TokenParameterization("prefix_ngram", 4, v)),
+    "RandomHash.table_size": (ConfigurationError, lambda v: RandomHash(v)),
+    "RandomHash.seed": (ConfigurationError, lambda v: RandomHash(100, seed=v)),
+    "SemanticIdLookup.table_size": (
+        ConfigurationError,
+        lambda v: SemanticIdLookup(SEMID, TokenParameterization("trigram", 4), v),
+    ),
+    "build_lookup.random_hash.table_size": (
+        ConfigurationError,
+        lambda v: build_lookup({"kind": "random_hash", "table_size": v}),
+    ),
+    "build_lookup.hash_seed": (
+        ConfigurationError,
+        lambda v: build_lookup({"kind": "random_hash", "table_size": 100, "hash_seed": v}),
+    ),
     **{
         f"build_lookup.semantic_id.{name}": (
+            ConfigurationError,
             lambda v, name=name: build_lookup(
                 {"kind": "semantic_id", "codebook_size": 4, "prefix_depth": 2, "table_size": 64, name: v},
                 semid_table=SEMID,
-            )
+            ),
         )
         for name in ("codebook_size", "prefix_depth", "table_size")
     },
+    # 2.5 raised TypeError from ``range`` and True ran as a window of 1
+    "train_one_epoch.ne_window": (RankerConfigError, lambda v: train_one_epoch(small_model(), [], ne_window=v)),
+    # a seed of 2.7 drew seed 2's copies; a count of 2.5 raised numpy's TypeError
+    "inject_aa_pairs.count": (CorpusConfigError, lambda v: inject_aa_pairs(three_items(), v, (0, 10), seed=1)),
+    "inject_aa_pairs.seed": (CorpusConfigError, lambda v: inject_aa_pairs(three_items(), 2, (0, 10), seed=v)),
+    # True ran as seed 1; no context events, so a valid seed scores nothing
+    "click_loss_analog.seed": (
+        ValueError,
+        lambda v: click_loss_analog(
+            small_model(), three_items(), None, SEMID, [], (1,), temperature=1.0, bias=0.0, seed=v
+        ),
+    ),
 }
 
 
 @pytest.mark.parametrize("value", [4.5, 64.0, True, np.float64(3.0), "4", None])
 @pytest.mark.parametrize("caller", sorted(SINGLE_INTEGERS))
 def test_single_integer_entry_points_refuse_a_bool_or_non_integer(caller, value):
-    with pytest.raises(ConfigurationError, match="integers only"):
-        SINGLE_INTEGERS[caller](value)
+    error, call = SINGLE_INTEGERS[caller]
+    with pytest.raises(error, match="integers only"):
+        call(value)
+
+
+# the lookups' numpy integers: test_numpy_integer_sizes_pass_as_python_ints
+@pytest.mark.parametrize(
+    "caller", ["click_loss_analog.seed", "inject_aa_pairs.count", "inject_aa_pairs.seed", "train_one_epoch.ne_window"]
+)
+def test_numpy_integers_pass_the_run_entry_points(caller):
+    SINGLE_INTEGERS[caller][1](np.int64(2))
 
 
 TABLE_SIZES = {

@@ -89,6 +89,22 @@ class TestParameterize:
             assert hi1 <= lo2 or hi2 <= lo1
 
 
+    @pytest.mark.parametrize(
+        "args,match",
+        [
+            (("bigram", 4), "unknown parameterization variant 'bigram'"),
+            (("Trigram", 4), "unknown parameterization variant 'Trigram'"),
+            (("trigram", 1), "codebook_size must be at least 2"),
+            (("prefix_ngram", 0, 2), "codebook_size must be at least 2"),
+            (("prefix_ngram", 4, 0), "prefix_ngram needs prefix_depth >= 1"),
+            (("prefix_ngram", 4, -1), "prefix_ngram needs prefix_depth >= 1"),
+        ],
+    )
+    def test_a_parameterization_outside_its_ranges_is_refused(self, args, match):
+        with pytest.raises(ConfigurationError, match=match):
+            TokenParameterization(*args)
+
+
 class TestFitToTable:
     def test_block_offsets_hand_case(self):
         assert fit_to_table([0, 4, 20], 300, 3) == [0, 104, 220]
@@ -189,6 +205,10 @@ class TestSemanticIdLookup:
             rows = lk.rows(42)
         assert rows == fit_to_table([0, 4, 20], 300, 3)
         assert any("missing" in r.message for r in caplog.records)
+
+    def test_an_empty_table_is_refused(self):
+        with pytest.raises(ConfigurationError, match="empty Semantic ID table"):
+            SemanticIdLookup(semid_table({}), P("prefix_ngram", 4, n=1), 100)
 
     def test_inconsistent_code_lengths_rejected(self):
         with pytest.raises(ConfigurationError, match="differ in length"):
